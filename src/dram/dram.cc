@@ -63,7 +63,7 @@ Dram::tick()
     resp.addr = req.addr;
     resp.tag = req.tag;
     if (req.write) {
-        store_[req.addr] = req.data;
+        storeLine(req.addr, req.data);
         resp_q_.pushIn(resp, cfg_.write_ack_latency);
     } else {
         resp.data = peekLine(req.addr);
@@ -88,22 +88,38 @@ Dram::popResp()
 LineData
 Dram::peekLine(Addr line_addr) const
 {
-    auto it = store_.find(lineAlign(line_addr));
-    if (it == store_.end())
+    auto it = slot_of_.find(lineAlign(line_addr));
+    if (it == slot_of_.end())
         return LineData{}; // untouched memory reads as zero
-    return it->second;
+    return lines_[it->second];
 }
 
 void
 Dram::pokeLine(Addr line_addr, const LineData &data)
 {
-    store_[lineAlign(line_addr)] = data;
+    storeLine(lineAlign(line_addr), data);
+}
+
+void
+Dram::storeLine(Addr line_addr, const LineData &data)
+{
+    const auto [it, fresh] =
+        slot_of_.try_emplace(line_addr, line_addrs_.size());
+    if (fresh) {
+        line_addrs_.push_back(line_addr);
+        lines_.emplace_back();
+    }
+    changes_.mark(it->second);
+    lines_[it->second] = data;
 }
 
 std::unordered_map<Addr, LineData>
 Dram::persistImage() const
 {
-    std::unordered_map<Addr, LineData> image = store_;
+    std::unordered_map<Addr, LineData> image;
+    image.reserve(lines_.size());
+    for (std::size_t s = 0; s < lines_.size(); ++s)
+        image.emplace(line_addrs_[s], lines_[s]);
     for (const MemReq &req : req_q_) {
         if (req.write)
             image[req.addr] = req.data;

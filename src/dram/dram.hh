@@ -15,9 +15,11 @@
 #define SKIPIT_DRAM_DRAM_HH
 
 #include <cstdint>
+#include <deque>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/change_log.hh"
 #include "sim/queues.hh"
 #include "sim/simulator.hh"
 #include "sim/stats.hh"
@@ -99,6 +101,15 @@ class Dram : public Ticked
     void pokeLine(Addr line_addr, const LineData &data);
     /** Read one 64-bit word straight from the backing store. */
     std::uint64_t peekWord(Addr addr) const;
+    /** Lines ever stored; slot s (first-store order) holds line
+     *  storedLine(s). */
+    std::size_t storedLines() const { return line_addrs_.size(); }
+    Addr storedLine(std::size_t slot) const { return line_addrs_[slot]; }
+    /** Store slots written (by a queued write or pokeLine) since the
+     *  last clearChanges(); the checker drains this without changing
+     *  simulated state. */
+    const ChangeLog &changes() const { return changes_; }
+    void clearChanges() const { changes_.clear(); }
     /// @}
 
     /// @name ADR persist domain (durability-oracle interface)
@@ -126,9 +137,17 @@ class Dram : public Ticked
 
     BoundedFifo<MemReq> req_q_;
     CompletionBuffer<MemResp> resp_q_;
-    std::unordered_map<Addr, LineData> store_;
+    /** The backing store: slot_of_ maps a line to its slot in lines_
+     *  (a deque: growth neither copies lines nor doubles capacity). */
+    std::unordered_map<Addr, std::size_t> slot_of_;
+    std::vector<Addr> line_addrs_;
+    std::deque<LineData> lines_;
+    mutable ChangeLog changes_;
     unsigned inflight_ = 0;
     Cycle next_issue_ = 0;
+
+    /** The one mutable path into the backing store. */
+    void storeLine(Addr line_addr, const LineData &data);
 };
 
 } // namespace skipit

@@ -1,6 +1,7 @@
 #include "data_cache.hh"
 
 #include <cstring>
+#include <utility>
 
 #include "sim/trace.hh"
 
@@ -484,7 +485,8 @@ DataCache::handleLoad(const CpuReq &req)
         // metadata stays valid and the load may proceed (§5.3).
         const unsigned set = arrays_.setOf(line);
         arrays_.touch(set, static_cast<unsigned>(way));
-        respond(req, readWord(arrays_.data(set, static_cast<unsigned>(way)),
+        respond(req, readWord(std::as_const(arrays_).data(
+                                  set, static_cast<unsigned>(way)),
                               req.addr, req.size),
                 cfg_.hit_latency);
         stats_[sp_ + "load_hits"]++;
@@ -612,8 +614,8 @@ DataCache::handleCbo(const CpuReq &req)
     bool dirty = false;
     bool skip = false;
     if (hit) {
-        const L1Meta &meta = arrays_.meta(arrays_.setOf(line),
-                                          static_cast<unsigned>(way));
+        const L1Meta &meta = std::as_const(arrays_).meta(
+            arrays_.setOf(line), static_cast<unsigned>(way));
         dirty = meta.dirty;
         skip = meta.skip;
     }
@@ -633,7 +635,7 @@ DataCache::handleCbo(const CpuReq &req)
                 sim_.now(), req.txn, "l1.skipit", name() + ".flushq",
                 trace::detail::concat("skip-drop 0x", std::hex, line),
                 line,
-                lineFingerprint(arrays_.data(
+                lineFingerprint(std::as_const(arrays_).data(
                     arrays_.setOf(line), static_cast<unsigned>(way))));
         }
         return;
@@ -1068,8 +1070,8 @@ DataCache::flushUnitDequeue()
         SKIPIT_ASSERT(way >= 0, "flush-queue hit entry vanished");
         f.set = arrays_.setOf(f.req.addr);
         f.way = way;
-        const L1Meta &meta = arrays_.meta(f.set,
-                                          static_cast<unsigned>(way));
+        const L1Meta &meta = std::as_const(arrays_).meta(
+            f.set, static_cast<unsigned>(way));
         SKIPIT_ASSERT(meta.dirty == f.req.is_dirty,
                       "flush-queue dirty snapshot stale");
         const ClientState old = meta.state;
@@ -1124,7 +1126,8 @@ DataCache::tickFshrs()
           }
 
           case Fshr::State::FillBuffer: {
-            f.buffer = arrays_.data(f.set, static_cast<unsigned>(f.way));
+            f.buffer = std::as_const(arrays_).data(
+                f.set, static_cast<unsigned>(f.way));
             f.buffer_filled = true;
             f.state = Fshr::State::RootReleaseData;
             // The widened data array serves a full line in one cycle
@@ -1199,8 +1202,9 @@ DataCache::completeFshr(Fshr &f)
                                               f.req.addr),
                         f.req.addr,
                         lineFingerprint(
-                            arrays_.data(arrays_.setOf(f.req.addr),
-                                         static_cast<unsigned>(way))));
+                            std::as_const(arrays_).data(
+                                arrays_.setOf(f.req.addr),
+                                static_cast<unsigned>(way))));
                 }
             }
         }
@@ -1326,6 +1330,28 @@ DataCache::injectSkipCorruption(Addr addr)
                   "injectSkipCorruption: line is dirty (skip bits are "
                   "only consulted on clean lines)");
     meta.skip = true;
+}
+
+void
+DataCache::injectTrunk(Addr addr)
+{
+    const Addr line = lineAlign(addr);
+    const int way = arrays_.findWay(line);
+    SKIPIT_ASSERT(way >= 0, "injectTrunk: line not resident: 0x", std::hex,
+                  line);
+    arrays_.meta(arrays_.setOf(line), static_cast<unsigned>(way)).state =
+        ClientState::Trunk;
+}
+
+void
+DataCache::injectDataCorruption(Addr addr)
+{
+    const Addr line = lineAlign(addr);
+    const int way = arrays_.findWay(line);
+    SKIPIT_ASSERT(way >= 0, "injectDataCorruption: line not resident: 0x",
+                  std::hex, line);
+    arrays_.data(arrays_.setOf(line),
+                 static_cast<unsigned>(way))[lineOffset(addr)] ^= 0xff;
 }
 
 } // namespace skipit

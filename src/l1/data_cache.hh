@@ -104,6 +104,15 @@ class DataCache : public Ticked, public probe::Inspectable
      */
     void injectSkipCorruption(Addr addr);
 
+    /** Fault injection (tests only): promote a resident line to Trunk
+     *  without asking the L2, so another holder breaks swmr. */
+    void injectTrunk(Addr addr);
+
+    /** Fault injection (tests only): flip one byte of a resident line's
+     *  data without dirtying it, so a clean copy disagrees with the
+     *  levels below (value-coherence). */
+    void injectDataCorruption(Addr addr);
+
   private:
     Simulator &sim_;
     L1Config cfg_;

@@ -12,6 +12,7 @@
 
 #include "coherence/state.hh"
 #include "cpu_interface.hh"
+#include "sim/change_log.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 #include "tilelink/messages.hh"
@@ -79,19 +80,39 @@ class L1Arrays
         return -1;
     }
 
-    L1Meta &meta(unsigned set, unsigned way) { return meta_[idx(set, way)]; }
+    /** Mutable access marks the slot in changes(). */
+    L1Meta &
+    meta(unsigned set, unsigned way)
+    {
+        const std::size_t i = idx(set, way);
+        changes_.mark(i);
+        return meta_[i];
+    }
     const L1Meta &
     meta(unsigned set, unsigned way) const
     {
         return meta_[idx(set, way)];
     }
 
-    LineData &data(unsigned set, unsigned way) { return data_[idx(set, way)]; }
+    /** Mutable access marks the slot in changes(). */
+    LineData &
+    data(unsigned set, unsigned way)
+    {
+        const std::size_t i = idx(set, way);
+        changes_.mark(i);
+        return data_[i];
+    }
     const LineData &
     data(unsigned set, unsigned way) const
     {
         return data_[idx(set, way)];
     }
+
+    /** Slots (set * ways + way) handed out for writing since the last
+     *  clearChanges(). The checker drains this; draining is observer
+     *  bookkeeping and never changes simulated state. */
+    const ChangeLog &changes() const { return changes_; }
+    void clearChanges() const { changes_.clear(); }
 
     void touch(unsigned set, unsigned way) { lru_[idx(set, way)] = ++stamp_; }
     std::uint64_t stampOf(unsigned set, unsigned way) const
@@ -106,6 +127,7 @@ class L1Arrays
     std::vector<LineData> data_;
     std::vector<std::uint64_t> lru_;
     std::uint64_t stamp_ = 0;
+    mutable ChangeLog changes_{meta_.size()};
 
     std::size_t
     idx(unsigned set, unsigned way) const

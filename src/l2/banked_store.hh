@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "sim/change_log.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 #include "tilelink/messages.hh"
@@ -33,16 +34,25 @@ class BankedStore
         return lines_[index(set, way)];
     }
 
+    /** Store a line; marks the slot in changes(). */
     void
     write(unsigned set, unsigned way, const LineData &data)
     {
-        lines_[index(set, way)] = data;
+        const std::size_t i = index(set, way);
+        changes_.mark(i);
+        lines_[i] = data;
     }
+
+    /** Slots (set * ways + way) written since the last clearChanges();
+     *  the checker drains this without changing simulated state. */
+    const ChangeLog &changes() const { return changes_; }
+    void clearChanges() const { changes_.clear(); }
 
   private:
     unsigned sets_;
     unsigned ways_;
     std::vector<LineData> lines_;
+    mutable ChangeLog changes_{lines_.size()};
 
     std::size_t
     index(unsigned set, unsigned way) const

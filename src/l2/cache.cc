@@ -972,4 +972,27 @@ L2Cache::snapshotResources(
     }
 }
 
+void
+L2Cache::injectDropHolder(Addr addr, AgentId id)
+{
+    const Addr line = lineAlign(addr);
+    const int way = dir_.findWay(line);
+    SKIPIT_ASSERT(way >= 0, "injectDropHolder: line not resident: 0x",
+                  std::hex, line);
+    dir_.entry(dir_.setOf(line), static_cast<unsigned>(way)).dropHolder(id);
+}
+
+void
+L2Cache::injectStoreCorruption(Addr addr)
+{
+    const Addr line = lineAlign(addr);
+    const int way = dir_.findWay(line);
+    SKIPIT_ASSERT(way >= 0, "injectStoreCorruption: line not resident: 0x",
+                  std::hex, line);
+    const unsigned set = dir_.setOf(line);
+    LineData data = store_.read(set, static_cast<unsigned>(way));
+    data[lineOffset(addr)] ^= 0xff;
+    store_.write(set, static_cast<unsigned>(way), data);
+}
+
 } // namespace skipit

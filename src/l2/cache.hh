@@ -160,6 +160,15 @@ class L2Cache : public Ticked, public probe::Inspectable
     void snapshotResources(
         std::vector<probe::ResourceSnapshot> &out) const override;
 
+    /// @name Fault injection (tests only; see DataCache::injectTrunk)
+    /// @{
+    /** Drop agent @p id from a resident line's directory entry without
+     *  probing it: the L1 keeps a copy the L2 no longer tracks. */
+    void injectDropHolder(Addr addr, AgentId id);
+    /** Flip one byte of a resident line's BankedStore copy. */
+    void injectStoreCorruption(Addr addr);
+    /// @}
+
   private:
     /** One L2 transaction in flight. */
     struct Mshr

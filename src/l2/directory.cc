@@ -32,7 +32,11 @@ Directory::findWay(Addr line_addr) const
 DirEntry &
 Directory::entry(unsigned set, unsigned way)
 {
-    return entries_[index(set, way)];
+    const std::size_t i = index(set, way);
+    DirEntry &e = entries_[i];
+    if (changes_.mark(i))
+        prior_lines_.push_back(e.valid ? e.tag << line_shift : no_line);
+    return e;
 }
 
 const DirEntry &

@@ -16,6 +16,7 @@
 
 #include "index.hh"
 #include "replace.hh"
+#include "sim/change_log.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -115,8 +116,28 @@ class Directory
     /** @return way index of @p line_addr or -1 if not resident. */
     int findWay(Addr line_addr) const;
 
+    /** Mutable access marks the slot in changes() and, on its first mark
+     *  since the last drain, records the line the entry held. */
     DirEntry &entry(unsigned set, unsigned way);
     const DirEntry &entry(unsigned set, unsigned way) const;
+
+    /** priorLines() value for an entry that held no line. */
+    static constexpr Addr no_line = ~Addr{0};
+
+    /// @name Change log (checker drain; never changes simulated state)
+    /// @{
+    /** Slots (set * ways + way) handed out for writing. */
+    const ChangeLog &changes() const { return changes_; }
+    /** priorLines()[k] is the line changes().slots()[k] held when it was
+     *  first marked, or no_line if that entry was invalid. */
+    const std::vector<Addr> &priorLines() const { return prior_lines_; }
+    void
+    clearChanges() const
+    {
+        changes_.clear();
+        prior_lines_.clear();
+    }
+    /// @}
 
     /** Rebuild a line address from an entry's tag. */
     Addr
@@ -152,6 +173,8 @@ class Directory
     /** mutable: pickVictim is logically a query, but seeded-random
      *  replacement advances its stream on each draw. */
     mutable ReplacePolicy replace_;
+    mutable ChangeLog changes_{entries_.size()};
+    mutable std::vector<Addr> prior_lines_;
 
     std::size_t
     index(unsigned set, unsigned way) const

@@ -1,5 +1,6 @@
 #include "checker.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -77,6 +78,9 @@ CoherenceChecker::addL1(const DataCache &l1)
     // TileLink source id is @p id (the SoC adds them in core order).
     l1s_.push_back(&l1);
     prev_fshr_.emplace_back(l1.fshrs().size(), Fshr::State::Invalid);
+    const std::size_t slots =
+        std::size_t{l1.arrays().sets()} * l1.arrays().ways();
+    work_.push_back({ChangeLog(slots), {}, ChangeLog(slots)});
 }
 
 void
@@ -85,19 +89,127 @@ CoherenceChecker::tick()
     if (!cfg_.enabled)
         return;
     ++checks_run_;
+    drainChanges();
     for (std::size_t i = 0; i < l1s_.size(); ++i) {
-        checkL1Structural(i);
+        L1Work &w = work_[i];
+        for (const std::size_t s : w.failing)
+            w.recheck.mark(s);
+        w.failing.clear();
+        const unsigned ways = l1s_[i]->arrays().ways();
+        for (const std::size_t s : sortedSlots(w.recheck)) {
+            if (checkLineStructural(i, static_cast<unsigned>(s / ways),
+                                    static_cast<unsigned>(s % ways))) {
+                w.failing.push_back(s);
+            }
+        }
+        w.recheck.clear();
+        checkL1Queues(i);
         checkFshrFsm(i);
     }
     checkSliceRouting(false);
     checkGlobalFlushCounter();
     if (cfg_.check_values && cfg_.value_interval > 0 &&
         checks_run_ % cfg_.value_interval == 0) {
-        for (std::size_t i = 0; i < l1s_.size(); ++i)
-            checkValues(i);
+        for (std::size_t i = 0; i < l1s_.size(); ++i) {
+            ChangeLog &owing = work_[i].owing;
+            const unsigned ways = l1s_[i]->arrays().ways();
+            const std::vector<std::size_t> &due = sortedSlots(owing);
+            owing.clear();
+            for (const std::size_t s : due) {
+                if (checkLineValues(i, static_cast<unsigned>(s / ways),
+                                    static_cast<unsigned>(s % ways))) {
+                    owing.mark(s);
+                }
+            }
+        }
         checkSliceRouting(true);
     }
     snapshotFshrStates();
+}
+
+void
+CoherenceChecker::drainChanges()
+{
+    if (!primed_) {
+        primed_ = true;
+        for (std::size_t i = 0; i < l1s_.size(); ++i) {
+            const L1Arrays &a = l1s_[i]->arrays();
+            for (std::size_t s = 0; s < std::size_t{a.sets()} * a.ways(); ++s)
+                markSlot(i, s);
+        }
+    } else {
+        for (std::size_t i = 0; i < l1s_.size(); ++i) {
+            const L1Arrays &a = l1s_[i]->arrays();
+            for (const std::size_t s : a.changes().slots()) {
+                markSlot(i, s);
+                // Other L1s' swmr verdicts on this line read it too.
+                const L1Meta &m =
+                    a.meta(static_cast<unsigned>(s / a.ways()),
+                           static_cast<unsigned>(s % a.ways()));
+                if (m.valid())
+                    markLine(m.tag << line_shift);
+            }
+        }
+        for (const L2Cache *l2 : l2s_) {
+            const Directory &dir = l2->directory();
+            const auto markHeld = [&](std::size_t s) {
+                const unsigned set = static_cast<unsigned>(s / dir.ways());
+                const unsigned way = static_cast<unsigned>(s % dir.ways());
+                if (dir.entry(set, way).valid)
+                    markLine(dir.addrOf(set, way));
+            };
+            // A directory entry changes the verdicts of both the line it
+            // held before and the line it holds now.
+            const std::vector<std::size_t> &slots = dir.changes().slots();
+            for (std::size_t k = 0; k < slots.size(); ++k) {
+                if (dir.priorLines()[k] != Directory::no_line)
+                    markLine(dir.priorLines()[k]);
+                markHeld(slots[k]);
+            }
+            for (const std::size_t s : l2->store().changes().slots())
+                markHeld(s);
+        }
+        if (dram_ != nullptr) {
+            for (const std::size_t s : dram_->changes().slots())
+                markLine(dram_->storedLine(s));
+        }
+    }
+    for (const DataCache *l1 : l1s_)
+        l1->arrays().clearChanges();
+    for (const L2Cache *l2 : l2s_) {
+        l2->directory().clearChanges();
+        l2->store().clearChanges();
+    }
+    if (dram_ != nullptr)
+        dram_->clearChanges();
+}
+
+void
+CoherenceChecker::markLine(Addr line)
+{
+    for (std::size_t j = 0; j < l1s_.size(); ++j) {
+        const L1Arrays &a = l1s_[j]->arrays();
+        const int way = a.findWay(line);
+        if (way >= 0) {
+            markSlot(j, std::size_t{a.setOf(line)} * a.ways() +
+                            static_cast<unsigned>(way));
+        }
+    }
+}
+
+void
+CoherenceChecker::markSlot(std::size_t idx, std::size_t slot)
+{
+    work_[idx].recheck.mark(slot);
+    work_[idx].owing.mark(slot);
+}
+
+const std::vector<std::size_t> &
+CoherenceChecker::sortedSlots(const ChangeLog &log)
+{
+    order_ = log.slots();
+    std::sort(order_.begin(), order_.end());
+    return order_;
 }
 
 std::size_t
@@ -201,68 +313,85 @@ CoherenceChecker::lineQuiet(Addr line) const
 void
 CoherenceChecker::checkL1Structural(std::size_t idx)
 {
-    const DataCache &dc = *l1s_[idx];
-    const L1Arrays &arrays = dc.arrays();
-    const AgentId id = static_cast<AgentId>(idx);
-
+    const L1Arrays &arrays = l1s_[idx]->arrays();
     for (unsigned set = 0; set < arrays.sets(); ++set) {
-        for (unsigned way = 0; way < arrays.ways(); ++way) {
-            const L1Meta &meta = arrays.meta(set, way);
-            if (!meta.valid())
+        for (unsigned way = 0; way < arrays.ways(); ++way)
+            checkLineStructural(idx, set, way);
+    }
+    checkL1Queues(idx);
+}
+
+bool
+CoherenceChecker::checkLineStructural(std::size_t idx, unsigned set,
+                                      unsigned way)
+{
+    const L1Arrays &arrays = l1s_[idx]->arrays();
+    const AgentId id = static_cast<AgentId>(idx);
+    const L1Meta &meta = arrays.meta(set, way);
+    if (!meta.valid())
+        return false;
+    const Addr line = arrays.addrOf(set, way);
+    bool failed = false;
+
+    // swmr: only a Trunk may hold dirty data.
+    if (meta.dirty && meta.state != ClientState::Trunk) {
+        failed = true;
+        fail("swmr", detail::concat(
+                 "l1[", idx, "] holds 0x", std::hex, line,
+                 " dirty in state ", toString(meta.state)));
+    }
+    // swmr: a Trunk is the sole holder across all L1s.
+    if (meta.state == ClientState::Trunk) {
+        for (std::size_t j = 0; j < l1s_.size(); ++j) {
+            if (j == idx)
                 continue;
-            const Addr line = arrays.addrOf(set, way);
-
-            // swmr: only a Trunk may hold dirty data.
-            if (meta.dirty && meta.state != ClientState::Trunk) {
+            const ClientState other = l1s_[j]->lineState(line);
+            if (other != ClientState::Nothing) {
+                failed = true;
                 fail("swmr", detail::concat(
-                         "l1[", idx, "] holds 0x", std::hex, line,
-                         " dirty in state ", toString(meta.state)));
-            }
-            // swmr: a Trunk is the sole holder across all L1s.
-            if (meta.state == ClientState::Trunk) {
-                for (std::size_t j = 0; j < l1s_.size(); ++j) {
-                    if (j == idx)
-                        continue;
-                    const ClientState other = l1s_[j]->lineState(line);
-                    if (other != ClientState::Nothing) {
-                        fail("swmr", detail::concat(
-                                 "l1[", idx, "] is Trunk of 0x", std::hex,
-                                 line, " while l1[", std::dec, j,
-                                 "] holds it as ", toString(other)));
-                    }
-                }
-            }
-
-            // inclusivity: the home slice's directory records (at least)
-            // what the L1 actually holds. The reverse is legal in flight.
-            if (const L2Cache *l2 = homeL2(line)) {
-                const Directory &dir = l2->directory();
-                const int l2_way = dir.findWay(line);
-                if (l2_way < 0) {
-                    fail("inclusivity", detail::concat(
-                             "l1[", idx, "] holds 0x", std::hex, line,
-                             " (", toString(meta.state),
-                             ") absent from L2 slice ", std::dec,
-                             l2->sliceIndex(), "'s directory"));
-                    continue;
-                }
-                const DirEntry &e = dir.entry(
-                    dir.setOf(line), static_cast<unsigned>(l2_way));
-                if (!e.heldBy(id)) {
-                    fail("inclusivity", detail::concat(
-                             "l1[", idx, "] holds 0x", std::hex, line,
-                             " (", toString(meta.state),
-                             ") but the directory does not record it"));
-                } else if (meta.state == ClientState::Trunk &&
-                           e.trunk != id) {
-                    fail("inclusivity", detail::concat(
-                             "l1[", idx, "] is Trunk of 0x", std::hex,
-                             line, " but the directory trunk is agent ",
-                             std::dec, e.trunk));
-                }
+                         "l1[", idx, "] is Trunk of 0x", std::hex, line,
+                         " while l1[", std::dec, j, "] holds it as ",
+                         toString(other)));
             }
         }
     }
+
+    // inclusivity: the home slice's directory records (at least) what
+    // the L1 actually holds. The reverse is legal in flight.
+    if (const L2Cache *l2 = homeL2(line)) {
+        const Directory &dir = l2->directory();
+        const int l2_way = dir.findWay(line);
+        if (l2_way < 0) {
+            fail("inclusivity", detail::concat(
+                     "l1[", idx, "] holds 0x", std::hex, line, " (",
+                     toString(meta.state), ") absent from L2 slice ",
+                     std::dec, l2->sliceIndex(), "'s directory"));
+            return true;
+        }
+        const DirEntry &e =
+            dir.entry(dir.setOf(line), static_cast<unsigned>(l2_way));
+        if (!e.heldBy(id)) {
+            failed = true;
+            fail("inclusivity", detail::concat(
+                     "l1[", idx, "] holds 0x", std::hex, line, " (",
+                     toString(meta.state),
+                     ") but the directory does not record it"));
+        } else if (meta.state == ClientState::Trunk && e.trunk != id) {
+            failed = true;
+            fail("inclusivity", detail::concat(
+                     "l1[", idx, "] is Trunk of 0x", std::hex, line,
+                     " but the directory trunk is agent ", std::dec,
+                     e.trunk));
+        }
+    }
+    return failed;
+}
+
+void
+CoherenceChecker::checkL1Queues(std::size_t idx)
+{
+    const DataCache &dc = *l1s_[idx];
+    const L1Arrays &arrays = dc.arrays();
 
     // flushq-meta: queue snapshots agree with the array (§5.4's
     // probe_invalidate keeps them coherent through downgrades).
@@ -365,64 +494,74 @@ CoherenceChecker::snapshotFshrStates()
 void
 CoherenceChecker::checkValues(std::size_t idx)
 {
-    if (l2s_.empty())
-        return;
-    const DataCache &dc = *l1s_[idx];
-    const L1Arrays &arrays = dc.arrays();
-
+    const L1Arrays &arrays = l1s_[idx]->arrays();
     for (unsigned set = 0; set < arrays.sets(); ++set) {
-        for (unsigned way = 0; way < arrays.ways(); ++way) {
-            const L1Meta &meta = arrays.meta(set, way);
-            // Dirty lines are legitimately ahead of the levels below;
-            // busy lines are mid-transaction.
-            if (!meta.valid() || meta.dirty)
-                continue;
-            const Addr line = arrays.addrOf(set, way);
-            if (!lineQuiet(line))
-                continue;
-            const L2Cache &l2 = *homeL2(line);
-            const Directory &dir = l2.directory();
-            const int l2_way = dir.findWay(line);
-            if (l2_way < 0)
-                continue; // inclusivity already reported it
-            const unsigned l2_set = dir.setOf(line);
-            const DirEntry &e =
-                dir.entry(l2_set, static_cast<unsigned>(l2_way));
+        for (unsigned way = 0; way < arrays.ways(); ++way)
+            checkLineValues(idx, set, way);
+    }
+}
 
-            // value-coherence: a clean quiet L1 line is a byte-exact copy
-            // of the L2's version (however either got it). A tag-only
-            // entry (exclusive state policy) has no L2 bytes; the clean
-            // line's ground truth is DRAM instead.
-            const LineData &l1_bytes = arrays.data(set, way);
-            if (e.data_resident) {
-                const LineData &l2_bytes =
-                    l2.store().read(l2_set, static_cast<unsigned>(l2_way));
-                if (std::memcmp(l1_bytes.data(), l2_bytes.data(),
-                                line_bytes) != 0) {
-                    fail("value-coherence", detail::concat(
-                             "l1[", idx, "] clean copy of 0x", std::hex,
-                             line, " differs from the L2 copy"));
-                }
-            } else if (dram_ != nullptr) {
-                const LineData dram_bytes = dram_->peekLine(line);
-                if (std::memcmp(l1_bytes.data(), dram_bytes.data(),
-                                line_bytes) != 0) {
-                    fail("value-coherence", detail::concat(
-                             "l1[", idx, "] clean copy of 0x", std::hex,
-                             line, " differs from DRAM (L2 entry is "
-                             "tag-only)"));
-                }
-            }
+bool
+CoherenceChecker::checkLineValues(std::size_t idx, unsigned set,
+                                  unsigned way)
+{
+    const L1Arrays &arrays = l1s_[idx]->arrays();
+    const L1Meta &meta = arrays.meta(set, way);
+    // Dirty lines are legitimately ahead of the levels below; busy lines
+    // are mid-transaction and owe a check once they settle.
+    if (!meta.valid() || meta.dirty)
+        return false;
+    const Addr line = arrays.addrOf(set, way);
+    if (!lineQuiet(line))
+        return true;
+    // No registered home slice (an index policy naming a slice that was
+    // never wired): nothing to compare against.
+    const L2Cache *l2 = homeL2(line);
+    if (l2 == nullptr)
+        return false;
+    const Directory &dir = l2->directory();
+    const int l2_way = dir.findWay(line);
+    if (l2_way < 0)
+        return false; // inclusivity already reported it
+    const unsigned l2_set = dir.setOf(line);
+    const DirEntry &e = dir.entry(l2_set, static_cast<unsigned>(l2_way));
+    bool failed = false;
 
-            // skip-soundness (§6): skip set on a clean line means no
-            // dirty copy exists below — the negation of L2's dirty bit.
-            if (cfg_.check_skip && meta.skip && e.dirty) {
-                fail("skip-soundness", detail::concat(
-                         "l1[", idx, "] has skip set on clean 0x",
-                         std::hex, line, " but the L2 copy is dirty"));
-            }
+    // value-coherence: a clean quiet L1 line is a byte-exact copy of the
+    // L2's version (however either got it). A tag-only entry (exclusive
+    // state policy) has no L2 bytes; the clean line's ground truth is
+    // DRAM instead.
+    const LineData &l1_bytes = arrays.data(set, way);
+    if (e.data_resident) {
+        const LineData &l2_bytes =
+            l2->store().read(l2_set, static_cast<unsigned>(l2_way));
+        if (std::memcmp(l1_bytes.data(), l2_bytes.data(), line_bytes) !=
+            0) {
+            failed = true;
+            fail("value-coherence", detail::concat(
+                     "l1[", idx, "] clean copy of 0x", std::hex, line,
+                     " differs from the L2 copy"));
+        }
+    } else if (dram_ != nullptr) {
+        const LineData dram_bytes = dram_->peekLine(line);
+        if (std::memcmp(l1_bytes.data(), dram_bytes.data(), line_bytes) !=
+            0) {
+            failed = true;
+            fail("value-coherence", detail::concat(
+                     "l1[", idx, "] clean copy of 0x", std::hex, line,
+                     " differs from DRAM (L2 entry is tag-only)"));
         }
     }
+
+    // skip-soundness (§6): skip set on a clean line means no dirty copy
+    // exists below — the negation of L2's dirty bit.
+    if (cfg_.check_skip && meta.skip && e.dirty) {
+        failed = true;
+        fail("skip-soundness", detail::concat(
+                 "l1[", idx, "] has skip set on clean 0x", std::hex, line,
+                 " but the L2 copy is dirty"));
+    }
+    return failed;
 }
 
 void

@@ -4,7 +4,7 @@
  * correctness argument).
  *
  * Registered on the SoC like the watchdog — last in tick order, never
- * mutating simulated state — the checker re-derives, at the end of every
+ * mutating simulated state — the checker holds, at the end of every
  * executed cycle, the invariants the paper argues on paper:
  *
  *  - "swmr"             single-writer / multi-reader across L1s (§2.2):
@@ -53,6 +53,28 @@
  * The checker reads end-of-cycle state only; with fast-forward enabled it
  * still observes every state change, because skipped cycles are provably
  * idle. Enabling it never changes simulated timing.
+ *
+ * Incremental checking. The per-line invariants (swmr, inclusivity,
+ * value-coherence, skip-soundness) read only state behind four mutable
+ * paths, and each writes a ChangeLog (sim/change_log.hh):
+ * L1Arrays::meta()/data(), Directory::entry() (which also records the
+ * line the entry held before), BankedStore::write() and Dram's store
+ * writes. Each executed cycle, tick() drains the logs and marks every
+ * changed line in every L1 that holds it, then runs swmr/inclusivity on
+ * the marked lines plus the lines that failed last cycle, in the full
+ * sweep's (L1, set, way) order. A line's verdict can change only when
+ * something it reads changes, and a failing line is re-reported every
+ * cycle, so the violation sequence is the one a full sweep gives. Value
+ * and skip checks keep their value_interval cadence but visit only the
+ * lines that still owe one: changed since their last quiet pass, still
+ * busy, or failing. The first tick is a full pass; the queue, FSHR,
+ * counter and slice-routing checks and checkNow() always cover
+ * everything.
+ *
+ * The rule this rests on: every mutable path into L1 arrays, the
+ * directory, the BankedStore or DRAM goes through a logged accessor.
+ * tests/verify/test_checker_incremental.cc is the completeness oracle
+ * that fails when one does not.
  */
 
 #ifndef SKIPIT_VERIFY_CHECKER_HH
@@ -64,6 +86,7 @@
 #include <vector>
 
 #include "l1/structures.hh"
+#include "sim/change_log.hh"
 #include "sim/simulator.hh"
 #include "sim/ticked.hh"
 #include "sim/types.hh"
@@ -158,9 +181,37 @@ class CoherenceChecker : public Ticked
     /** When non-null, fail() collects here instead of panicking. */
     std::vector<Violation> *collect_ = nullptr;
 
+    /** Per-L1 incremental state; a slot is set * ways + way. */
+    struct L1Work
+    {
+        ChangeLog recheck;                //!< swmr/inclusivity this cycle
+        std::vector<std::size_t> failing; //!< slots that failed them last
+        ChangeLog owing;                  //!< slots owing a value check
+    };
+    std::vector<L1Work> work_;
+    /** False until the first tick, which checks every slot. */
+    bool primed_ = false;
+    /** Scratch: a log's slots in the full sweep's order. */
+    std::vector<std::size_t> order_;
+
+    /** Turn the components' change logs into per-L1 slot marks. */
+    void drainChanges();
+    /** Mark @p line in every L1 that holds it. */
+    void markLine(Addr line);
+    void markSlot(std::size_t idx, std::size_t slot);
+    const std::vector<std::size_t> &sortedSlots(const ChangeLog &log);
+
+    /** Full sweeps (checkNow): every slot of L1 @p idx. */
     void checkL1Structural(std::size_t idx);
-    void checkFshrFsm(std::size_t idx);
     void checkValues(std::size_t idx);
+    /** swmr + inclusivity for one L1 slot. @return true on a violation */
+    bool checkLineStructural(std::size_t idx, unsigned set, unsigned way);
+    /** value-coherence + skip-soundness for one L1 slot.
+     *  @return true while the slot still owes a check (busy or failed) */
+    bool checkLineValues(std::size_t idx, unsigned set, unsigned way);
+    /** flushq-meta, probe-invalidate and flush-counter for L1 @p idx. */
+    void checkL1Queues(std::size_t idx);
+    void checkFshrFsm(std::size_t idx);
     void checkL2DramSweep();
     /** slice-routing: no slice works on (or, when @p deep, holds) a
      *  line homing to a sibling. Shallow runs every cycle; the deep

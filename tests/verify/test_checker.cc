@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
+
 #include "soc/soc.hh"
 #include "workloads/fuzz.hh"
 
@@ -126,6 +129,194 @@ TEST(CoherenceChecker, CheckNowSweepsQuiescentState)
     soc.checker().checkNow(); // adds the full L2-vs-DRAM comparison
     EXPECT_TRUE(soc.checker().clean());
     EXPECT_EQ(soc.dram().peekWord(0x40008), 0xabcdu);
+}
+
+// ---------------------------------------------------------------------
+// Negative controls, one per change-log source (L1 meta, L1 data,
+// directory, BankedStore, DRAM). Each injects one fault into a latching
+// two-hart SoC, lets the traffic that follows move it, and pins the whole
+// latched violation list (cycle, invariant, detail, order). The lists
+// were captured with the full-sweep checker; the incremental checker
+// must reproduce them exactly.
+// ---------------------------------------------------------------------
+
+constexpr Addr ctl_line = 0x90000;
+
+std::string
+render(const verify::CoherenceChecker &checker)
+{
+    std::ostringstream os;
+    for (const verify::Violation &v : checker.violations())
+        os << v.cycle << " [" << v.invariant << "] " << v.detail << "\n";
+    return os.str();
+}
+
+SoCConfig
+controlConfig()
+{
+    SoCConfig cfg;
+    cfg.cores = 2;
+    cfg.verify.fatal = false;
+    cfg.verify.max_violations = 24;
+    return cfg;
+}
+
+/** Run @p programs until @p ready holds, inject, step @p stepped
+ *  cycles, run to quiescence and render what the checker latched.
+ *  Stepped cycles all execute (fast-forward would skip idle ones), so
+ *  a value fault is sampled once per value_interval of them. */
+std::string
+runControl(const SoCConfig &cfg, const std::vector<Program> &programs,
+           const std::function<bool(SoC &)> &ready,
+           const std::function<void(SoC &)> &inject, int stepped = 0)
+{
+    SoC soc(cfg);
+    soc.setPrograms(programs);
+    soc.sim().runUntil([&] { return ready(soc); }, 100'000);
+    inject(soc);
+    for (int i = 0; i < stepped; ++i)
+        soc.sim().step();
+    soc.runToQuiescence(1'000'000);
+    return render(soc.checker());
+}
+
+bool
+missPending(SoC &soc, unsigned core)
+{
+    for (const L1Mshr &m : soc.l1(core).mshrs()) {
+        if (m.valid && m.line == ctl_line)
+            return true;
+    }
+    return false;
+}
+
+TEST(CheckerNegativeControl, DirectoryHolderDroppedWithoutProbe)
+{
+    // inclusivity, born in the L2: hart 0 owns the line dirty, the
+    // directory forgets it, and hart 1's load is then granted without
+    // a probe, so swmr breaks too.
+    const std::string got = runControl(
+        controlConfig(),
+        {{MemOp::store(ctl_line + 8, 0x11), MemOp::fence()},
+         {MemOp::compute(200), MemOp::load(ctl_line + 8)}},
+        [](SoC &soc) { return missPending(soc, 1); },
+        [](SoC &soc) { soc.l2().injectDropHolder(ctl_line, 0); });
+    EXPECT_EQ(got, R"(
+205 [inclusivity] l1[0] holds 0x90000 (Trunk) but the directory does not record it
+213 [inclusivity] l1[0] holds 0x90000 (Trunk) but the directory does not record it
+221 [inclusivity] l1[0] holds 0x90000 (Trunk) but the directory does not record it
+227 [swmr] l1[0] is Trunk of 0x90000 while l1[1] holds it as Trunk
+227 [inclusivity] l1[0] holds 0x90000 (Trunk) but the directory does not record it
+227 [swmr] l1[1] is Trunk of 0x90000 while l1[0] holds it as Trunk
+230 [swmr] l1[0] is Trunk of 0x90000 while l1[1] holds it as Trunk
+230 [inclusivity] l1[0] holds 0x90000 (Trunk) but the directory does not record it
+230 [swmr] l1[1] is Trunk of 0x90000 while l1[0] holds it as Trunk
+)" + 1) << "actual:\n" << got;
+}
+
+TEST(CheckerNegativeControl, SecondL1ForcedToTrunk)
+{
+    // swmr: both harts hold the line as Branch; hart 1 promotes itself.
+    // Hart 0's store then upgrades and probes hart 1 away.
+    const std::string got = runControl(
+        controlConfig(),
+        {{MemOp::load(ctl_line), MemOp::compute(150),
+          MemOp::store(ctl_line + 16, 0x9)},
+         {MemOp::compute(20), MemOp::load(ctl_line)}},
+        [](SoC &soc) {
+            return soc.l1(0).lineState(ctl_line) != ClientState::Nothing &&
+                   soc.l1(1).lineState(ctl_line) != ClientState::Nothing;
+        },
+        [](SoC &soc) { soc.l1(1).injectTrunk(ctl_line); });
+    EXPECT_EQ(got, R"(
+146 [swmr] l1[1] is Trunk of 0x90000 while l1[0] holds it as Branch
+146 [inclusivity] l1[1] is Trunk of 0x90000 but the directory trunk is agent -1
+150 [swmr] l1[1] is Trunk of 0x90000 while l1[0] holds it as Branch
+150 [inclusivity] l1[1] is Trunk of 0x90000 but the directory trunk is agent -1
+151 [swmr] l1[1] is Trunk of 0x90000 while l1[0] holds it as Branch
+151 [inclusivity] l1[1] is Trunk of 0x90000 but the directory trunk is agent -1
+152 [swmr] l1[1] is Trunk of 0x90000 while l1[0] holds it as Branch
+152 [inclusivity] l1[1] is Trunk of 0x90000 but the directory trunk is agent -1
+153 [swmr] l1[1] is Trunk of 0x90000 while l1[0] holds it as Branch
+153 [inclusivity] l1[1] is Trunk of 0x90000 but the directory trunk is agent -1
+155 [swmr] l1[1] is Trunk of 0x90000 while l1[0] holds it as Branch
+155 [inclusivity] l1[1] is Trunk of 0x90000 but the directory trunk is agent -1
+163 [swmr] l1[1] is Trunk of 0x90000 while l1[0] holds it as Branch
+163 [inclusivity] l1[1] is Trunk of 0x90000 but the directory trunk is agent -1
+166 [swmr] l1[1] is Trunk of 0x90000 while l1[0] holds it as Branch
+166 [inclusivity] l1[1] is Trunk of 0x90000 but the directory trunk is agent -1
+167 [swmr] l1[1] is Trunk of 0x90000 while l1[0] holds it as Branch
+167 [inclusivity] l1[1] is Trunk of 0x90000 but the directory trunk is agent -1
+168 [swmr] l1[1] is Trunk of 0x90000 while l1[0] holds it as Branch
+168 [inclusivity] l1[1] is Trunk of 0x90000 but the directory trunk is agent -1
+)" + 1) << "actual:\n" << got;
+}
+
+TEST(CheckerNegativeControl, ByteFlippedInCleanL1Line)
+{
+    // value-coherence via L1 data, until hart 1's store probes the
+    // corrupted copy away.
+    const std::string got = runControl(
+        controlConfig(),
+        {{MemOp::load(ctl_line)},
+         {MemOp::compute(600), MemOp::store(ctl_line + 8, 0x3)}},
+        [](SoC &soc) {
+            return soc.l1(0).lineState(ctl_line) != ClientState::Nothing;
+        },
+        [](SoC &soc) { soc.l1(0).injectDataCorruption(ctl_line + 5); },
+        48);
+    EXPECT_EQ(got, R"(
+115 [value-coherence] l1[0] clean copy of 0x90000 differs from the L2 copy
+131 [value-coherence] l1[0] clean copy of 0x90000 differs from the L2 copy
+147 [value-coherence] l1[0] clean copy of 0x90000 differs from the L2 copy
+)" + 1) << "actual:\n" << got;
+}
+
+TEST(CheckerNegativeControl, ByteFlippedInL2Store)
+{
+    // value-coherence via the BankedStore: the clean L1 copy is intact
+    // but the L2 bytes it must equal are not.
+    const std::string got = runControl(
+        controlConfig(),
+        {{MemOp::load(ctl_line)},
+         {MemOp::compute(600), MemOp::store(ctl_line + 8, 0x3)}},
+        [](SoC &soc) {
+            return soc.l1(0).lineState(ctl_line) != ClientState::Nothing;
+        },
+        [](SoC &soc) { soc.l2().injectStoreCorruption(ctl_line + 9); },
+        48);
+    EXPECT_EQ(got, R"(
+115 [value-coherence] l1[0] clean copy of 0x90000 differs from the L2 copy
+131 [value-coherence] l1[0] clean copy of 0x90000 differs from the L2 copy
+147 [value-coherence] l1[0] clean copy of 0x90000 differs from the L2 copy
+)" + 1) << "actual:\n" << got;
+}
+
+TEST(CheckerNegativeControl, DramPokedUnderTagOnlyLine)
+{
+    // The exclusive policy keeps a clean fill tag-only, so DRAM is the
+    // L1 copy's ground truth; a poke behind the hierarchy's back breaks
+    // value-coherence.
+    SoCConfig cfg = controlConfig();
+    cfg.l2.policy = StateKind::Exclusive;
+    const std::string got = runControl(
+        cfg,
+        {{MemOp::load(ctl_line)},
+         {MemOp::compute(600), MemOp::store(ctl_line + 8, 0x3)}},
+        [](SoC &soc) {
+            return soc.l1(0).lineState(ctl_line) != ClientState::Nothing;
+        },
+        [](SoC &soc) {
+            LineData bytes{};
+            bytes[3] = 0x5a;
+            soc.dram().pokeLine(ctl_line, bytes);
+        },
+        48);
+    EXPECT_EQ(got, R"(
+115 [value-coherence] l1[0] clean copy of 0x90000 differs from DRAM (L2 entry is tag-only)
+131 [value-coherence] l1[0] clean copy of 0x90000 differs from DRAM (L2 entry is tag-only)
+147 [value-coherence] l1[0] clean copy of 0x90000 differs from DRAM (L2 entry is tag-only)
+)" + 1) << "actual:\n" << got;
 }
 
 } // namespace
