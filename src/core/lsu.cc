@@ -1,7 +1,5 @@
 #include "lsu.hh"
 
-#include "sim/trace.hh"
-
 namespace skipit {
 
 namespace {
@@ -39,9 +37,13 @@ memOpName(MemOpKind k)
 Lsu::Lsu(std::string name, Simulator &sim, const LsuConfig &cfg,
          DataCache &dcache, Stats &stats, AgentId source)
     : Ticked(std::move(name)), sim_(sim), cfg_(cfg), dcache_(dcache),
-      stats_(stats), source_(source), sp_(Ticked::name() + ".")
+      source_(source)
 {
     SKIPIT_ASSERT(cfg.window > 0, "LSU window must be > 0");
+    stats.add(Ticked::name() + ".",
+              {{"retries", &ctr_.retries},
+               {"fences", &ctr_.fences},
+               {"stl_forwards", &ctr_.stl_forwards}});
 }
 
 std::uint64_t
@@ -66,8 +68,7 @@ Lsu::dispatch(const MemOp &op)
     if (sim_.probes().active()) {
         sim_.probes().begin(
             sim_.now(), e.txn, "lsu.window", name(),
-            trace::detail::concat(memOpName(op.kind), " 0x", std::hex,
-                                  op.addr));
+            detail::concat(memOpName(op.kind), " 0x", std::hex, op.addr));
     }
     window_.push_back(e);
     return e.ticket;
@@ -192,7 +193,7 @@ Lsu::drainResponses()
         if (resp.nack) {
             e->state = EntryState::Waiting;
             e->retry_at = sim_.now() + cfg_.retry_backoff;
-            stats_[sp_ + "retries"]++;
+            ++ctr_.retries;
             if (sim_.probes().active()) {
                 sim_.probes().instant(sim_.now(), e->txn, "lsu.nack",
                                       name(), "nacked; backing off");
@@ -206,8 +207,8 @@ Lsu::drainResponses()
             if (sim_.probes().active()) {
                 sim_.probes().end(
                     sim_.now(), e->txn, "lsu.window", name(),
-                    trace::detail::concat(memOpName(e->op.kind), " 0x",
-                                          std::hex, e->op.addr));
+                    detail::concat(memOpName(e->op.kind), " 0x",
+                                   std::hex, e->op.addr));
             }
         }
     }
@@ -228,7 +229,7 @@ Lsu::fire()
             // no flush request is pending in the flush unit (§5.3).
             if (olderAllDone(i) && !dcache_.flushing()) {
                 e.state = EntryState::Done;
-                stats_[sp_ + "fences"]++;
+                ++ctr_.fences;
                 if (sim_.probes().active()) {
                     sim_.probes().end(sim_.now(), e.txn, "lsu.window",
                                       name(), "fence released");
@@ -252,7 +253,7 @@ Lsu::fire()
                 e.load_value = st->op.data;
                 load_results_[e.ticket] = st->op.data;
                 e.state = EntryState::Done;
-                stats_[sp_ + "stl_forwards"]++;
+                ++ctr_.stl_forwards;
                 if (sim_.probes().active()) {
                     sim_.probes().end(sim_.now(), e.txn, "lsu.window",
                                       name(), "store-to-load forward");
@@ -293,7 +294,7 @@ Lsu::fire()
         if (sim_.probes().active()) {
             sim_.probes().instant(
                 sim_.now(), e.txn, "lsu.fire", name(),
-                trace::detail::concat(memOpName(e.op.kind), " fired"));
+                detail::concat(memOpName(e.op.kind), " fired"));
         }
     }
 }

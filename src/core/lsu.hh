@@ -96,9 +96,16 @@ class Lsu : public Ticked
     Simulator &sim_;
     LsuConfig cfg_;
     DataCache &dcache_;
-    Stats &stats_;
     AgentId source_;
-    std::string sp_;
+
+    /** Registered with Stats under "<name>." ("core0.lsu."). */
+    struct Counters
+    {
+        std::uint64_t retries = 0;
+        std::uint64_t fences = 0;
+        std::uint64_t stl_forwards = 0;
+    };
+    Counters ctr_;
 
     std::deque<Entry> window_;
     std::uint64_t next_ticket_ = 1;

@@ -2,16 +2,15 @@
 
 #include <cstring>
 
-#include "sim/trace.hh"
-
 namespace skipit {
 
 Dram::Dram(std::string name, Simulator &sim, const DramConfig &cfg,
            Stats &stats)
-    : Ticked(std::move(name)), sim_(sim), cfg_(cfg), stats_(stats),
+    : Ticked(std::move(name)), sim_(sim), cfg_(cfg),
       req_q_(cfg.max_inflight), resp_q_(sim)
 {
     SKIPIT_ASSERT(cfg_.issue_interval >= 1, "issue_interval must be >= 1");
+    stats.add("dram.", {{"reads", &ctr_.reads}, {"writes", &ctr_.writes}});
 }
 
 bool
@@ -28,7 +27,7 @@ Dram::submit(const MemReq &req)
                   "DRAM requests must be line aligned");
     const bool pushed = req_q_.tryPush(req);
     SKIPIT_ASSERT(pushed, "DRAM push failed");
-    stats_[req.write ? "dram.writes" : "dram.reads"]++;
+    ++(req.write ? ctr_.writes : ctr_.reads);
 }
 
 Cycle
@@ -73,8 +72,8 @@ Dram::tick()
         sim_.probes().span(
             sim_.now(), req.write ? cfg_.write_ack_latency : cfg_.latency,
             req.txn, req.write ? "dram.write" : "dram.read", name(),
-            trace::detail::concat(req.write ? "write 0x" : "read 0x",
-                                  std::hex, req.addr),
+            detail::concat(req.write ? "write 0x" : "read 0x",
+                           std::hex, req.addr),
             req.addr, req.write ? lineFingerprint(req.data) : 0);
     }
 }

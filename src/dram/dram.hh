@@ -133,7 +133,14 @@ class Dram : public Ticked
   private:
     Simulator &sim_;
     DramConfig cfg_;
-    Stats &stats_;
+
+    /** Registered with Stats under "dram.". */
+    struct Counters
+    {
+        std::uint64_t reads = 0;
+        std::uint64_t writes = 0;
+    };
+    Counters ctr_;
 
     BoundedFifo<MemReq> req_q_;
     CompletionBuffer<MemResp> resp_q_;

@@ -3,8 +3,6 @@
 #include <cstring>
 #include <utility>
 
-#include "sim/trace.hh"
-
 namespace skipit {
 
 namespace {
@@ -48,13 +46,36 @@ cboName(CboKind k)
 DataCache::DataCache(std::string name, Simulator &sim, const L1Config &cfg,
                      AgentId id, TLLink &link, Stats &stats)
     : Ticked(std::move(name)), sim_(sim), cfg_(cfg), id_(id), link_(link),
-      stats_(stats), sp_("l1." + std::to_string(id) + "."),
       arrays_(cfg.sets, cfg.ways), mshrs_(cfg.mshrs),
       flush_q_(cfg.flush_queue_depth), fshrs_(cfg.fshrs),
       in_q_(sim, 1), resp_q_(sim)
 {
     SKIPIT_ASSERT(cfg.fshrs > 0 && cfg.flush_queue_depth > 0,
                   "flush unit needs at least one FSHR and queue slot");
+    stats.add("l1." + std::to_string(id) + ".",
+              {{"load_hits", &ctr_.load_hits},
+               {"load_misses", &ctr_.load_misses},
+               {"store_hits", &ctr_.store_hits},
+               {"store_misses", &ctr_.store_misses},
+               {"store_upgrades", &ctr_.store_upgrades},
+               {"fshr_forwards", &ctr_.fshr_forwards},
+               {"nacks", &ctr_.nacks},
+               {"mshr_primary", &ctr_.mshr_primary},
+               {"mshr_secondary", &ctr_.mshr_secondary},
+               {"mshr_full", &ctr_.mshr_full},
+               {"fills", &ctr_.fills},
+               {"evictions", &ctr_.evictions},
+               {"writebacks", &ctr_.writebacks},
+               {"probes", &ctr_.probes},
+               {"cbo_clean_accepted", &ctr_.cbo_clean_accepted},
+               {"cbo_flush_accepted", &ctr_.cbo_flush_accepted},
+               {"cbo_inval_accepted", &ctr_.cbo_inval_accepted},
+               {"cbo_zero", &ctr_.cbo_zero},
+               {"cbo_coalesced", &ctr_.cbo_coalesced},
+               {"skipit_dropped", &ctr_.skipit_dropped},
+               {"flushq_full", &ctr_.flushq_full},
+               {"fshr_allocs", &ctr_.fshr_allocs},
+               {"fshr_completions", &ctr_.fshr_completions}});
 }
 
 void
@@ -199,7 +220,7 @@ void
 DataCache::respondNack(const CpuReq &req)
 {
     resp_q_.pushIn(CpuResp{req.id, true, 0}, 1);
-    stats_[sp_ + "nacks"]++;
+    ++ctr_.nacks;
 }
 
 std::uint64_t
@@ -301,7 +322,7 @@ DataCache::fillFromGrant(const DMsg &grant)
     }
     replay(m, set, static_cast<unsigned>(way));
     m = L1Mshr{};
-    stats_[sp_ + "fills"]++;
+    ++ctr_.fills;
 }
 
 void
@@ -360,14 +381,12 @@ DataCache::processProbe()
             if (sim_.probes().active()) {
                 sim_.probes().begin(
                     sim_.now(), probe_.txn, "l1.probe", name() + ".probe",
-                    trace::detail::concat("probe 0x", std::hex, msg.addr));
+                    detail::concat("probe 0x", std::hex, msg.addr));
             }
             // probe_rdy drops the moment the probe arrives (§5.4.1); the
             // flush queue cannot dequeue until the probe completes.
             probe_.state = ProbeUnit::State::InvalidateQueue;
-            stats_[sp_ + "probes"]++;
-            SKIPIT_TRACE_LOG(sim_.now(), "l1", name(), " probe 0x",
-                             std::hex, msg.addr);
+            ++ctr_.probes;
         }
         return;
 
@@ -489,7 +508,7 @@ DataCache::handleLoad(const CpuReq &req)
                                   set, static_cast<unsigned>(way)),
                               req.addr, req.size),
                 cfg_.hit_latency);
-        stats_[sp_ + "load_hits"]++;
+        ++ctr_.load_hits;
         return;
     }
 
@@ -501,14 +520,14 @@ DataCache::handleLoad(const CpuReq &req)
         if (f.buffer_filled) {
             respond(req, readWord(f.buffer, req.addr, req.size),
                     cfg_.hit_latency);
-            stats_[sp_ + "fshr_forwards"]++;
+            ++ctr_.fshr_forwards;
         } else {
             respondNack(req);
         }
         return;
     }
 
-    stats_[sp_ + "load_misses"]++;
+    ++ctr_.load_misses;
     if (!missToMshr(req, Grow::NtoB))
         respondNack(req);
 }
@@ -547,7 +566,7 @@ DataCache::handleStore(const CpuReq &req)
             meta.skip = false; // dirtied: no longer persisted (§6.1)
             arrays_.touch(set, static_cast<unsigned>(way));
             respond(req, 0, cfg_.hit_latency);
-            stats_[sp_ + "store_hits"]++;
+            ++ctr_.store_hits;
             return;
         }
         // Branch: needs a permission upgrade. BOOM's data cache does not
@@ -558,7 +577,7 @@ DataCache::handleStore(const CpuReq &req)
             respondNack(req);
             return;
         }
-        stats_[sp_ + "store_upgrades"]++;
+        ++ctr_.store_upgrades;
         if (missToMshr(req, Grow::BtoT)) {
             // Once buffered in an MSHR the store counts as completed for
             // the ROB (§3.3); the data lands at replay time.
@@ -573,7 +592,7 @@ DataCache::handleStore(const CpuReq &req)
         respondNack(req);
         return;
     }
-    stats_[sp_ + "store_misses"]++;
+    ++ctr_.store_misses;
     if (missToMshr(req, Grow::NtoT)) {
         respond(req, 0, 1); // completed on buffering (§3.3)
     } else {
@@ -627,13 +646,11 @@ DataCache::handleCbo(const CpuReq &req)
     // behind the hierarchy's back).
     if (cfg_.skip_it && kind != CboKind::Inval && hit && !dirty && skip) {
         respond(req, 0, cfg_.cbo_accept_latency);
-        stats_[sp_ + "skipit_dropped"]++;
-        SKIPIT_TRACE_LOG(sim_.now(), "flush", name(), " skip-drop 0x",
-                         std::hex, line);
+        ++ctr_.skipit_dropped;
         if (sim_.probes().active()) {
             sim_.probes().instant(
                 sim_.now(), req.txn, "l1.skipit", name() + ".flushq",
-                trace::detail::concat("skip-drop 0x", std::hex, line),
+                detail::concat("skip-drop 0x", std::hex, line),
                 line,
                 lineFingerprint(std::as_const(arrays_).data(
                     arrays_.setOf(line), static_cast<unsigned>(way))));
@@ -662,13 +679,12 @@ DataCache::handleCbo(const CpuReq &req)
             if (kind_merges(e.kind) && e.is_hit == hit &&
                 e.is_dirty == dirty) {
                 respond(req, 0, cfg_.cbo_accept_latency);
-                stats_[sp_ + "cbo_coalesced"]++;
+                ++ctr_.cbo_coalesced;
                 if (sim_.probes().active()) {
                     sim_.probes().instant(
                         sim_.now(), req.txn, "l1.coalesce",
                         name() + ".flushq",
-                        trace::detail::concat("merged into queued txn ",
-                                              e.txn));
+                        detail::concat("merged into queued txn ", e.txn));
                 }
                 return;
             }
@@ -702,13 +718,12 @@ DataCache::handleCbo(const CpuReq &req)
             if (kind_merges(f.req.kind) &&
                 (state_matches || captured_matches)) {
                 respond(req, 0, cfg_.cbo_accept_latency);
-                stats_[sp_ + "cbo_coalesced"]++;
+                ++ctr_.cbo_coalesced;
                 if (sim_.probes().active()) {
                     sim_.probes().instant(
                         sim_.now(), req.txn, "l1.coalesce",
                         name() + ".flushq",
-                        trace::detail::concat("merged into FSHR txn ",
-                                              f.req.txn));
+                        detail::concat("merged into FSHR txn ", f.req.txn));
                 }
                 return;
             }
@@ -726,7 +741,7 @@ DataCache::handleCbo(const CpuReq &req)
 
     if (flush_q_.full()) {
         respondNack(req);
-        stats_[sp_ + "flushq_full"]++;
+        ++ctr_.flushq_full;
         return;
     }
 
@@ -739,24 +754,18 @@ DataCache::handleCbo(const CpuReq &req)
     const bool pushed = flush_q_.tryPush(e);
     SKIPIT_ASSERT(pushed, "flush queue push failed");
     ++flush_counter_;
-    SKIPIT_TRACE_LOG(sim_.now(), "flush", name(), " enqueue ",
-                     kind == CboKind::Clean   ? "clean"
-                     : kind == CboKind::Flush ? "flush"
-                                              : "inval",
-                     " 0x", std::hex, line, " hit=", hit, " dirty=",
-                     dirty);
     if (sim_.probes().active()) {
         sim_.probes().begin(
             sim_.now(), req.txn, "l1.flushq", name() + ".flushq",
-            trace::detail::concat("cbo.", cboName(kind), " 0x", std::hex,
-                                  line, hit ? " hit" : " miss",
-                                  dirty ? " dirty" : ""));
+            detail::concat("cbo.", cboName(kind), " 0x", std::hex,
+                           line, hit ? " hit" : " miss",
+                           dirty ? " dirty" : ""));
     }
     // Buffered: the instruction is ready to commit (§5.2).
     respond(req, 0, cfg_.cbo_accept_latency);
-    stats_[sp_ + (kind == CboKind::Clean   ? "cbo_clean_accepted"
-                  : kind == CboKind::Flush ? "cbo_flush_accepted"
-                                           : "cbo_inval_accepted")]++;
+    ++(kind == CboKind::Clean   ? ctr_.cbo_clean_accepted
+       : kind == CboKind::Flush ? ctr_.cbo_flush_accepted
+                                : ctr_.cbo_inval_accepted);
 }
 
 void
@@ -783,12 +792,12 @@ DataCache::handleCboZero(const CpuReq &req)
             meta.skip = false; // dirtied: no longer persisted (§6.1)
             arrays_.touch(set, static_cast<unsigned>(way));
             respond(req, 0, cfg_.hit_latency);
-            stats_[sp_ + "cbo_zero"]++;
+            ++ctr_.cbo_zero;
             return;
         }
         if (missToMshr(req, Grow::BtoT)) {
             respond(req, 0, 1);
-            stats_[sp_ + "cbo_zero"]++;
+            ++ctr_.cbo_zero;
         } else {
             respondNack(req);
         }
@@ -796,7 +805,7 @@ DataCache::handleCboZero(const CpuReq &req)
     }
     if (missToMshr(req, Grow::NtoT)) {
         respond(req, 0, 1);
-        stats_[sp_ + "cbo_zero"]++;
+        ++ctr_.cbo_zero;
     } else {
         respondNack(req);
     }
@@ -885,12 +894,12 @@ DataCache::missToMshr(const CpuReq &req, Grow grow)
         if (!m.accepts(req.kind) || m.rpq.size() >= cfg_.rpq_depth)
             return false;
         m.rpq.push_back(req);
-        stats_[sp_ + "mshr_secondary"]++;
+        ++ctr_.mshr_secondary;
         if (sim_.probes().active()) {
             sim_.probes().instant(
                 sim_.now(), req.txn, "l1.mshr.secondary",
                 name() + ".mshr" + std::to_string(existing),
-                trace::detail::concat("piggy-backed on txn ", m.txn));
+                detail::concat("piggy-backed on txn ", m.txn));
         }
         return true;
     }
@@ -903,7 +912,7 @@ DataCache::missToMshr(const CpuReq &req, Grow grow)
         }
     }
     if (free < 0) {
-        stats_[sp_ + "mshr_full"]++;
+        ++ctr_.mshr_full;
         return false;
     }
 
@@ -930,12 +939,11 @@ DataCache::missToMshr(const CpuReq &req, Grow grow)
             if (sim_.probes().active()) {
                 sim_.probes().instant(
                     sim_.now(), req.txn, "l1.evict", name() + ".wbu",
-                    trace::detail::concat("evict 0x", std::hex,
-                                          victim_line));
+                    detail::concat("evict 0x", std::hex, victim_line));
             }
             // §5.4.2: evictions invalidate matching flush-queue entries.
             invalidateFlushEntries(victim_line, true);
-            stats_[sp_ + "evictions"]++;
+            ++ctr_.evictions;
         }
         fill_way = victim;
     }
@@ -950,12 +958,12 @@ DataCache::missToMshr(const CpuReq &req, Grow grow)
     m.fill_set = set;
     m.fill_way = static_cast<unsigned>(fill_way);
     m.txn = req.txn;
-    stats_[sp_ + "mshr_primary"]++;
+    ++ctr_.mshr_primary;
     if (sim_.probes().active()) {
         sim_.probes().begin(
             sim_.now(), m.txn, "l1.mshr",
             name() + ".mshr" + std::to_string(free),
-            trace::detail::concat("miss 0x", std::hex, line));
+            detail::concat("miss 0x", std::hex, line));
     }
     return true;
 }
@@ -995,13 +1003,13 @@ DataCache::tickWbu()
     if (sim_.probes().active()) {
         sim_.probes().begin(
             sim_.now(), wbu_.txn, "l1.wbu", name() + ".wbu",
-            trace::detail::concat(wbu_.dirty ? "ReleaseData 0x"
-                                             : "Release 0x",
-                                  std::hex, wbu_.line));
+            detail::concat(wbu_.dirty ? "ReleaseData 0x"
+                                      : "Release 0x",
+                           std::hex, wbu_.line));
     }
     link_.c.send(msg, TLLink::beatsFor(msg));
     wbu_.state = WritebackUnit::State::AwaitAck;
-    stats_[sp_ + "writebacks"]++;
+    ++ctr_.writebacks;
 }
 
 // ---------------------------------------------------------------------
@@ -1059,8 +1067,8 @@ DataCache::flushUnitDequeue()
         sim_.probes().begin(
             sim_.now(), f.req.txn, "l1.fshr",
             name() + ".fshr" + std::to_string(chosen),
-            trace::detail::concat("cbo.", cboName(f.req.kind), " 0x",
-                                  std::hex, f.req.addr));
+            detail::concat("cbo.", cboName(f.req.kind), " 0x",
+                           std::hex, f.req.addr));
     }
 
     // Build the execution plan (Figure 7). The interlocks guarantee the
@@ -1094,7 +1102,7 @@ DataCache::flushUnitDequeue()
         f.state = Fshr::State::RootRelease;
     }
     f.wait_until = sim_.now() + 1;
-    stats_[sp_ + "fshr_allocs"]++;
+    ++ctr_.fshr_allocs;
 }
 
 void
@@ -1164,8 +1172,8 @@ DataCache::tickFshrs()
                         sim_.now(), f.req.txn, "persist.wb.data",
                         name() + ".fshr" +
                             std::to_string(&f - fshrs_.data()),
-                        trace::detail::concat("writeback data 0x",
-                                              std::hex, f.req.addr),
+                        detail::concat("writeback data 0x",
+                                       std::hex, f.req.addr),
                         f.req.addr, lineFingerprint(f.buffer));
                 }
             }
@@ -1198,8 +1206,7 @@ DataCache::completeFshr(Fshr &f)
                         sim_.now(), f.req.txn, "persist.skipset",
                         name() + ".fshr" +
                             std::to_string(&f - fshrs_.data()),
-                        trace::detail::concat("skip-set 0x", std::hex,
-                                              f.req.addr),
+                        detail::concat("skip-set 0x", std::hex, f.req.addr),
                         f.req.addr,
                         lineFingerprint(
                             std::as_const(arrays_).data(
@@ -1209,8 +1216,6 @@ DataCache::completeFshr(Fshr &f)
             }
         }
     }
-    SKIPIT_TRACE_LOG(sim_.now(), "flush", name(), " fshr complete 0x",
-                     std::hex, f.req.addr);
     if (sim_.probes().active()) {
         const std::string track =
             name() + ".fshr" + std::to_string(&f - fshrs_.data());
@@ -1220,8 +1225,7 @@ DataCache::completeFshr(Fshr &f)
         // flag in bit 2, skip-set flag in bit 3.
         sim_.probes().instant(
             sim_.now(), f.req.txn, "persist.complete", track,
-            trace::detail::concat("cbo complete 0x", std::hex,
-                                  f.req.addr),
+            detail::concat("cbo complete 0x", std::hex, f.req.addr),
             f.req.addr,
             static_cast<std::uint64_t>(f.req.kind) |
                 (f.req.is_dirty ? 4u : 0u) | (skip_set ? 8u : 0u));
@@ -1229,7 +1233,7 @@ DataCache::completeFshr(Fshr &f)
     f = Fshr{};
     SKIPIT_ASSERT(flush_counter_ > 0, "flush counter underflow");
     --flush_counter_;
-    stats_[sp_ + "fshr_completions"]++;
+    ++ctr_.fshr_completions;
 }
 
 void

@@ -118,8 +118,35 @@ class DataCache : public Ticked, public probe::Inspectable
     L1Config cfg_;
     AgentId id_;
     TLLink &link_;
-    Stats &stats_;
-    std::string sp_; //!< stats prefix "l1.<id>."
+
+    /** Registered with Stats under "l1.<id>.". */
+    struct Counters
+    {
+        std::uint64_t load_hits = 0;
+        std::uint64_t load_misses = 0;
+        std::uint64_t store_hits = 0;
+        std::uint64_t store_misses = 0;
+        std::uint64_t store_upgrades = 0;
+        std::uint64_t fshr_forwards = 0;
+        std::uint64_t nacks = 0;
+        std::uint64_t mshr_primary = 0;
+        std::uint64_t mshr_secondary = 0;
+        std::uint64_t mshr_full = 0;
+        std::uint64_t fills = 0;
+        std::uint64_t evictions = 0;
+        std::uint64_t writebacks = 0;
+        std::uint64_t probes = 0;
+        std::uint64_t cbo_clean_accepted = 0;
+        std::uint64_t cbo_flush_accepted = 0;
+        std::uint64_t cbo_inval_accepted = 0;
+        std::uint64_t cbo_zero = 0;
+        std::uint64_t cbo_coalesced = 0;
+        std::uint64_t skipit_dropped = 0;
+        std::uint64_t flushq_full = 0;
+        std::uint64_t fshr_allocs = 0;
+        std::uint64_t fshr_completions = 0;
+    };
+    Counters ctr_;
 
     L1Arrays arrays_;
     std::vector<L1Mshr> mshrs_;

@@ -1,7 +1,5 @@
 #include "cache.hh"
 
-#include "sim/trace.hh"
-
 namespace skipit {
 
 namespace {
@@ -45,7 +43,7 @@ mshrStateName(int state)
 L2Cache::L2Cache(std::string name, Simulator &sim, const L2Config &cfg,
                  Dram &dram, Stats &stats, unsigned slice)
     : Ticked(std::move(name)), sim_(sim), cfg_(cfg), dram_(dram),
-      stats_(stats), slice_(slice), slice_count_(std::max(1u, cfg.slices)),
+      slice_(slice), slice_count_(std::max(1u, cfg.slices)),
       index_(cfg.indexPolicy()), policy_(makeStatePolicy(cfg.policy)),
       dir_(cfg.sets / std::max(1u, cfg.slices), cfg.ways, index_,
            cfg.replace,
@@ -59,6 +57,23 @@ L2Cache::L2Cache(std::string name, Simulator &sim, const L2Config &cfg,
                       cfg.sets % slice_count_ == 0,
                   "L2 slice count must divide the set count");
     SKIPIT_ASSERT(slice_ < slice_count_, "L2 slice index out of range");
+    stats.add("l2.",
+              {{"acquires", &ctr_.acquires},
+               {"fills", &ctr_.fills},
+               {"grants.clean", &ctr_.grants_clean},
+               {"grants.dirty", &ctr_.grants_dirty},
+               {"probes", &ctr_.probes},
+               {"releases", &ctr_.releases},
+               {"victim_writebacks", &ctr_.victim_writebacks},
+               {"listbuffer.buffered", &ctr_.listbuffer_buffered},
+               {"rootrelease.clean", &ctr_.rootrelease_clean},
+               {"rootrelease.flush", &ctr_.rootrelease_flush},
+               {"rootrelease.inval", &ctr_.rootrelease_inval},
+               {"rootrelease.inval_discarded",
+                &ctr_.rootrelease_inval_discarded},
+               {"rootrelease.llc_skipped", &ctr_.rootrelease_llc_skipped},
+               {"rootrelease.mem_writebacks",
+                &ctr_.rootrelease_mem_writebacks}});
 }
 
 void
@@ -291,7 +306,7 @@ L2Cache::handleRelease(const CMsg &msg)
         policy_->applyWriteback(e, store_, set, static_cast<unsigned>(way),
                                 msg.data);
     }
-    stats_["l2.releases"]++;
+    ++ctr_.releases;
     DMsg ack;
     ack.op = DOp::ReleaseAck;
     ack.addr = msg.addr;
@@ -380,7 +395,7 @@ L2Cache::acceptChannelC()
                     const bool buffered = list_buffer_.tryPush(msg);
                     SKIPIT_ASSERT(buffered, "L2 ListBuffer overflow; "
                                   "increase list_buffer_cap");
-                    stats_["l2.listbuffer.buffered"]++;
+                    ++ctr_.listbuffer_buffered;
                 }
                 break;
             }
@@ -492,7 +507,7 @@ L2Cache::tryAllocRootRelease(const CMsg &msg)
         sim_.probes().begin(
             sim_.now(), m.txn, "l2.mshr",
             name() + ".mshr" + std::to_string(idx),
-            trace::detail::concat(
+            detail::concat(
                 "rootrelease.",
                 msg.cbo == CboKind::Flush   ? "flush"
                 : msg.cbo == CboKind::Clean ? "clean"
@@ -500,13 +515,9 @@ L2Cache::tryAllocRootRelease(const CMsg &msg)
                 " 0x", std::hex, msg.addr, " from core", std::dec,
                 msg.source));
     }
-    stats_[msg.cbo == CboKind::Flush   ? "l2.rootrelease.flush"
-           : msg.cbo == CboKind::Clean ? "l2.rootrelease.clean"
-                                       : "l2.rootrelease.inval"]++;
-    SKIPIT_TRACE_LOG(sim_.now(), "l2", name(), " rootrelease ",
-                     msg.cbo == CboKind::Flush ? "flush" : "clean",
-                     " 0x", std::hex, msg.addr, " from ", std::dec,
-                     msg.source);
+    ++(msg.cbo == CboKind::Flush   ? ctr_.rootrelease_flush
+       : msg.cbo == CboKind::Clean ? ctr_.rootrelease_clean
+                                   : ctr_.rootrelease_inval);
     return true;
 }
 
@@ -530,13 +541,13 @@ L2Cache::tryAllocAcquire(const AMsg &msg)
     m.areq = msg;
     m.txn = msg.txn;
     m.wait_until = sim_.now() + cfg_.tag_latency;
-    stats_["l2.acquires"]++;
+    ++ctr_.acquires;
     if (sim_.probes().active()) {
         sim_.probes().begin(
             sim_.now(), m.txn, "l2.mshr",
             name() + ".mshr" + std::to_string(idx),
-            trace::detail::concat("acquire 0x", std::hex, msg.addr,
-                                  " from core", std::dec, msg.source));
+            detail::concat("acquire 0x", std::hex, msg.addr,
+                           " from core", std::dec, msg.source));
     }
     return true;
 }
@@ -567,7 +578,7 @@ L2Cache::startProbes(Mshr &m, Addr line, Cap cap,
         probe.param = cap;
         probe.txn = m.txn;
         ports_[id]->sendB(probe);
-        stats_["l2.probes"]++;
+        ++ctr_.probes;
     }
 }
 
@@ -736,7 +747,7 @@ L2Cache::tickMshr(unsigned idx)
             req.txn = m.txn;
             ++untracked_tag_;
             dram_.submit(req);
-            stats_["l2.victim_writebacks"]++;
+            ++ctr_.victim_writebacks;
         }
         v = DirEntry{};
         m.state = Mshr::State::Fetch;
@@ -755,7 +766,7 @@ L2Cache::tickMshr(unsigned idx)
         req.txn = m.txn;
         dram_.submit(req);
         m.awaiting_dram = true;
-        stats_["l2.fills"]++;
+        ++ctr_.fills;
         if (sim_.probes().active()) {
             sim_.probes().instant(sim_.now(), m.txn, "l2.mshr.state",
                                   name() + ".mshr" + std::to_string(idx),
@@ -792,7 +803,7 @@ L2Cache::tickMshr(unsigned idx)
             // CBO.INVAL discards: no DRAM write, dirty data is dropped
             // (that is its contract — the spec permits the data loss).
             e.dirty = false;
-            stats_["l2.rootrelease.inval_discarded"]++;
+            ++ctr_.rootrelease_inval_discarded;
             m.state = Mshr::State::Respond;
             m.wait_until = sim_.now();
             if (sim_.probes().active()) {
@@ -810,7 +821,7 @@ L2Cache::tickMshr(unsigned idx)
         const bool must_write =
             e.dirty || (!cfg_.llc_skip && e.data_resident);
         if (!must_write) {
-            stats_["l2.rootrelease.llc_skipped"]++;
+            ++ctr_.rootrelease_llc_skipped;
             m.state = Mshr::State::Respond;
             m.wait_until = sim_.now();
             if (sim_.probes().active()) {
@@ -836,7 +847,7 @@ L2Cache::tickMshr(unsigned idx)
         req.txn = m.txn;
         dram_.submit(req);
         m.awaiting_dram = true;
-        stats_["l2.rootrelease.mem_writebacks"]++;
+        ++ctr_.rootrelease_mem_writebacks;
         if (sim_.probes().active()) {
             sim_.probes().instant(sim_.now(), m.txn, "l2.mshr.state",
                                   name() + ".mshr" + std::to_string(idx),
@@ -910,12 +921,8 @@ L2Cache::tickMshr(unsigned idx)
         grant.dest = m.requester;
         grant.txn = m.txn;
         ports_[m.requester]->sendD(grant, TLLink::beatsFor(grant));
-        stats_[grant.op == DOp::GrantDataDirty ? "l2.grants.dirty"
-                                               : "l2.grants.clean"]++;
-        SKIPIT_TRACE_LOG(sim_.now(), "l2", name(), " grant",
-                         grant.op == DOp::GrantDataDirty ? "-dirty 0x"
-                                                         : " 0x",
-                         std::hex, m.line, " to ", std::dec, m.requester);
+        ++(grant.op == DOp::GrantDataDirty ? ctr_.grants_dirty
+                                           : ctr_.grants_clean);
         m.state = Mshr::State::WaitGrantAck;
         return;
       }

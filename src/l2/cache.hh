@@ -223,7 +223,26 @@ class L2Cache : public Ticked, public probe::Inspectable
     Simulator &sim_;
     L2Config cfg_;
     Dram &dram_;
-    Stats &stats_;
+
+    /** Registered with Stats under "l2."; sibling slices sum. */
+    struct Counters
+    {
+        std::uint64_t acquires = 0;
+        std::uint64_t fills = 0;
+        std::uint64_t grants_clean = 0;
+        std::uint64_t grants_dirty = 0;
+        std::uint64_t probes = 0;
+        std::uint64_t releases = 0;
+        std::uint64_t victim_writebacks = 0;
+        std::uint64_t listbuffer_buffered = 0;
+        std::uint64_t rootrelease_clean = 0;
+        std::uint64_t rootrelease_flush = 0;
+        std::uint64_t rootrelease_inval = 0;
+        std::uint64_t rootrelease_inval_discarded = 0;
+        std::uint64_t rootrelease_llc_skipped = 0;
+        std::uint64_t rootrelease_mem_writebacks = 0;
+    };
+    Counters ctr_;
 
     unsigned slice_;
     unsigned slice_count_;
@@ -284,10 +303,6 @@ class L2Cache : public Ticked, public probe::Inspectable
     /** Emit a probe instant recording MSHR @p idx's new state. */
     void emitMshrState(unsigned idx) const;
 };
-
-/** The pre-refactor name. The default policy is still the paper's
- *  inclusive L2; existing tests and tools refer to it this way. */
-using InclusiveCache = L2Cache;
 
 } // namespace skipit
 

@@ -1,10 +1,42 @@
 #include "probe.hh"
 
 #include <algorithm>
+#include <ostream>
 
 #include "logging.hh"
 
 namespace skipit::probe {
+
+namespace {
+
+const char *
+kindName(Event::Kind k)
+{
+    switch (k) {
+      case Event::Kind::Begin:
+        return "begin";
+      case Event::Kind::End:
+        return "end";
+      case Event::Kind::Instant:
+        return "instant";
+      case Event::Kind::Span:
+        return "span";
+    }
+    return "?";
+}
+
+} // namespace
+
+void
+printEvent(std::ostream &os, const Event &e)
+{
+    os << e.cycle << " [" << e.stage << "] " << kindName(e.kind) << " "
+       << e.track;
+    if (!e.detail.empty())
+        os << ": " << e.detail;
+    if (e.kind == Event::Kind::Span)
+        os << " (dur " << e.dur << ")";
+}
 
 void
 Hub::attach(Sink &sink)

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,12 @@ struct Event
      *  line-data fingerprint for persist.* and dram.write events. */
     std::uint64_t arg = 0;
 };
+
+/**
+ * Print @p e as one line, without indent or newline:
+ * "<cycle> [<stage>] <kind> <track>[: <detail>][ (dur <n>)]".
+ */
+void printEvent(std::ostream &os, const Event &e);
 
 /** Receives every event emitted while attached to a hub. */
 class Sink

@@ -171,16 +171,11 @@ Simulator::runClaimedLanes(std::uint64_t base)
                                               std::memory_order_relaxed)) {
             continue;
         }
-        const unsigned l = static_cast<unsigned>(v - base);
-        if (lane_enter_)
-            lane_enter_(l);
-        for (const LaneComp &lc : lanes_[l]) {
+        for (const LaneComp &lc : lanes_[v - base]) {
             hub_.stageInto(lc.buffer);
             lc.component->tick();
         }
         probe::Hub::unstage();
-        if (lane_leave_)
-            lane_leave_();
         lanes_done_.fetch_add(1, std::memory_order_release);
     }
 }
@@ -221,13 +216,6 @@ Simulator::parallelStep()
 }
 
 void
-Simulator::syncLanes()
-{
-    if (lane_sync_)
-        lane_sync_();
-}
-
-void
 Simulator::step()
 {
     if (engine_ == Engine::parallel) {
@@ -265,7 +253,6 @@ Simulator::run(Cycle n)
         }
         step();
     }
-    syncLanes();
 }
 
 Cycle
@@ -295,7 +282,6 @@ Simulator::runUntil(const std::function<bool()> &done, Cycle max_cycles)
         }
         step();
     }
-    syncLanes();
     return now_;
 }
 

@@ -95,28 +95,6 @@ class Simulator
     Engine engine() const { return engine_; }
     unsigned workers() const { return workers_; }
 
-    /**
-     * Hooks the owner of lane-shared state registers so the engine can
-     * scope that state to lanes (the SoC routes Stats through per-lane
-     * shards this way). enter/leave run on the worker around each lane;
-     * sync runs on the run() thread at every sync point.
-     */
-    void
-    setLaneHooks(std::function<void(unsigned lane)> enter,
-                 std::function<void()> leave, std::function<void()> sync)
-    {
-        lane_enter_ = std::move(enter);
-        lane_leave_ = std::move(leave);
-        lane_sync_ = std::move(sync);
-    }
-
-    /**
-     * Bring lane-scoped state (stats shards) back into the shared view.
-     * Runs automatically when run()/runUntil() return; call it manually
-     * before reading stats after hand-stepping the parallel engine.
-     */
-    void syncLanes();
-
     /** Current simulated cycle (the number of completed cycles). */
     Cycle now() const { return now_; }
 
@@ -205,9 +183,6 @@ class Simulator
     std::vector<Ticked *> post_;
     std::vector<std::vector<LaneComp>> lanes_;
     std::size_t lane_comps_ = 0;
-    std::function<void(unsigned)> lane_enter_;
-    std::function<void()> lane_leave_;
-    std::function<void()> lane_sync_;
     std::vector<std::thread> threads_;
     /** Monotonic claim counter; lane = claimed - base. */
     std::atomic<std::uint64_t> next_lane_{0};

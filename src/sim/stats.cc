@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 
 #include "logging.hh"
 
@@ -64,58 +65,42 @@ Distribution::max() const
     return *std::max_element(samples_.begin(), samples_.end());
 }
 
-thread_local Stats::ShardMap *Stats::tl_shard_ = nullptr;
-
 void
-Stats::enableShards(unsigned lanes)
+Stats::add(std::string prefix, std::initializer_list<Field> fields)
 {
-    shards_.resize(lanes);
+    groups_.push_back(Group{std::move(prefix), fields});
 }
 
-void
-Stats::enterShard(unsigned lane)
+std::uint64_t
+Stats::get(const std::string &name) const
 {
-    SKIPIT_ASSERT(lane < shards_.size(), "stats shard out of range: ",
-                  lane);
-    tl_shard_ = &shards_[lane];
-}
-
-void
-Stats::leaveShard()
-{
-    tl_shard_ = nullptr;
-}
-
-void
-Stats::foldShards()
-{
-    SKIPIT_ASSERT(tl_shard_ == nullptr,
-                  "foldShards() while this thread holds a shard");
-    for (ShardMap &shard : shards_) {
-        for (const auto &[name, value] : shard)
-            counters_[name] += value;
-        shard.clear();
+    for (const auto &[n, value] : byPrefix(name)) {
+        if (n == name)
+            return value;
     }
+    return 0;
 }
 
 void
 Stats::dump(std::ostream &os) const
 {
-    for (const auto &[name, value] : counters_)
-        os << name << " = " << value << "\n";
+    dumpPrefix(os, "");
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>
 Stats::byPrefix(const std::string &prefix) const
 {
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    for (auto it = counters_.lower_bound(prefix); it != counters_.end();
-         ++it) {
-        if (it->first.compare(0, prefix.size(), prefix) != 0)
-            break;
-        out.emplace_back(it->first, it->second);
+    std::map<std::string, std::uint64_t> sums;
+    for (const Group &g : groups_) {
+        for (const Field &f : g.fields) {
+            if (*f.value == 0)
+                continue;
+            std::string name = g.prefix + f.name;
+            if (name.compare(0, prefix.size(), prefix) == 0)
+                sums[std::move(name)] += *f.value;
+        }
     }
-    return out;
+    return {sums.begin(), sums.end()};
 }
 
 std::uint64_t

@@ -11,10 +11,9 @@
 #define SKIPIT_SIM_STATS_HH
 
 #include <cstdint>
-#include <map>
+#include <initializer_list>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -49,54 +48,48 @@ class Distribution
 };
 
 /**
- * A registry of named counters owned by one simulated machine.
+ * The read-only counter registry of one simulated machine.
  *
- * Components bump counters through operator[]; tests and benches read them
- * back by name, and dump() prints everything for debugging.
+ * Components own their counters as plain integer fields and register
+ * them once, at construction, as a {name, &field} table under a prefix
+ * ("l1.0.", "core0.lsu.", "l2.", "dram."). Stats reads the fields only
+ * when asked: a counter's full name is prefix + name, counters sharing a
+ * full name are summed (every L2 slice registers under "l2."), and a
+ * counter still at zero is hidden, as if it had never been bumped.
  *
- * Under the parallel tick engine, concurrently-ticked components bump
- * counters through per-lane shards: enterShard() routes the calling
- * thread's operator[] into its lane's private map, and foldShards() adds
- * the shards back into the main registry at engine sync points. Counter
- * increments commute, so the folded totals are bit-identical to a serial
- * run regardless of worker count; reads (get()/dump()) are only exact at
- * sync points — which is where every test and bench reads them.
+ * A bump is an increment of a field its component owns, so under the
+ * parallel engine each lane writes only the counters of the components
+ * it ticks, and reads are exact after every step(). Registered
+ * components must outlive every read.
  */
 class Stats
 {
   public:
-    /** Get (creating if absent) the counter called @p name. */
-    std::uint64_t &operator[](const std::string &name)
+    /** One registered counter: its name under the owner's prefix (a
+     *  string literal) and the field holding its value. */
+    struct Field
     {
-        if (ShardMap *shard = tl_shard_)
-            return (*shard)[name];
-        return counters_[name];
-    }
+        const char *name;
+        const std::uint64_t *value;
+    };
 
-    /** Read a counter; returns 0 when it was never touched. */
-    std::uint64_t
-    get(const std::string &name) const
-    {
-        auto it = counters_.find(name);
-        return it == counters_.end() ? 0 : it->second;
-    }
+    /** Register a component's counters under @p prefix. */
+    void add(std::string prefix, std::initializer_list<Field> fields);
+
+    /** Read a counter; returns 0 when it is zero or unregistered. */
+    std::uint64_t get(const std::string &name) const;
 
     void dump(std::ostream &os) const;
-    void clear() { counters_.clear(); }
-
-    const std::map<std::string, std::uint64_t> &all() const
-    {
-        return counters_;
-    }
 
     /// @name Hierarchical queries
     ///
-    /// Counter names are dot-separated component paths ("core0.l1d.fshr
-    /// allocations" live under "l1.0.", DRAM traffic under "dram.", …),
-    /// so a prefix selects one component subtree.
+    /// Counter names are dot-separated component paths (core 0's L1
+    /// counts under "l1.0.", DRAM traffic under "dram.", …), so a
+    /// prefix selects one component subtree.
     /// @{
 
-    /** All counters whose name starts with @p prefix, in name order. */
+    /** All non-zero counters whose name starts with @p prefix, in name
+     *  order. */
     std::vector<std::pair<std::string, std::uint64_t>>
     byPrefix(const std::string &prefix) const;
 
@@ -107,30 +100,15 @@ class Stats
     void dumpPrefix(std::ostream &os, const std::string &prefix) const;
     /// @}
 
-    /// @name Parallel-engine counter shards
-    /// @{
-
-    /** Allocate one private shard per tick lane. */
-    void enableShards(unsigned lanes);
-
-    /** Route this thread's operator[] into shard @p lane. */
-    void enterShard(unsigned lane);
-
-    /** Stop sharding on this thread; operator[] hits the registry. */
-    static void leaveShard();
-
-    /** Add every shard into the registry and clear the shards. Call from
-     *  one thread while no lane is active. */
-    void foldShards();
-    /// @}
-
   private:
-    using ShardMap = std::unordered_map<std::string, std::uint64_t>;
+    /** One component's registration. */
+    struct Group
+    {
+        std::string prefix;
+        std::vector<Field> fields;
+    };
 
-    static thread_local ShardMap *tl_shard_;
-
-    std::map<std::string, std::uint64_t> counters_;
-    std::vector<ShardMap> shards_;
+    std::vector<Group> groups_;
 };
 
 } // namespace skipit

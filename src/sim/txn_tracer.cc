@@ -8,26 +8,6 @@
 
 namespace skipit {
 
-namespace {
-
-const char *
-kindName(probe::Event::Kind k)
-{
-    switch (k) {
-      case probe::Event::Kind::Begin:
-        return "begin";
-      case probe::Event::Kind::End:
-        return "end";
-      case probe::Event::Kind::Instant:
-        return "instant";
-      case probe::Event::Kind::Span:
-        return "span";
-    }
-    return "?";
-}
-
-} // namespace
-
 void
 TxnTracer::onEvent(const probe::Event &e)
 {
@@ -82,12 +62,8 @@ TxnTracer::dumpTxn(TxnId txn, std::ostream &os, const char *indent) const
         return;
     }
     for (const probe::Event &e : events) {
-        os << indent << e.cycle << " [" << e.stage << "] "
-           << kindName(e.kind) << " " << e.track;
-        if (!e.detail.empty())
-            os << ": " << e.detail;
-        if (e.kind == probe::Event::Kind::Span)
-            os << " (dur " << e.dur << ")";
+        os << indent;
+        probe::printEvent(os, e);
         os << "\n";
     }
 }

@@ -144,16 +144,8 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
 
     sim_.setFastForward(cfg.fast_forward);
 
-    if (parallel) {
-        // Counter traffic from concurrently-ticked lanes flows through
-        // per-lane shards; the engine folds them at every sync point.
-        stats_.enableShards(cfg.cores);
-        sim_.setLaneHooks(
-            [this](unsigned lane) { stats_.enterShard(lane); },
-            [] { Stats::leaveShard(); },
-            [this] { stats_.foldShards(); });
+    if (parallel)
         sim_.setEngine(Simulator::Engine::parallel, cfg.workers);
-    }
 }
 
 std::string

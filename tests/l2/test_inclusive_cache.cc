@@ -71,15 +71,14 @@ class L2Test : public ::testing::Test
     L2Config cfg{};
     DramConfig dcfg{};
     std::unique_ptr<Dram> dram;
-    std::unique_ptr<InclusiveCache> l2;
+    std::unique_ptr<L2Cache> l2;
     std::vector<std::unique_ptr<MockClient>> clients;
 
     void
     build(unsigned nclients = 2)
     {
         dram = std::make_unique<Dram>("dram", sim, dcfg, stats);
-        l2 = std::make_unique<InclusiveCache>("l2", sim, cfg, *dram,
-                                              stats);
+        l2 = std::make_unique<L2Cache>("l2", sim, cfg, *dram, stats);
         for (unsigned c = 0; c < nclients; ++c) {
             clients.push_back(std::make_unique<MockClient>(
                 sim, static_cast<AgentId>(c)));

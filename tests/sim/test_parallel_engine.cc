@@ -189,6 +189,40 @@ TEST(ParallelEngine, FastForwardOffIsBitIdenticalUnderParallel)
     EXPECT_EQ(a.stats, b.stats);
 }
 
+TEST(ParallelEngine, CountersExactEveryCycle)
+{
+    // Each component owns its counters and each lane ticks only its own
+    // components, so the counters are exact after every step(): hand-step
+    // both engines and compare every counter every cycle, with no sync
+    // call in between.
+    SoC serial(matrixConfig(16, 4, Simulator::Engine::serial, 0));
+    SoC par(matrixConfig(16, 4, Simulator::Engine::parallel, 2));
+    for (SoC *soc : {&serial, &par}) {
+        std::vector<Program> programs;
+        for (unsigned c = 0; c < soc->cores(); ++c)
+            programs.push_back(scaleOutProgram(c, 2, c % 2 == 0));
+        soc->setPrograms(programs);
+    }
+    auto quiescent = [](SoC &soc) {
+        for (unsigned c = 0; c < soc.cores(); ++c) {
+            if (!soc.hart(c).done() || !soc.l1(c).quiesced())
+                return false;
+        }
+        return soc.l2Idle();
+    };
+    Cycle cycles = 0;
+    while (!quiescent(serial)) {
+        ASSERT_LT(cycles, 100'000u) << "serial run did not quiesce";
+        serial.sim().step();
+        par.sim().step();
+        ++cycles;
+        ASSERT_EQ(serial.stats().byPrefix(""), par.stats().byPrefix(""))
+            << "cycle " << cycles;
+    }
+    EXPECT_TRUE(quiescent(par));
+    EXPECT_GT(serial.stats().sumPrefix("l1."), 0u);
+}
+
 TEST(ParallelEngine, WorkloadMeasurementsMatchSerial)
 {
     // The harness-level measurements (Fig 9/13 style) agree between the

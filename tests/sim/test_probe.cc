@@ -63,6 +63,32 @@ TEST(ProbeHub, EventsReachEveryAttachedSink)
     EXPECT_EQ(a.events[0].track, "track");
 }
 
+TEST(ProbeHub, PrintEventFormatsOneLine)
+{
+    // One format for TxnTracer::dumpTxn and skipit-run's --trace sink.
+    const probe::Event begin{112, 0, 3, probe::Event::Kind::Begin,
+                             "l1.flushq", "core0.l1d.flushq",
+                             "cbo.flush 0x1000"};
+    const probe::Event span{131, 20, 3, probe::Event::Kind::Span,
+                            "dram.write", "dram", ""};
+    std::ostringstream os;
+    probe::printEvent(os, begin);
+    EXPECT_EQ(os.str(),
+              "112 [l1.flushq] begin core0.l1d.flushq: cbo.flush 0x1000");
+    os.str("");
+    probe::printEvent(os, span);
+    EXPECT_EQ(os.str(), "131 [dram.write] span dram (dur 20)");
+
+    TxnTracer tracer;
+    tracer.onEvent(begin);
+    tracer.onEvent(span);
+    std::ostringstream dump;
+    tracer.dumpTxn(3, dump, "> ");
+    EXPECT_EQ(dump.str(),
+              "> 112 [l1.flushq] begin core0.l1d.flushq: cbo.flush 0x1000\n"
+              "> 131 [dram.write] span dram (dur 20)\n");
+}
+
 TEST(SimulatorHub, AccessibleThroughConstReference)
 {
     // TLChannel and other latency-only holders keep `const Simulator &`;

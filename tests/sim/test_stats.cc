@@ -22,17 +22,21 @@ TEST(Stats, CountersDefaultToZero)
 
 TEST(Stats, CountersAccumulate)
 {
+    // Reads see the registered field's current value.
+    std::uint64_t b = 0;
     Stats s;
-    s["a.b"] += 3;
-    s["a.b"]++;
+    s.add("a.", {{"b", &b}});
+    b += 3;
+    ++b;
     EXPECT_EQ(s.get("a.b"), 4u);
 }
 
 TEST(Stats, DumpListsAllCountersSorted)
 {
+    std::uint64_t z = 1;
+    std::uint64_t a = 2;
     Stats s;
-    s["z"] = 1;
-    s["a"] = 2;
+    s.add("", {{"z", &z}, {"a", &a}});
     std::ostringstream os;
     s.dump(os);
     EXPECT_EQ(os.str(), "a = 2\nz = 1\n");
@@ -40,13 +44,14 @@ TEST(Stats, DumpListsAllCountersSorted)
 
 TEST(Stats, DumpOrderingIsDeterministic)
 {
-    // Insertion order must not leak into the dump: counters print in
-    // lexicographic key order regardless of touch order.
+    // Registration order must not leak into the dump: counters print in
+    // lexicographic name order regardless of registration order.
+    std::uint64_t one = 1;
     Stats a, b;
     for (const char *k : {"l2.fills", "l1.0.nacks", "dram.reads", "a"})
-        a[k] = 1;
+        a.add("", {{k, &one}});
     for (const char *k : {"a", "dram.reads", "l1.0.nacks", "l2.fills"})
-        b[k] = 1;
+        b.add("", {{k, &one}});
     std::ostringstream oa, ob;
     a.dump(oa);
     b.dump(ob);
@@ -57,11 +62,14 @@ TEST(Stats, DumpOrderingIsDeterministic)
 
 TEST(Stats, ByPrefixSelectsHierarchically)
 {
+    std::uint64_t hits0 = 10;
+    std::uint64_t misses0 = 2;
+    std::uint64_t hits1 = 7;
+    std::uint64_t l2_hits = 5;
     Stats s;
-    s["l1.0.hits"] = 10;
-    s["l1.0.misses"] = 2;
-    s["l1.1.hits"] = 7;
-    s["l2.hits"] = 5;
+    s.add("l1.0.", {{"hits", &hits0}, {"misses", &misses0}});
+    s.add("l1.1.", {{"hits", &hits1}});
+    s.add("l2.", {{"hits", &l2_hits}});
     const auto l1_0 = s.byPrefix("l1.0.");
     ASSERT_EQ(l1_0.size(), 2u);
     EXPECT_EQ(l1_0[0].first, "l1.0.hits");
@@ -74,12 +82,46 @@ TEST(Stats, ByPrefixSelectsHierarchically)
 
 TEST(Stats, DumpPrefixPrintsOnlyMatching)
 {
+    std::uint64_t l1_hits = 1;
+    std::uint64_t l2_hits = 2;
     Stats s;
-    s["l1.0.hits"] = 1;
-    s["l2.hits"] = 2;
+    s.add("l1.0.", {{"hits", &l1_hits}});
+    s.add("l2.", {{"hits", &l2_hits}});
     std::ostringstream os;
     s.dumpPrefix(os, "l2.");
     EXPECT_EQ(os.str(), "l2.hits = 2\n");
+}
+
+TEST(Stats, ZeroFieldIsHidden)
+{
+    // A registered counter still at zero reads like one never bumped:
+    // absent from dump() and byPrefix(), and get() returns 0.
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 3;
+    Stats s;
+    s.add("l1.0.", {{"hits", &hits}, {"misses", &misses}});
+    EXPECT_EQ(s.get("l1.0.hits"), 0u);
+    EXPECT_TRUE(s.byPrefix("l1.0.hits").empty());
+    ASSERT_EQ(s.byPrefix("").size(), 1u);
+    std::ostringstream os;
+    s.dump(os);
+    EXPECT_EQ(os.str(), "l1.0.misses = 3\n");
+}
+
+TEST(Stats, SameNameRegistrationsSum)
+{
+    // Every L2 slice registers its fields under "l2."; readers see one
+    // counter holding the total.
+    std::uint64_t slice0 = 4;
+    std::uint64_t slice1 = 3;
+    Stats s;
+    s.add("l2.", {{"fills", &slice0}});
+    s.add("l2.", {{"fills", &slice1}});
+    EXPECT_EQ(s.get("l2.fills"), 7u);
+    EXPECT_EQ(s.sumPrefix("l2."), 7u);
+    std::ostringstream os;
+    s.dump(os);
+    EXPECT_EQ(os.str(), "l2.fills = 7\n");
 }
 
 TEST(Distribution, MedianOfOddCount)

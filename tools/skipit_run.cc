@@ -12,10 +12,13 @@
  *                    bit-identical (see docs/PARALLELISM.md)
  *   --workers N      parallel-engine thread count (0 = hw concurrency)
  *   --no-skipit      disable the Skip It skip bit and GrantDataDirty
- *   --trace CH[,CH]  enable trace channels (flush, l1, l2, all)
+ *   --trace P[,P]    print every probe event whose stage starts with a
+ *                    listed prefix (l1.flushq, l2, dram, ...; all for
+ *                    every event) to stderr, one line per event
  *   --trace-out FILE write a Chrome trace-event JSON of every memory
  *                    transaction (open in chrome://tracing / Perfetto);
- *                    also prints per-stage latency histograms with --stats
+ *                    also prints per-stage latency histograms with --stats;
+ *                    exits 1 if FILE cannot be written
  *   --stats          dump every counter at the end
  *   --stats-prefix P restrict --stats output to counters starting with P
  *   --peek ADDR      print the DRAM word at ADDR after the run
@@ -36,10 +39,10 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/asm.hh"
-#include "sim/trace.hh"
 #include "sim/txn_tracer.hh"
 #include "soc/soc.hh"
 
@@ -54,7 +57,7 @@ usage()
                  "usage: skipit-run [--cores N] [--slices N] "
                  "[--engine serial|parallel]\n"
                  "                  [--workers N] [--no-skipit] "
-                 "[--trace CH[,CH]] [--stats]\n"
+                 "[--trace P[,P]] [--stats]\n"
                  "                  [--stats-prefix P] "
                  "[--trace-out FILE] [--describe]\n"
                  "                  [--l2-policy inclusive|exclusive] "
@@ -74,6 +77,27 @@ readFile(const std::string &path)
     return ss.str();
 }
 
+/** The --trace sink: prints each event whose stage starts with one of
+ *  the listed prefixes ("all" selects every event). */
+class StageTrace : public probe::Sink
+{
+  public:
+    void
+    onEvent(const probe::Event &e) override
+    {
+        const std::string_view stage = e.stage;
+        for (const std::string &p : prefixes) {
+            if (p == "all" || stage.starts_with(p)) {
+                probe::printEvent(std::cerr, e);
+                std::cerr << "\n";
+                return;
+            }
+        }
+    }
+
+    std::vector<std::string> prefixes;
+};
+
 } // namespace
 
 int
@@ -91,6 +115,7 @@ main(int argc, char **argv)
     bool describe = false;
     std::string trace_out;
     std::string stats_prefix;
+    StageTrace stage_trace;
     std::vector<Addr> peeks;
     std::vector<std::string> files;
 
@@ -138,9 +163,9 @@ main(int argc, char **argv)
             skip_it = false;
         } else if (arg == "--trace" && i + 1 < argc) {
             std::stringstream ss(argv[++i]);
-            std::string ch;
-            while (std::getline(ss, ch, ','))
-                trace::enable(ch);
+            std::string prefix;
+            while (std::getline(ss, prefix, ','))
+                stage_trace.prefixes.push_back(prefix);
         } else if (arg == "--trace-out" && i + 1 < argc) {
             trace_out = argv[++i];
         } else if (arg.rfind("--trace-out=", 0) == 0) {
@@ -192,6 +217,8 @@ main(int argc, char **argv)
     if (describe)
         std::fputs(cfg.describe().c_str(), stdout);
 
+    if (!stage_trace.prefixes.empty())
+        soc.sim().probes().attach(stage_trace);
     TxnTracer tracer;
     if (!trace_out.empty()) {
         soc.sim().probes().attach(tracer);
@@ -213,7 +240,9 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         soc.dram().peekWord(a)));
     }
-    if (!trace_out.empty() && tracer.writeChromeTraceFile(trace_out)) {
+    if (!trace_out.empty()) {
+        if (!tracer.writeChromeTraceFile(trace_out))
+            return 1;
         std::printf("wrote %zu trace events to %s\n",
                     tracer.eventCount(), trace_out.c_str());
     }
