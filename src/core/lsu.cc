@@ -1,8 +1,25 @@
 #include "lsu.hh"
 
+#include <algorithm>
+#include <bit>
+
 namespace skipit {
 
 namespace {
+
+/** Bit @p pos of a window mask. */
+constexpr std::uint64_t
+bit(unsigned pos)
+{
+    return std::uint64_t{1} << pos;
+}
+
+/** The lowest set bit of @p mask, or 0 when it has none. */
+constexpr std::uint64_t
+lowest(std::uint64_t mask)
+{
+    return mask & (~mask + 1);
+}
 
 const char *
 memOpName(MemOpKind k)
@@ -37,13 +54,22 @@ memOpName(MemOpKind k)
 Lsu::Lsu(std::string name, Simulator &sim, const LsuConfig &cfg,
          DataCache &dcache, Stats &stats, AgentId source)
     : Ticked(std::move(name)), sim_(sim), cfg_(cfg), dcache_(dcache),
-      source_(source)
+      source_(source), ring_(cfg.window)
 {
-    SKIPIT_ASSERT(cfg.window > 0, "LSU window must be > 0");
+    SKIPIT_ASSERT(cfg.window >= 1 && cfg.window <= 64,
+                  "LSU window must hold 1..64 entries: each entry is one "
+                  "bit of a 64-bit bitset");
     stats.add(Ticked::name() + ".",
               {{"retries", &ctr_.retries},
                {"fences", &ctr_.fences},
                {"stl_forwards", &ctr_.stl_forwards}});
+}
+
+unsigned
+Lsu::slot(unsigned pos) const
+{
+    const unsigned i = head_ + pos;
+    return i < cfg_.window ? i : i - cfg_.window;
 }
 
 std::uint64_t
@@ -54,9 +80,9 @@ Lsu::dispatch(const MemOp &op)
                       op.kind != MemOpKind::WaitUntil,
                   "Delay/WaitUntil ops are handled by the Hart, not the "
                   "LSU");
-    Entry e;
-    e.op = op;
-    e.ticket = next_ticket_++;
+    const unsigned pos = count_++;
+    Entry &e = ring_[slot(pos)];
+    e = Entry{op, retired_upto_ + 1 + pos}; // tickets are dense
     // Transaction ids are allocated unconditionally so attaching a sink
     // never perturbs ids (and thus never perturbs anything downstream).
     // Each LSU allocates from its own id lane, so the ids it hands out
@@ -70,20 +96,16 @@ Lsu::dispatch(const MemOp &op)
             sim_.now(), e.txn, "lsu.window", name(),
             detail::concat(memOpName(op.kind), " 0x", std::hex, op.addr));
     }
-    window_.push_back(e);
+    const std::uint64_t b = bit(pos);
+    waiting_ |= b;
+    not_done_ |= b;
+    if (op.kind == MemOpKind::Load)
+        load_ |= b;
+    else if (op.kind == MemOpKind::Fence)
+        fence_ |= b;
+    else if (op.kind == MemOpKind::Store)
+        store_ |= b;
     return e.ticket;
-}
-
-bool
-Lsu::isDone(std::uint64_t ticket) const
-{
-    if (ticket <= retired_upto_)
-        return true;
-    for (const Entry &e : window_) {
-        if (e.ticket == ticket)
-            return e.state == EntryState::Done;
-    }
-    return true; // not in window and past the head: retired
 }
 
 std::uint64_t
@@ -93,57 +115,6 @@ Lsu::loadValue(std::uint64_t ticket) const
     SKIPIT_ASSERT(it != load_results_.end(),
                   "loadValue for unknown or incomplete load");
     return it->second;
-}
-
-Lsu::Entry *
-Lsu::entryForTicket(std::uint64_t ticket)
-{
-    for (Entry &e : window_) {
-        if (e.ticket == ticket)
-            return &e;
-    }
-    return nullptr;
-}
-
-const Lsu::Entry *
-Lsu::forwardingStore(std::size_t load_idx) const
-{
-    const MemOp &load = window_[load_idx].op;
-    for (std::size_t i = load_idx; i-- > 0;) {
-        const Entry &e = window_[i];
-        if (e.op.kind != MemOpKind::Store)
-            continue;
-        if (e.op.addr == load.addr && e.op.size == load.size)
-            return &e;
-        if (sameLine(e.op.addr, load.addr)) {
-            // Overlapping but not word-exact: cannot forward; the caller
-            // must wait for the store to complete.
-            return nullptr;
-        }
-    }
-    return nullptr;
-}
-
-bool
-Lsu::olderAllDone(std::size_t idx) const
-{
-    for (std::size_t i = 0; i < idx; ++i) {
-        if (window_[i].state != EntryState::Done)
-            return false;
-    }
-    return true;
-}
-
-bool
-Lsu::olderFencePending(std::size_t idx) const
-{
-    for (std::size_t i = 0; i < idx; ++i) {
-        if (window_[i].op.kind == MemOpKind::Fence &&
-            window_[i].state != EntryState::Done) {
-            return true;
-        }
-    }
-    return false;
 }
 
 CpuReq
@@ -186,163 +157,162 @@ Lsu::drainResponses()
 {
     while (dcache_.respReady()) {
         const CpuResp resp = dcache_.popResp();
-        Entry *e = entryForTicket(resp.id);
-        SKIPIT_ASSERT(e != nullptr, "response for retired ticket");
-        SKIPIT_ASSERT(e->state == EntryState::Fired,
+        // Tickets are dense: the ticket names its window position.
+        const std::uint64_t pos = resp.id - retired_upto_ - 1;
+        SKIPIT_ASSERT(pos < count_, "response for retired ticket");
+        const std::uint64_t b = bit(static_cast<unsigned>(pos));
+        SKIPIT_ASSERT((not_done_ & ~waiting_ & b) != 0,
                       "response for unfired entry");
+        Entry &e = ring_[slot(static_cast<unsigned>(pos))];
         if (resp.nack) {
-            e->state = EntryState::Waiting;
-            e->retry_at = sim_.now() + cfg_.retry_backoff;
+            waiting_ |= b;
+            e.retry_at = sim_.now() + cfg_.retry_backoff;
             ++ctr_.retries;
             if (sim_.probes().active()) {
-                sim_.probes().instant(sim_.now(), e->txn, "lsu.nack",
+                sim_.probes().instant(sim_.now(), e.txn, "lsu.nack",
                                       name(), "nacked; backing off");
             }
         } else {
-            e->state = EntryState::Done;
-            if (e->op.kind == MemOpKind::Load) {
-                e->load_value = resp.data;
-                load_results_[e->ticket] = resp.data;
-            }
+            not_done_ &= ~b;
+            if (e.op.kind == MemOpKind::Load)
+                load_results_[e.ticket] = resp.data;
             if (sim_.probes().active()) {
                 sim_.probes().end(
-                    sim_.now(), e->txn, "lsu.window", name(),
-                    detail::concat(memOpName(e->op.kind), " 0x",
-                                   std::hex, e->op.addr));
+                    sim_.now(), e.txn, "lsu.window", name(),
+                    detail::concat(memOpName(e.op.kind), " 0x",
+                                   std::hex, e.op.addr));
             }
         }
     }
+}
+
+std::uint64_t
+Lsu::candidates() const
+{
+    // Only the oldest incomplete entry (the ROB head) and the loads older
+    // than the oldest incomplete fence can act. Every other waiting entry
+    // is an STQ op or fence with something incomplete before it, or sits
+    // behind a pending fence: decide() says Wait, and since such an entry
+    // has never fired it has no backoff for nextWake() to report either.
+    const std::uint64_t fences = not_done_ & fence_;
+    return waiting_ & (lowest(not_done_) | (load_ & (lowest(fences) - 1)));
+}
+
+Lsu::Decision
+Lsu::decide(unsigned pos) const
+{
+    const MemOp &op = ring_[slot(pos)].op;
+    const std::uint64_t older = bit(pos) - 1;
+    if (op.kind == MemOpKind::Fence) {
+        // FENCE RW,RW: commits once everything older is complete and no
+        // flush request is pending in the flush unit (§5.3).
+        const bool release =
+            (not_done_ & older) == 0 && !dcache_.flushing();
+        return {release ? Action::Release : Action::Wait};
+    }
+    if (op.kind != MemOpKind::Load) {
+        // STQ request (store or CBO.X): fires only once everything older
+        // has completed, i.e. when the ROB head points at it (§3.2, §5.1).
+        return {(not_done_ & older) == 0 ? Action::Fire : Action::Wait};
+    }
+    if ((not_done_ & fence_ & older) != 0)
+        return {Action::Wait};
+    // Store-to-load forwarding from the STQ (§3.2): the nearest older
+    // store to the load's line forwards if it writes exactly its word.
+    for (std::uint64_t stores = store_ & older; stores != 0;) {
+        const unsigned j = 63 - std::countl_zero(stores); // nearest first
+        stores ^= bit(j);
+        const MemOp &st = ring_[slot(j)].op;
+        if (!sameLine(st.addr, op.addr))
+            continue;
+        if (st.addr == op.addr && st.size == op.size)
+            return {Action::Forward, j};
+        break; // overlapping but not word-exact: cannot forward
+    }
+    // An older overlapping (non-forwardable) store or CBO must drain
+    // before the load may fire.
+    for (std::uint64_t blockers = not_done_ & ~load_ & older; blockers != 0;
+         blockers &= blockers - 1) {
+        const unsigned j = static_cast<unsigned>(std::countr_zero(blockers));
+        if (sameLine(ring_[slot(j)].op.addr, op.addr))
+            return {Action::Wait};
+    }
+    return {Action::Fire};
 }
 
 void
 Lsu::fire()
 {
     unsigned fired = 0;
-    for (std::size_t i = 0;
-         i < window_.size() && fired < cfg_.fires_per_cycle; ++i) {
-        Entry &e = window_[i];
-        if (e.state != EntryState::Waiting || sim_.now() < e.retry_at)
-            continue;
-
-        if (e.op.kind == MemOpKind::Fence) {
-            // FENCE RW,RW: commits once everything older is complete and
-            // no flush request is pending in the flush unit (§5.3).
-            if (olderAllDone(i) && !dcache_.flushing()) {
-                e.state = EntryState::Done;
-                ++ctr_.fences;
-                if (sim_.probes().active()) {
-                    sim_.probes().end(sim_.now(), e.txn, "lsu.window",
-                                      name(), "fence released");
-                    // Durability-oracle payload: this hart has observed
-                    // every older CBO complete (flush counter drained);
-                    // their flushed values are now claimed durable.
-                    sim_.probes().instant(
-                        sim_.now(), e.txn, "persist.fence", name(),
-                        "fence retired; flush counter drained", 0,
-                        static_cast<std::uint64_t>(source_));
-                }
+    std::uint64_t todo = candidates();
+    while (todo != 0 && fired < cfg_.fires_per_cycle) {
+        const unsigned pos = static_cast<unsigned>(std::countr_zero(todo));
+        const std::uint64_t b = bit(pos);
+        Entry &e = ring_[slot(pos)];
+        const Decision d = sim_.now() < e.retry_at ? Decision{} : decide(pos);
+        switch (d.action) {
+          case Action::Wait:
+            break;
+          case Action::Release:
+            waiting_ &= ~b;
+            not_done_ &= ~b;
+            ++ctr_.fences;
+            if (sim_.probes().active()) {
+                sim_.probes().end(sim_.now(), e.txn, "lsu.window", name(),
+                                  "fence released");
+                // Durability-oracle payload: this hart has observed
+                // every older CBO complete (flush counter drained);
+                // their flushed values are now claimed durable.
+                sim_.probes().instant(
+                    sim_.now(), e.txn, "persist.fence", name(),
+                    "fence retired; flush counter drained", 0,
+                    static_cast<std::uint64_t>(source_));
             }
-            continue;
-        }
-
-        if (e.op.kind == MemOpKind::Load) {
-            if (olderFencePending(i))
-                continue;
-            if (const Entry *st = forwardingStore(i)) {
-                // Store-to-load forwarding from the STQ (§3.2).
-                e.load_value = st->op.data;
-                load_results_[e.ticket] = st->op.data;
-                e.state = EntryState::Done;
-                ++ctr_.stl_forwards;
-                if (sim_.probes().active()) {
-                    sim_.probes().end(sim_.now(), e.txn, "lsu.window",
-                                      name(), "store-to-load forward");
-                }
-                continue;
+            break;
+          case Action::Forward:
+            waiting_ &= ~b;
+            not_done_ &= ~b;
+            load_results_[e.ticket] = ring_[slot(d.from)].op.data;
+            ++ctr_.stl_forwards;
+            if (sim_.probes().active()) {
+                sim_.probes().end(sim_.now(), e.txn, "lsu.window", name(),
+                                  "store-to-load forward");
             }
-            // An older overlapping (non-forwardable) store must drain
-            // before the load may fire.
-            bool blocked = false;
-            for (std::size_t j = 0; j < i; ++j) {
-                const Entry &older = window_[j];
-                if (older.state != EntryState::Done &&
-                    older.op.kind != MemOpKind::Load &&
-                    sameLine(older.op.addr, e.op.addr)) {
-                    blocked = true;
-                    break;
-                }
-            }
-            if (blocked)
-                continue;
+            break;
+          case Action::Fire:
             dcache_.submit(toCpuReq(e));
-            e.state = EntryState::Fired;
+            waiting_ &= ~b;
             ++fired;
             if (sim_.probes().active()) {
-                sim_.probes().instant(sim_.now(), e.txn, "lsu.fire",
-                                      name(), "load fired");
+                sim_.probes().instant(
+                    sim_.now(), e.txn, "lsu.fire", name(),
+                    detail::concat(memOpName(e.op.kind), " fired"));
             }
-            continue;
+            break;
         }
-
-        // STQ request (store or CBO.X): fires only once everything older
-        // has completed, i.e. when the ROB head points at it (§3.2, §5.1).
-        if (!olderAllDone(i))
-            continue;
-        dcache_.submit(toCpuReq(e));
-        e.state = EntryState::Fired;
-        ++fired;
-        if (sim_.probes().active()) {
-            sim_.probes().instant(
-                sim_.now(), e.txn, "lsu.fire", name(),
-                detail::concat(memOpName(e.op.kind), " fired"));
-        }
+        // A released fence or a completed head may let younger entries
+        // act in this same pass; older ones are not revisited.
+        todo = candidates() & ~(b | (b - 1));
     }
-}
-
-bool
-Lsu::fireableNow(std::size_t idx) const
-{
-    // Keep in lockstep with fire(): any guard added there needs a mirror
-    // here, or fast-forward would sleep through a fireable entry.
-    const Entry &e = window_[idx];
-    if (e.op.kind == MemOpKind::Fence)
-        return olderAllDone(idx) && !dcache_.flushing();
-    if (e.op.kind == MemOpKind::Load) {
-        if (olderFencePending(idx))
-            return false;
-        if (forwardingStore(idx) != nullptr)
-            return true;
-        for (std::size_t j = 0; j < idx; ++j) {
-            const Entry &older = window_[j];
-            if (older.state != EntryState::Done &&
-                older.op.kind != MemOpKind::Load &&
-                sameLine(older.op.addr, e.op.addr)) {
-                return false;
-            }
-        }
-        return true;
-    }
-    return olderAllDone(idx);
 }
 
 Cycle
 Lsu::nextWake() const
 {
-    if (window_.empty())
+    if (count_ == 0)
         return wake_never;
+    if ((not_done_ & 1) == 0)
+        return sim_.now(); // retire() has work
     // A pending cache response wakes drainResponses.
     Cycle wake = dcache_.respWakeAt();
-    if (window_.front().state == EntryState::Done)
-        return sim_.now(); // retire() has work
-    for (std::size_t i = 0; i < window_.size(); ++i) {
-        const Entry &e = window_[i];
-        if (e.state != EntryState::Waiting)
-            continue; // Fired: completion arrives via respWakeAt
-        if (sim_.now() < e.retry_at) {
-            wake = std::min(wake, e.retry_at);
+    for (std::uint64_t todo = candidates(); todo != 0; todo &= todo - 1) {
+        const unsigned pos = static_cast<unsigned>(std::countr_zero(todo));
+        const Cycle retry_at = ring_[slot(pos)].retry_at;
+        if (sim_.now() < retry_at) {
+            wake = std::min(wake, retry_at);
             continue;
         }
-        if (fireableNow(i))
+        if (decide(pos).action != Action::Wait)
             return sim_.now();
         // Blocked on another entry or on the flush unit: whatever
         // unblocks it is itself a tracked wake source (a response, an
@@ -354,10 +324,19 @@ Lsu::nextWake() const
 void
 Lsu::retire()
 {
-    while (!window_.empty() && window_.front().state == EntryState::Done) {
-        retired_upto_ = window_.front().ticket;
-        window_.pop_front();
+    // The done entries at the head leave together. A full window of 64
+    // cannot leave by a plain shift: shifting by the width is undefined.
+    const unsigned n =
+        std::min(static_cast<unsigned>(std::countr_zero(not_done_)), count_);
+    if (n == 0)
+        return;
+    for (std::uint64_t *mask : {&waiting_, &not_done_, &load_, &fence_,
+                                &store_}) {
+        *mask = n < 64 ? *mask >> n : 0;
     }
+    head_ = (head_ + n) % cfg_.window;
+    count_ -= n;
+    retired_upto_ += n;
 }
 
 void

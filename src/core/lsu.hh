@@ -20,8 +20,8 @@
 #define SKIPIT_CORE_LSU_HH
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "l1/data_cache.hh"
 #include "mem_op.hh"
@@ -34,7 +34,7 @@ namespace skipit {
 /** LSU parameters. */
 struct LsuConfig
 {
-    unsigned window = 32;       //!< LDQ/STQ entries (SonicBOOM: 32 each)
+    unsigned window = 32;       //!< LDQ/STQ size, 1..64 (SonicBOOM: 32 each)
     unsigned fires_per_cycle = 2; //!< requests fired per cycle (§3.2)
     Cycle retry_backoff = 4;    //!< cycles before retrying after a nack
 };
@@ -58,7 +58,7 @@ class Lsu : public Ticked
     Cycle nextWake() const override;
 
     /** Can another op be dispatched this cycle? */
-    bool canDispatch() const { return window_.size() < cfg_.window; }
+    bool canDispatch() const { return count_ < cfg_.window; }
 
     /**
      * Dispatch @p op in program order.
@@ -66,31 +66,31 @@ class Lsu : public Ticked
      */
     std::uint64_t dispatch(const MemOp &op);
 
-    /** Has the op with @p ticket completed? */
-    bool isDone(std::uint64_t ticket) const;
-
     /** Value returned by a completed load. */
     std::uint64_t loadValue(std::uint64_t ticket) const;
 
     /** True when no dispatched operation remains incomplete. */
-    bool empty() const { return window_.empty(); }
+    bool empty() const { return count_ == 0; }
 
     /** Drop recorded load results (between benchmark phases). */
     void clearResults() { load_results_.clear(); }
 
-    std::size_t inWindow() const { return window_.size(); }
-
   private:
-    enum class EntryState { Waiting, Fired, Done };
-
     struct Entry
     {
         MemOp op;
         std::uint64_t ticket = 0;
         TxnId txn = 0;
-        EntryState state = EntryState::Waiting;
         Cycle retry_at = 0;
-        std::uint64_t load_value = 0;
+    };
+
+    /** What fire() does with a waiting entry this cycle. */
+    enum class Action { Wait, Fire, Forward, Release };
+
+    struct Decision
+    {
+        Action action = Action::Wait;
+        unsigned from = 0; //!< Forward: the store's window position
     };
 
     Simulator &sim_;
@@ -107,22 +107,33 @@ class Lsu : public Ticked
     };
     Counters ctr_;
 
-    std::deque<Entry> window_;
-    std::uint64_t next_ticket_ = 1;
-    std::uint64_t retired_upto_ = 0; //!< all tickets <= this are done
+    /**
+     * The window: a ring of cfg.window entries, the oldest at head_.
+     * Window position p (0 = oldest) is bit p of each mask below, so a
+     * mask shifts right as the head retires. Tickets are dense, so
+     * ticket t sits at position t - retired_upto_ - 1.
+     */
+    std::vector<Entry> ring_;
+    unsigned head_ = 0;
+    unsigned count_ = 0;
+    std::uint64_t waiting_ = 0;  //!< not fired, or nacked and backing off
+    std::uint64_t not_done_ = 0; //!< waiting or fired
+    std::uint64_t load_ = 0;
+    std::uint64_t fence_ = 0;
+    std::uint64_t store_ = 0;
+    std::uint64_t retired_upto_ = 0; //!< all tickets <= this have retired
     std::unordered_map<std::uint64_t, std::uint64_t> load_results_;
 
     void drainResponses();
     void fire();
     void retire();
 
-    Entry *entryForTicket(std::uint64_t ticket);
-    /** Would fire() act on entry @p idx this cycle? Mirrors its guards. */
-    bool fireableNow(std::size_t idx) const;
-    /** Latest older in-window store writing exactly the load's word. */
-    const Entry *forwardingStore(std::size_t load_idx) const;
-    bool olderAllDone(std::size_t idx) const;
-    bool olderFencePending(std::size_t idx) const;
+    /** Ring index of window position @p pos. */
+    unsigned slot(unsigned pos) const;
+    /** The waiting entries that decide() might let act this cycle. */
+    std::uint64_t candidates() const;
+    /** The firing rules, shared by fire() and nextWake(). */
+    Decision decide(unsigned pos) const;
 
     CpuReq toCpuReq(const Entry &e) const;
 };

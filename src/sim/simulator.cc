@@ -231,8 +231,11 @@ Cycle
 Simulator::nextWakeAll() const
 {
     Cycle wake = Ticked::wake_never;
-    for (const Ticked *c : components_)
+    for (const Ticked *c : components_) {
         wake = std::min(wake, c->nextWake());
+        if (wake <= now_)
+            return wake; // a tick is due now: no later wake can matter
+    }
     return wake;
 }
 

@@ -145,7 +145,9 @@ class Simulator
     probe::Hub &probes() const { return hub_; }
 
   private:
-    /** Earliest nextWake() over all components (wake_never when empty). */
+    /** Earliest nextWake() over all components (wake_never when empty),
+     *  or the first one at or before now(): callers only compare the
+     *  result with now() and wake_never, and that wake settles both. */
     Cycle nextWakeAll() const;
 
     void parallelStep();

@@ -57,8 +57,9 @@ class Ticked
      *  - Returning wake_never asserts the component only acts in
      *    response to another component's activity (e.g. a message
      *    arriving on a channel). This is safe because the simulator
-     *    re-evaluates every component's wake after each executed cycle,
-     *    and state only changes in executed cycles.
+     *    asks for wakes again after each executed cycle, and state only
+     *    changes in executed cycles. It stops asking at the first wake
+     *    at or before now(): every component ticks in that cycle anyway.
      *
      * The default ("always tick me") opts a component out of
      * fast-forwarding without any correctness risk.

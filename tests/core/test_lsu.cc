@@ -2,13 +2,19 @@
  * @file
  * Unit tests of the LSU's ordering rules (§3.2, §5.1): in-order STQ
  * firing, out-of-order loads, store-to-load forwarding, fence gating on
- * the flush counter, and nack-retry behaviour.
+ * the flush counter, and nack-retry behaviour — plus executed-cycle pins
+ * that hold the LSU's wake and fire schedule to its exact cycle count.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/hart.hh"
+#include "sim/random.hh"
 #include "soc/soc.hh"
+#include "workloads/workloads.hh"
 
 namespace skipit {
 namespace {
@@ -163,6 +169,244 @@ TEST_F(LsuTest, PartialOverlapStoreBlocksLoadUntilDone)
     });
     soc->runToCompletion();
     EXPECT_EQ(soc->hart(0).loadValue(1) & 0xFFFFFFFFu, 0x11223344u);
+}
+
+TEST_F(LsuTest, FullWindowRetiresInOneTick)
+{
+    cfg.lsu.window = 64;
+    auto soc = make();
+    Stats &st = soc->stats();
+    soc->hart(0).setProgram({MemOp::store(0xA000, 7), MemOp::fence()});
+    soc->runToQuiescence(); // 0xA000 is now dirty in the L1
+
+    // The flush keeps the flushing signal high for a writeback round trip,
+    // long enough for the hart to fill all 64 entries with fences.
+    Program p{MemOp::flush(0xA000)};
+    for (int i = 0; i < 64; ++i)
+        p.push_back(MemOp::fence());
+    soc->hart(0).setProgram(p);
+    const std::uint64_t fences = st.get("core0.lsu.fences");
+    soc->sim().runUntil([&] { return st.get("core0.lsu.fences") > fences; });
+    // All 64 released in one fire() pass and retired in the same tick.
+    EXPECT_EQ(st.get("core0.lsu.fences") - fences, 64u);
+    EXPECT_TRUE(soc->lsu(0).empty());
+
+    // The retire must leave no stale entry state behind: an exact-word
+    // store/load pair still forwards ...
+    const std::uint64_t forwards = st.get("core0.lsu.stl_forwards");
+    soc->hart(0).setProgram({MemOp::store(0xB000, 41), MemOp::load(0xB000)});
+    soc->runToCompletion();
+    EXPECT_EQ(soc->hart(0).loadValue(1), 41u);
+    EXPECT_EQ(st.get("core0.lsu.stl_forwards"), forwards + 1);
+
+    // ... and a partial overlap still holds the load until the store is
+    // done, so the load reads the store's bytes from the cache.
+    soc->hart(0).setProgram({
+        MemOp::store(0xC000, 0x55667788, 4),
+        MemOp::load(0xC000, 8),
+    });
+    soc->runToCompletion();
+    EXPECT_EQ(soc->hart(0).loadValue(1), 0x55667788u);
+    EXPECT_EQ(st.get("core0.lsu.stl_forwards"), forwards + 1);
+}
+
+using LsuDeathTest = LsuTest;
+
+TEST_F(LsuDeathTest, ZeroWindowIsRejected)
+{
+    cfg.lsu.window = 0;
+    EXPECT_DEATH(make(), "64-bit bitset");
+}
+
+TEST_F(LsuDeathTest, WindowPastTheBitsetIsRejected)
+{
+    cfg.lsu.window = 65;
+    EXPECT_DEATH(make(), "64-bit bitset");
+}
+
+// ---------------------------------------------------------------------
+// Executed-cycle identity pins: a run's simulated cycles, fast-forward
+// skipped cycles and LSU counters. A change to when an entry fires,
+// forwards, releases or wakes the kernel moves at least one of them, so
+// a change meant only to speed up the host must leave them as they are.
+// ---------------------------------------------------------------------
+
+/** Cycles, skipped cycles and every non-zero core*.lsu.* counter. */
+std::string
+outcome(SoC &soc, Cycle cycles)
+{
+    std::ostringstream os;
+    os << "cycles=" << cycles << " skipped=" << soc.sim().skippedCycles();
+    for (const auto &[name, value] : soc.stats().byPrefix("core")) {
+        if (name.find(".lsu.") != std::string::npos)
+            os << ' ' << name << '=' << value;
+    }
+    return os.str();
+}
+
+/**
+ * Four harts over eight shared lines with two L1 MSHRs and a two-deep
+ * flush queue, so the L1 nacks often: 8- and 4-byte loads and stores
+ * (exact-word forwards and partial overlaps), CBO.CLEAN/FLUSH, fences and
+ * compute delays, drawn from a fixed seed.
+ */
+std::string
+runNackHeavyMix(unsigned window, Simulator::Engine engine =
+                                     Simulator::Engine::serial)
+{
+    constexpr unsigned harts = 4;
+    constexpr unsigned lines = 8;
+    constexpr unsigned ops = 1000;
+    constexpr Addr base = 0x200000;
+    SoCConfig cfg;
+    cfg.cores = harts;
+    cfg.l1.mshrs = 2;
+    cfg.l1.flush_queue_depth = 2;
+    cfg.lsu.window = window;
+    cfg.engine = engine;
+    cfg.workers = 3;
+    Rng rng(14);
+    std::vector<Program> programs(harts);
+    for (Program &p : programs) {
+        for (unsigned n = 0; n < ops; ++n) {
+            const Addr line = base + rng.below(lines) * line_bytes;
+            const Addr word = line + rng.below(line_bytes / 8) * 8;
+            const Addr half = word + rng.below(2) * 4;
+            const std::uint64_t value = rng.next();
+            switch (rng.below(12)) {
+              case 0:
+              case 1:
+              case 2:
+                p.push_back(MemOp::load(word));
+                break;
+              case 3:
+                p.push_back(MemOp::load(half, 4));
+                break;
+              case 4:
+              case 5:
+                p.push_back(MemOp::store(word, value));
+                break;
+              case 6:
+                p.push_back(MemOp::store(half, value & 0xFFFFFFFFu, 4));
+                break;
+              case 7:
+                p.push_back(MemOp::clean(line));
+                break;
+              case 8:
+                p.push_back(MemOp::flush(line));
+                break;
+              case 9:
+                p.push_back(MemOp::fence());
+                break;
+              case 10:
+                p.push_back(MemOp::compute(value % 48));
+                break;
+              default:
+                // A store and a load of the same word: a forwarding
+                // candidate unless something in between blocks it.
+                p.push_back(MemOp::store(word, value));
+                p.push_back(MemOp::load(word));
+                break;
+            }
+        }
+        p.push_back(MemOp::fence());
+    }
+    SoC soc(cfg);
+    soc.setPrograms(programs);
+    const Cycle cycles = soc.runToCompletion();
+    return outcome(soc, cycles);
+}
+
+constexpr const char *mix_window4 =
+    "cycles=28062 skipped=1499"
+    " core0.lsu.fences=80"
+    " core0.lsu.retries=1792"
+    " core0.lsu.stl_forwards=88"
+    " core1.lsu.fences=94"
+    " core1.lsu.retries=1811"
+    " core1.lsu.stl_forwards=96"
+    " core2.lsu.fences=91"
+    " core2.lsu.retries=1952"
+    " core2.lsu.stl_forwards=84"
+    " core3.lsu.fences=99"
+    " core3.lsu.retries=1977"
+    " core3.lsu.stl_forwards=98";
+constexpr const char *mix_window32 =
+    "cycles=26204 skipped=838"
+    " core0.lsu.fences=80"
+    " core0.lsu.retries=2509"
+    " core0.lsu.stl_forwards=94"
+    " core1.lsu.fences=94"
+    " core1.lsu.retries=2572"
+    " core1.lsu.stl_forwards=99"
+    " core2.lsu.fences=91"
+    " core2.lsu.retries=2611"
+    " core2.lsu.stl_forwards=85"
+    " core3.lsu.fences=99"
+    " core3.lsu.retries=2306"
+    " core3.lsu.stl_forwards=106";
+constexpr const char *mix_window64 =
+    "cycles=26400 skipped=1033"
+    " core0.lsu.fences=80"
+    " core0.lsu.retries=2563"
+    " core0.lsu.stl_forwards=94"
+    " core1.lsu.fences=94"
+    " core1.lsu.retries=2794"
+    " core1.lsu.stl_forwards=100"
+    " core2.lsu.fences=91"
+    " core2.lsu.retries=2614"
+    " core2.lsu.stl_forwards=85"
+    " core3.lsu.fences=99"
+    " core3.lsu.retries=2293"
+    " core3.lsu.stl_forwards=106";
+
+TEST(LsuCyclePin, ManycoreShape)
+{
+    // bench/manycore and skipit-bench's wb-storm at seed 0.
+    constexpr unsigned cores = 16;
+    constexpr unsigned lines = 256;
+    SoCConfig cfg;
+    cfg.cores = cores;
+    cfg.l2.slices = 4;
+    cfg.verify.enabled = false;
+    cfg.watchdog.enabled = false;
+    SoC soc(cfg);
+    std::vector<Program> programs;
+    for (unsigned c = 0; c < cores; ++c) {
+        const Addr region =
+            workloads::region_base + c * workloads::thread_stride;
+        Program p = workloads::dirtyRegion(region, lines);
+        const Program wb = workloads::writebackRegion(
+            region, lines, /*flush=*/true, /*passes=*/8);
+        p.insert(p.end(), wb.begin(), wb.end());
+        programs.push_back(std::move(p));
+    }
+    soc.setPrograms(programs);
+    EXPECT_EQ(soc.runToCompletion(), 33545u);
+    EXPECT_EQ(soc.sim().skippedCycles(), 72u);
+}
+
+TEST(LsuCyclePin, NackHeavyMixWindow4)
+{
+    EXPECT_EQ(runNackHeavyMix(4), mix_window4);
+}
+
+TEST(LsuCyclePin, NackHeavyMixWindow32)
+{
+    EXPECT_EQ(runNackHeavyMix(32), mix_window32);
+}
+
+TEST(LsuCyclePin, NackHeavyMixWindow64)
+{
+    EXPECT_EQ(runNackHeavyMix(64), mix_window64);
+}
+
+TEST(LsuCyclePin, NackHeavyMixParallelMatchesSerial)
+{
+    // Lanes tick each LSU on a worker thread; the stepping thread reads
+    // the LSUs' wakes between cycles.
+    EXPECT_EQ(runNackHeavyMix(32, Simulator::Engine::parallel),
+              mix_window32);
 }
 
 } // namespace
