@@ -39,10 +39,10 @@ Hart::markerCycle(std::uint64_t id) const
 std::uint64_t
 Hart::loadValue(std::size_t op_idx) const
 {
-    auto it = load_tickets_.find(op_idx);
-    SKIPIT_ASSERT(it != load_tickets_.end(), "op ", op_idx, " is not a "
-                  "dispatched load");
-    return lsu_.loadValue(it->second);
+    SKIPIT_ASSERT(op_idx < load_tickets_.size() &&
+                      load_tickets_[op_idx] != 0,
+                  "op ", op_idx, " is not a dispatched load");
+    return lsu_.loadValue(load_tickets_[op_idx]);
 }
 
 Cycle
@@ -106,8 +106,11 @@ Hart::tick()
         if (!lsu_.canDispatch())
             return;
         const std::uint64_t ticket = lsu_.dispatch(op);
-        if (op.kind == MemOpKind::Load)
+        if (op.kind == MemOpKind::Load) {
+            if (pc_ >= load_tickets_.size())
+                load_tickets_.resize(pc_ + 1);
             load_tickets_[pc_] = ticket;
+        }
         ++pc_;
     }
 }

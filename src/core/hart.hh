@@ -10,6 +10,7 @@
 #define SKIPIT_CORE_HART_HH
 
 #include <unordered_map>
+#include <vector>
 
 #include "lsu.hh"
 #include "mem_op.hh"
@@ -54,7 +55,9 @@ class Hart : public Ticked
     Program program_;
     std::size_t pc_ = 0;
     Cycle stall_until_ = 0;
-    std::unordered_map<std::size_t, std::uint64_t> load_tickets_;
+    /** LSU ticket of the load at each op index; 0 = not a dispatched
+     *  load (tickets start at 1). */
+    std::vector<std::uint64_t> load_tickets_;
     std::unordered_map<std::uint64_t, Cycle> markers_;
     bool marker_waiting_ = false;
     std::uint64_t pending_marker_ = 0;

@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <bit>
 
+#include "sim/bits.hh"
+
 namespace skipit {
 
 namespace {
-
-/** Bit @p pos of a window mask. */
-constexpr std::uint64_t
-bit(unsigned pos)
-{
-    return std::uint64_t{1} << pos;
-}
 
 /** The lowest set bit of @p mask, or 0 when it has none. */
 constexpr std::uint64_t
@@ -111,10 +106,20 @@ Lsu::dispatch(const MemOp &op)
 std::uint64_t
 Lsu::loadValue(std::uint64_t ticket) const
 {
-    auto it = load_results_.find(ticket);
-    SKIPIT_ASSERT(it != load_results_.end(),
+    const std::uint64_t i = ticket - results_base_;
+    SKIPIT_ASSERT(ticket >= results_base_ && i < load_results_.size() &&
+                      load_results_[i].done,
                   "loadValue for unknown or incomplete load");
-    return it->second;
+    return load_results_[i].value;
+}
+
+void
+Lsu::recordLoad(std::uint64_t ticket, std::uint64_t value)
+{
+    const std::uint64_t i = ticket - results_base_;
+    if (i >= load_results_.size())
+        load_results_.resize(i + 1);
+    load_results_[i] = {value, true};
 }
 
 CpuReq
@@ -175,7 +180,7 @@ Lsu::drainResponses()
         } else {
             not_done_ &= ~b;
             if (e.op.kind == MemOpKind::Load)
-                load_results_[e.ticket] = resp.data;
+                recordLoad(e.ticket, resp.data);
             if (sim_.probes().active()) {
                 sim_.probes().end(
                     sim_.now(), e.txn, "lsu.window", name(),
@@ -272,7 +277,7 @@ Lsu::fire()
           case Action::Forward:
             waiting_ &= ~b;
             not_done_ &= ~b;
-            load_results_[e.ticket] = ring_[slot(d.from)].op.data;
+            recordLoad(e.ticket, ring_[slot(d.from)].op.data);
             ++ctr_.stl_forwards;
             if (sim_.probes().active()) {
                 sim_.probes().end(sim_.now(), e.txn, "lsu.window", name(),

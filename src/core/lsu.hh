@@ -20,7 +20,6 @@
 #define SKIPIT_CORE_LSU_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "l1/data_cache.hh"
@@ -73,7 +72,12 @@ class Lsu : public Ticked
     bool empty() const { return count_ == 0; }
 
     /** Drop recorded load results (between benchmark phases). */
-    void clearResults() { load_results_.clear(); }
+    void
+    clearResults()
+    {
+        load_results_.clear();
+        results_base_ = retired_upto_ + 1;
+    }
 
   private:
     struct Entry
@@ -122,11 +126,21 @@ class Lsu : public Ticked
     std::uint64_t fence_ = 0;
     std::uint64_t store_ = 0;
     std::uint64_t retired_upto_ = 0; //!< all tickets <= this have retired
-    std::unordered_map<std::uint64_t, std::uint64_t> load_results_;
+
+    struct LoadResult
+    {
+        std::uint64_t value = 0;
+        bool done = false;
+    };
+    /** Completed loads' values, indexed by ticket - results_base_: the
+     *  tickets handed out since clearResults() are dense. */
+    std::vector<LoadResult> load_results_;
+    std::uint64_t results_base_ = 1;
 
     void drainResponses();
     void fire();
     void retire();
+    void recordLoad(std::uint64_t ticket, std::uint64_t value);
 
     /** Ring index of window position @p pos. */
     unsigned slot(unsigned pos) const;

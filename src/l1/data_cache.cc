@@ -1,7 +1,10 @@
 #include "data_cache.hh"
 
+#include <bit>
 #include <cstring>
 #include <utility>
+
+#include "sim/bits.hh"
 
 namespace skipit {
 
@@ -50,8 +53,14 @@ DataCache::DataCache(std::string name, Simulator &sim, const L1Config &cfg,
       flush_q_(cfg.flush_queue_depth), fshrs_(cfg.fshrs),
       in_q_(sim, 1), resp_q_(sim)
 {
-    SKIPIT_ASSERT(cfg.fshrs > 0 && cfg.flush_queue_depth > 0,
-                  "flush unit needs at least one FSHR and queue slot");
+    SKIPIT_ASSERT(cfg.flush_queue_depth > 0,
+                  "flush unit needs at least one queue slot");
+    SKIPIT_ASSERT(cfg.fshrs >= 1 && cfg.fshrs <= 64,
+                  "L1 FSHR count must be 1..64: each FSHR is one bit of a "
+                  "64-bit bitset");
+    SKIPIT_ASSERT(cfg.mshrs >= 1 && cfg.mshrs <= 64,
+                  "L1 MSHR count must be 1..64: each MSHR is one bit of a "
+                  "64-bit bitset");
     stats.add("l1." + std::to_string(id) + ".",
               {{"load_hits", &ctr_.load_hits},
                {"load_misses", &ctr_.load_misses},
@@ -105,22 +114,19 @@ DataCache::nextWake() const
 
     // Units that make progress on their own every cycle. The probe unit
     // is treated as always-active while busy even though CheckConflicts
-    // can spin — conservative, never wrong.
+    // can spin — conservative, never wrong. An MSHR awaiting issue sends
+    // its Acquire; one in AwaitGrant resolves via channel D, tracked
+    // below.
     if (probe_.busy() || wbu_.state == WritebackUnit::State::SendRelease ||
-        !flush_q_.empty()) {
+        !flush_q_.empty() || mshr_issue_ != 0) {
         return now;
     }
-    for (const L1Mshr &m : mshrs_) {
-        // AwaitGrant resolves via channel D, tracked below.
-        if (m.valid && m.state == L1Mshr::State::AwaitIssue)
-            return now;
-    }
 
+    // The act mask leaves out FSHRs in RootReleaseAck: channel D,
+    // tracked below, completes them.
     Cycle wake = Ticked::wake_never;
-    for (const Fshr &f : fshrs_) {
-        // RootReleaseAck completes from channel D / the L2's progress.
-        if (!f.busy() || f.state == Fshr::State::RootReleaseAck)
-            continue;
+    for (std::uint64_t todo = fshr_act_; todo != 0; todo &= todo - 1) {
+        const Fshr &f = fshrs_[std::countr_zero(todo)];
         wake = std::min(wake, std::max(f.wait_until, now));
     }
     if (!in_q_.empty())
@@ -193,11 +199,9 @@ DataCache::lineBusy(Addr addr) const
 bool
 DataCache::quiesced() const
 {
-    if (flush_counter_ > 0 || wbu_.busy() || probe_.busy())
+    if (flush_counter_ > 0 || wbu_.busy() || probe_.busy() ||
+        mshr_live_ != 0) {
         return false;
-    for (const L1Mshr &m : mshrs_) {
-        if (m.valid)
-            return false;
     }
     return in_q_.empty() && resp_q_.empty();
 }
@@ -322,6 +326,7 @@ DataCache::fillFromGrant(const DMsg &grant)
     }
     replay(m, set, static_cast<unsigned>(way));
     m = L1Mshr{};
+    mshr_live_ &= ~bit(static_cast<unsigned>(idx));
     ++ctr_.fills;
 }
 
@@ -818,9 +823,10 @@ DataCache::handleCboZero(const CpuReq &req)
 int
 DataCache::mshrForLine(Addr line) const
 {
-    for (unsigned i = 0; i < mshrs_.size(); ++i) {
-        if (mshrs_[i].valid && mshrs_[i].line == line)
-            return static_cast<int>(i);
+    for (std::uint64_t todo = mshr_live_; todo != 0; todo &= todo - 1) {
+        const int i = std::countr_zero(todo);
+        if (mshrs_[i].line == line)
+            return i;
     }
     return -1;
 }
@@ -828,9 +834,10 @@ DataCache::mshrForLine(Addr line) const
 int
 DataCache::fshrForLine(Addr line) const
 {
-    for (unsigned i = 0; i < fshrs_.size(); ++i) {
-        if (fshrs_[i].busy() && fshrs_[i].req.addr == line)
-            return static_cast<int>(i);
+    for (std::uint64_t todo = fshr_busy_; todo != 0; todo &= todo - 1) {
+        const int i = std::countr_zero(todo);
+        if (fshrs_[i].req.addr == line)
+            return i;
     }
     return -1;
 }
@@ -848,8 +855,9 @@ DataCache::flushQueueHasLine(Addr line) const
 bool
 DataCache::wayReservedByMshr(unsigned set, unsigned way) const
 {
-    for (const L1Mshr &m : mshrs_) {
-        if (m.valid && m.fill_set == set && m.fill_way == way)
+    for (std::uint64_t todo = mshr_live_; todo != 0; todo &= todo - 1) {
+        const L1Mshr &m = mshrs_[std::countr_zero(todo)];
+        if (m.fill_set == set && m.fill_way == way)
             return true;
     }
     return false;
@@ -904,14 +912,8 @@ DataCache::missToMshr(const CpuReq &req, Grow grow)
         return true;
     }
 
-    int free = -1;
-    for (unsigned i = 0; i < mshrs_.size(); ++i) {
-        if (!mshrs_[i].valid) {
-            free = static_cast<int>(i);
-            break;
-        }
-    }
-    if (free < 0) {
+    const unsigned free = static_cast<unsigned>(std::countr_one(mshr_live_));
+    if (free >= mshrs_.size()) {
         ++ctr_.mshr_full;
         return false;
     }
@@ -948,7 +950,9 @@ DataCache::missToMshr(const CpuReq &req, Grow grow)
         fill_way = victim;
     }
 
-    L1Mshr &m = mshrs_[static_cast<unsigned>(free)];
+    L1Mshr &m = mshrs_[free];
+    mshr_live_ |= bit(free);
+    mshr_issue_ |= bit(free);
     m.valid = true;
     m.state = L1Mshr::State::AwaitIssue;
     m.line = line;
@@ -971,17 +975,17 @@ DataCache::missToMshr(const CpuReq &req, Grow grow)
 void
 DataCache::issueAcquires()
 {
-    for (L1Mshr &m : mshrs_) {
-        if (m.valid && m.state == L1Mshr::State::AwaitIssue) {
-            AMsg msg;
-            msg.addr = m.line;
-            msg.param = m.param;
-            msg.source = id_;
-            msg.txn = m.txn;
-            link_.a.send(msg);
-            m.state = L1Mshr::State::AwaitGrant;
-        }
+    for (std::uint64_t todo = mshr_issue_; todo != 0; todo &= todo - 1) {
+        L1Mshr &m = mshrs_[std::countr_zero(todo)];
+        AMsg msg;
+        msg.addr = m.line;
+        msg.param = m.param;
+        msg.source = id_;
+        msg.txn = m.txn;
+        link_.a.send(msg);
+        m.state = L1Mshr::State::AwaitGrant;
     }
+    mshr_issue_ = 0;
 }
 
 void
@@ -1033,7 +1037,11 @@ DataCache::invalidateFlushEntries(Addr line, bool fully_invalidated)
 void
 DataCache::flushUnitDequeue()
 {
-    if (flush_q_.empty())
+    // With every FSHR busy nothing below can allocate, and the checks
+    // it skips have no side effects.
+    const std::uint64_t free =
+        ~fshr_busy_ & lowBits(static_cast<unsigned>(fshrs_.size()));
+    if (flush_q_.empty() || free == 0)
         return;
     // §5.4.1/2: dequeue only when no probe is in flight (probe_rdy) and
     // the writeback unit is not working on this line (wb_rdy).
@@ -1045,21 +1053,17 @@ DataCache::flushUnitDequeue()
     if (fshrForLine(head.addr) >= 0)
         return; // one FSHR per line at a time
 
-    // Round-robin FSHR allocation (§5.2).
-    int chosen = -1;
-    for (unsigned i = 0; i < fshrs_.size(); ++i) {
-        const unsigned idx = (fshr_rr_ + i) % fshrs_.size();
-        if (!fshrs_[idx].busy()) {
-            chosen = static_cast<int>(idx);
-            break;
-        }
-    }
-    if (chosen < 0)
-        return;
-    fshr_rr_ = (static_cast<unsigned>(chosen) + 1) % fshrs_.size();
+    // Round-robin FSHR allocation (§5.2): the first free FSHR at or
+    // after the pointer, else the first one before it.
+    const std::uint64_t from_rr = free & ~lowBits(fshr_rr_);
+    const unsigned chosen =
+        static_cast<unsigned>(std::countr_zero(from_rr != 0 ? from_rr : free));
+    fshr_rr_ = (chosen + 1) % fshrs_.size();
 
-    Fshr &f = fshrs_[static_cast<unsigned>(chosen)];
+    Fshr &f = fshrs_[chosen];
     f = Fshr{};
+    fshr_busy_ |= bit(chosen);
+    fshr_act_ |= bit(chosen);
     f.req = flush_q_.pop();
     if (sim_.probes().active()) {
         sim_.probes().end(sim_.now(), f.req.txn, "l1.flushq",
@@ -1108,8 +1112,12 @@ DataCache::flushUnitDequeue()
 void
 DataCache::tickFshrs()
 {
-    for (Fshr &f : fshrs_) {
-        if (!f.busy() || sim_.now() < f.wait_until)
+    // Ticking one FSHR never changes another's bit, so the walk can
+    // consume its snapshot.
+    for (std::uint64_t todo = fshr_act_; todo != 0; todo &= todo - 1) {
+        const unsigned i = static_cast<unsigned>(std::countr_zero(todo));
+        Fshr &f = fshrs_[i];
+        if (sim_.now() < f.wait_until)
             continue;
         switch (f.state) {
           case Fshr::State::Invalid:
@@ -1163,6 +1171,7 @@ DataCache::tickFshrs()
             }
             link_.c.send(msg, TLLink::beatsFor(msg));
             f.state = Fshr::State::RootReleaseAck;
+            fshr_act_ &= ~bit(i); // until processChannelD() completes it
             if (sim_.probes().active()) {
                 emitFshrState(f);
                 if (msg.op == COp::RootReleaseData) {
@@ -1170,8 +1179,7 @@ DataCache::tickFshrs()
                     // writeback promises to make durable.
                     sim_.probes().instant(
                         sim_.now(), f.req.txn, "persist.wb.data",
-                        name() + ".fshr" +
-                            std::to_string(&f - fshrs_.data()),
+                        name() + ".fshr" + std::to_string(i),
                         detail::concat("writeback data 0x",
                                        std::hex, f.req.addr),
                         f.req.addr, lineFingerprint(f.buffer));
@@ -1181,7 +1189,7 @@ DataCache::tickFshrs()
           }
 
           case Fshr::State::RootReleaseAck:
-            break; // completion handled in processChannelD()
+            SKIPIT_PANIC("FSHR awaiting RootReleaseAck in the act mask");
         }
     }
 }
@@ -1230,6 +1238,9 @@ DataCache::completeFshr(Fshr &f)
             static_cast<std::uint64_t>(f.req.kind) |
                 (f.req.is_dirty ? 4u : 0u) | (skip_set ? 8u : 0u));
     }
+    const unsigned i = static_cast<unsigned>(&f - fshrs_.data());
+    fshr_busy_ &= ~bit(i);
+    fshr_act_ &= ~bit(i);
     f = Fshr{};
     SKIPIT_ASSERT(flush_counter_ > 0, "flush counter underflow");
     --flush_counter_;
@@ -1356,6 +1367,43 @@ DataCache::injectDataCorruption(Addr addr)
                   std::hex, line);
     arrays_.data(arrays_.setOf(line),
                  static_cast<unsigned>(way))[lineOffset(addr)] ^= 0xff;
+}
+
+std::string
+DataCache::checkLiveSets() const
+{
+    std::uint64_t busy = 0;
+    std::uint64_t act = 0;
+    for (unsigned i = 0; i < fshrs_.size(); ++i) {
+        if (!fshrs_[i].busy())
+            continue;
+        busy |= bit(i);
+        if (fshrs_[i].state != Fshr::State::RootReleaseAck)
+            act |= bit(i);
+    }
+    std::uint64_t live = 0;
+    std::uint64_t issue = 0;
+    for (unsigned i = 0; i < mshrs_.size(); ++i) {
+        if (!mshrs_[i].valid)
+            continue;
+        live |= bit(i);
+        if (mshrs_[i].state == L1Mshr::State::AwaitIssue)
+            issue |= bit(i);
+    }
+    const auto mismatch = [&](const char *what, std::uint64_t kept,
+                              std::uint64_t want) {
+        return detail::concat(name(), ": ", what, " mask is 0x", std::hex,
+                              kept, ", entries say 0x", want);
+    };
+    if (fshr_busy_ != busy)
+        return mismatch("busy-FSHR", fshr_busy_, busy);
+    if (fshr_act_ != act)
+        return mismatch("act-FSHR", fshr_act_, act);
+    if (mshr_live_ != live)
+        return mismatch("live-MSHR", mshr_live_, live);
+    if (mshr_issue_ != issue)
+        return mismatch("issue-MSHR", mshr_issue_, issue);
+    return {};
 }
 
 } // namespace skipit

@@ -113,6 +113,10 @@ class DataCache : public Ticked, public probe::Inspectable
      *  levels below (value-coherence). */
     void injectDataCorruption(Addr addr);
 
+    /** Tests only: recompute the FSHR and MSHR bitsets from the
+     *  entries. @return the first mismatch, or "" if none. */
+    std::string checkLiveSets() const;
+
   private:
     Simulator &sim_;
     L1Config cfg_;
@@ -156,6 +160,17 @@ class DataCache : public Ticked, public probe::Inspectable
     std::vector<Fshr> fshrs_;
     unsigned flush_counter_ = 0;
     unsigned fshr_rr_ = 0; //!< round-robin FSHR allocation pointer (§5.2)
+
+    /// @name Live-entry bitsets (bit i = FSHR i or MSHR i)
+    /// Walked in ascending order, which is the order a scan of every
+    /// entry would visit them in.
+    /// @{
+    std::uint64_t fshr_busy_ = 0;
+    /** Busy FSHRs not in RootReleaseAck, which only channel D ends. */
+    std::uint64_t fshr_act_ = 0;
+    std::uint64_t mshr_live_ = 0;  //!< valid MSHRs
+    std::uint64_t mshr_issue_ = 0; //!< MSHRs in AwaitIssue
+    /// @}
 
     DelayQueue<CpuReq> in_q_;          //!< LSU -> cache request pipe
     CompletionBuffer<CpuResp> resp_q_; //!< cache -> LSU responses

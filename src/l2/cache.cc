@@ -1,5 +1,9 @@
 #include "cache.hh"
 
+#include <bit>
+
+#include "sim/bits.hh"
+
 namespace skipit {
 
 namespace {
@@ -57,6 +61,9 @@ L2Cache::L2Cache(std::string name, Simulator &sim, const L2Config &cfg,
                       cfg.sets % slice_count_ == 0,
                   "L2 slice count must divide the set count");
     SKIPIT_ASSERT(slice_ < slice_count_, "L2 slice index out of range");
+    SKIPIT_ASSERT(cfg.mshrs >= 1 && cfg.mshrs <= 64,
+                  "L2 MSHR count must be 1..64: each MSHR is one bit of a "
+                  "64-bit bitset");
     stats.add("l2.",
               {{"acquires", &ctr_.acquires},
                {"fills", &ctr_.fills},
@@ -86,10 +93,15 @@ L2Cache::connectClient(AgentId id, TLLink &link)
 void
 L2Cache::connectPort(AgentId id, TLClientPort &port)
 {
+    SKIPIT_ASSERT(id >= 0 && id < 64,
+                  "L2 client id must be 0..63: each client is one bit of a "
+                  "64-bit bitset");
     if (static_cast<std::size_t>(id) >= ports_.size())
         ports_.resize(id + 1, nullptr);
     SKIPIT_ASSERT(ports_[id] == nullptr, "client ", id, " already connected");
     ports_[id] = &port;
+    if (!port.bindInbound(inbound_, bit(static_cast<unsigned>(id))))
+        polled_ |= bit(static_cast<unsigned>(id));
 }
 
 void
@@ -100,8 +112,10 @@ L2Cache::tick()
     acceptChannelE();
     retryListBuffer();
     acceptChannelA();
-    for (unsigned i = 0; i < mshrs_.size(); ++i)
-        tickMshr(i);
+    // A parked MSHR's tick would return at once. Ticking one MSHR never
+    // changes another's bit, so the walk can consume its snapshot.
+    for (std::uint64_t todo = act_; todo != 0; todo &= todo - 1)
+        tickMshr(static_cast<unsigned>(std::countr_zero(todo)));
 }
 
 Cycle
@@ -111,29 +125,22 @@ L2Cache::nextWake() const
 
     // Buffered RootReleases are retried every cycle (conservative: the
     // retry may be blocked on a free MSHR, but spinning is always safe).
-    if (!list_buffer_.empty())
+    // A message waiting in a routed port is consumable now.
+    if (!list_buffer_.empty() || inbound_ != 0)
         return now;
 
     Cycle wake = dram_.respWakeAt(); // drainDramResponses
-    for (const Mshr &m : mshrs_) {
-        if (!m.valid)
-            continue;
-        if (m.state == Mshr::State::WaitGrantAck)
-            continue; // woken by the channel E arrival below
-        if ((m.state == Mshr::State::EvictProbe ||
-             m.state == Mshr::State::ProbeHolders) &&
-            m.pending_acks > 0) {
-            continue; // woken by the ProbeAck arrival on channel C
-        }
-        if (m.awaiting_dram)
-            continue; // woken by the DRAM response above
-        // Every remaining state acts (or re-arms wait_until) once
+    // Parked MSHRs are left out: a ProbeAck or GrantAck arrival on a
+    // port, or the DRAM response above, wakes them.
+    for (std::uint64_t todo = act_; todo != 0; todo &= todo - 1) {
+        // Every active state acts (or re-arms wait_until) once
         // wait_until passes; !dram_.canAccept() stalls just spin.
+        const Mshr &m = mshrs_[std::countr_zero(todo)];
         wake = std::min(wake, std::max(m.wait_until, now));
     }
-    for (const TLClientPort *p : ports_) {
-        if (p != nullptr)
-            wake = std::min(wake, p->inboundWakeAt(now));
+    for (std::uint64_t todo = polled_; todo != 0; todo &= todo - 1) {
+        const TLClientPort &p = *ports_[std::countr_zero(todo)];
+        wake = std::min(wake, p.inboundWakeAt(now));
     }
     return wake;
 }
@@ -141,11 +148,7 @@ L2Cache::nextWake() const
 bool
 L2Cache::idle() const
 {
-    for (const Mshr &m : mshrs_) {
-        if (m.valid)
-            return false;
-    }
-    return list_buffer_.empty();
+    return live_ == 0 && list_buffer_.empty();
 }
 
 bool
@@ -169,9 +172,8 @@ L2Cache::firstForeignLine(bool scan_directory) const
 {
     if (slice_count_ <= 1)
         return std::nullopt;
-    for (const Mshr &m : mshrs_) {
-        if (!m.valid)
-            continue;
+    for (std::uint64_t todo = live_; todo != 0; todo &= todo - 1) {
+        const Mshr &m = mshrs_[std::countr_zero(todo)];
         if (!homesLine(m.line))
             return m.line;
         if (m.has_victim && !homesLine(m.victim_line))
@@ -249,6 +251,7 @@ L2Cache::drainDramResponses()
         SKIPIT_ASSERT(m.valid && m.awaiting_dram,
                       "DRAM response for idle MSHR");
         m.awaiting_dram = false;
+        act_ |= bit(static_cast<unsigned>(idx));
         if (!resp.write) {
             // Fill from memory: the state policy decides whether the
             // bytes land in the store (inclusive) or ride the MSHR
@@ -337,9 +340,10 @@ void
 L2Cache::handleProbeAck(const CMsg &msg)
 {
     const int idx = [&] {
-        for (unsigned i = 0; i < mshrs_.size(); ++i) {
+        for (std::uint64_t todo = live_; todo != 0; todo &= todo - 1) {
+            const unsigned i = static_cast<unsigned>(std::countr_zero(todo));
             const Mshr &m = mshrs_[i];
-            if (!m.valid || m.pending_acks == 0)
+            if (m.pending_acks == 0)
                 continue;
             if (m.state == Mshr::State::ProbeHolders && m.line == msg.addr)
                 return static_cast<int>(i);
@@ -363,15 +367,17 @@ L2Cache::handleProbeAck(const CMsg &msg)
     if (msg.op == COp::ProbeAckData)
         policy_->applyWriteback(e, store_, set, way, msg.data);
     SKIPIT_ASSERT(m.pending_acks > 0, "unexpected ProbeAck");
-    --m.pending_acks;
+    if (--m.pending_acks == 0)
+        act_ |= bit(static_cast<unsigned>(idx));
 }
 
 void
 L2Cache::acceptChannelC()
 {
-    for (TLClientPort *port : ports_) {
-        if (!port)
-            continue;
+    // Accepting never queues a message in a port, so a snapshot of the
+    // port mask covers every port with traffic.
+    for (std::uint64_t todo = portsToVisit(); todo != 0; todo &= todo - 1) {
+        TLClientPort *port = ports_[std::countr_zero(todo)];
         while (port->cReady()) {
             const CMsg msg = port->cPop();
             switch (msg.op) {
@@ -406,9 +412,8 @@ L2Cache::acceptChannelC()
 void
 L2Cache::acceptChannelE()
 {
-    for (TLClientPort *port : ports_) {
-        if (!port)
-            continue;
+    for (std::uint64_t todo = portsToVisit(); todo != 0; todo &= todo - 1) {
+        TLClientPort *port = ports_[std::countr_zero(todo)];
         while (port->eReady()) {
             const EMsg msg = port->ePop();
             const int idx = mshrForLine(msg.addr);
@@ -423,8 +428,7 @@ L2Cache::acceptChannelE()
                                   name() + ".mshr" + std::to_string(idx),
                                   "GrantAck");
             }
-            m.valid = false;
-            m.state = Mshr::State::Idle;
+            freeMshr(static_cast<unsigned>(idx));
         }
     }
 }
@@ -442,9 +446,8 @@ L2Cache::retryListBuffer()
 void
 L2Cache::acceptChannelA()
 {
-    for (TLClientPort *port : ports_) {
-        if (!port)
-            continue;
+    for (std::uint64_t todo = portsToVisit(); todo != 0; todo &= todo - 1) {
+        TLClientPort *port = ports_[std::countr_zero(todo)];
         // Head-of-line per client: an Acquire that conflicts with an
         // in-flight transaction back-pressures the channel.
         while (port->aReady()) {
@@ -458,20 +461,36 @@ L2Cache::acceptChannelA()
 int
 L2Cache::findFreeMshr() const
 {
-    for (unsigned i = 0; i < mshrs_.size(); ++i) {
-        if (!mshrs_[i].valid)
-            return static_cast<int>(i);
-    }
-    return -1;
+    const unsigned i = static_cast<unsigned>(std::countr_one(live_));
+    return i < mshrs_.size() ? static_cast<int>(i) : -1;
+}
+
+L2Cache::Mshr &
+L2Cache::allocMshr(unsigned idx)
+{
+    live_ |= bit(idx);
+    act_ |= bit(idx);
+    Mshr &m = mshrs_[idx];
+    m = Mshr{};
+    m.valid = true;
+    return m;
+}
+
+void
+L2Cache::freeMshr(unsigned idx)
+{
+    live_ &= ~bit(idx);
+    act_ &= ~bit(idx);
+    mshrs_[idx].valid = false;
+    mshrs_[idx].state = Mshr::State::Idle;
 }
 
 int
 L2Cache::mshrForLine(Addr line) const
 {
-    for (unsigned i = 0; i < mshrs_.size(); ++i) {
+    for (std::uint64_t todo = live_; todo != 0; todo &= todo - 1) {
+        const unsigned i = static_cast<unsigned>(std::countr_zero(todo));
         const Mshr &m = mshrs_[i];
-        if (!m.valid)
-            continue;
         if (m.line == line)
             return static_cast<int>(i);
         // A transaction evicting @p line as its victim also owns it: a
@@ -492,9 +511,7 @@ L2Cache::tryAllocRootRelease(const CMsg &msg)
     if (idx < 0)
         return false;
 
-    Mshr &m = mshrs_[static_cast<unsigned>(idx)];
-    m = Mshr{};
-    m.valid = true;
+    Mshr &m = allocMshr(static_cast<unsigned>(idx));
     m.kind = Mshr::Kind::RootRelease;
     m.state = Mshr::State::DirLookup;
     m.line = msg.addr;
@@ -530,9 +547,7 @@ L2Cache::tryAllocAcquire(const AMsg &msg)
     if (idx < 0)
         return false;
 
-    Mshr &m = mshrs_[static_cast<unsigned>(idx)];
-    m = Mshr{};
-    m.valid = true;
+    Mshr &m = allocMshr(static_cast<unsigned>(idx));
     m.kind = Mshr::Kind::Acquire;
     m.state = Mshr::State::DirLookup;
     m.line = msg.addr;
@@ -570,6 +585,8 @@ L2Cache::startProbes(Mshr &m, Addr line, Cap cap,
                      const std::vector<AgentId> &targets)
 {
     SKIPIT_ASSERT(!targets.empty(), "startProbes with no targets");
+    // Parked until the last ProbeAck arrives (handleProbeAck).
+    act_ &= ~bit(static_cast<unsigned>(&m - mshrs_.data()));
     m.pending_acks = static_cast<unsigned>(targets.size());
     m.probe_cap = cap;
     for (AgentId id : targets) {
@@ -586,7 +603,7 @@ void
 L2Cache::tickMshr(unsigned idx)
 {
     Mshr &m = mshrs_[idx];
-    if (!m.valid || sim_.now() < m.wait_until)
+    if (sim_.now() < m.wait_until)
         return;
 
     switch (m.state) {
@@ -766,6 +783,7 @@ L2Cache::tickMshr(unsigned idx)
         req.txn = m.txn;
         dram_.submit(req);
         m.awaiting_dram = true;
+        act_ &= ~bit(idx); // parked until drainDramResponses()
         ++ctr_.fills;
         if (sim_.probes().active()) {
             sim_.probes().instant(sim_.now(), m.txn, "l2.mshr.state",
@@ -847,6 +865,7 @@ L2Cache::tickMshr(unsigned idx)
         req.txn = m.txn;
         dram_.submit(req);
         m.awaiting_dram = true;
+        act_ &= ~bit(idx); // parked until drainDramResponses()
         ++ctr_.rootrelease_mem_writebacks;
         if (sim_.probes().active()) {
             sim_.probes().instant(sim_.now(), m.txn, "l2.mshr.state",
@@ -880,8 +899,7 @@ L2Cache::tickMshr(unsigned idx)
                                   name() + ".mshr" + std::to_string(idx),
                                   "RootReleaseAck sent");
             }
-            m.valid = false;
-            m.state = Mshr::State::Idle;
+            freeMshr(idx);
             return;
         }
 
@@ -924,6 +942,7 @@ L2Cache::tickMshr(unsigned idx)
         ++(grant.op == DOp::GrantDataDirty ? ctr_.grants_dirty
                                            : ctr_.grants_clean);
         m.state = Mshr::State::WaitGrantAck;
+        act_ &= ~bit(idx); // parked until acceptChannelE()
         return;
       }
 
@@ -949,10 +968,9 @@ void
 L2Cache::snapshotResources(
     std::vector<probe::ResourceSnapshot> &out) const
 {
-    for (unsigned i = 0; i < mshrs_.size(); ++i) {
+    for (std::uint64_t todo = live_; todo != 0; todo &= todo - 1) {
+        const unsigned i = static_cast<unsigned>(std::countr_zero(todo));
         const Mshr &m = mshrs_[i];
-        if (!m.valid)
-            continue;
         probe::ResourceSnapshot snap;
         snap.name = name() + ".mshr" + std::to_string(i);
         snap.fingerprint = probe::fingerprint(
@@ -1000,6 +1018,52 @@ L2Cache::injectStoreCorruption(Addr addr)
     LineData data = store_.read(set, static_cast<unsigned>(way));
     data[lineOffset(addr)] ^= 0xff;
     store_.write(set, static_cast<unsigned>(way), data);
+}
+
+std::string
+L2Cache::checkLiveSets() const
+{
+    std::uint64_t live = 0;
+    std::uint64_t act = 0;
+    for (unsigned i = 0; i < mshrs_.size(); ++i) {
+        const Mshr &m = mshrs_[i];
+        if (!m.valid)
+            continue;
+        live |= bit(i);
+        const bool probing = m.state == Mshr::State::EvictProbe ||
+                             m.state == Mshr::State::ProbeHolders;
+        const bool parked = m.state == Mshr::State::WaitGrantAck ||
+                            (probing && m.pending_acks > 0) ||
+                            m.awaiting_dram;
+        if (!parked)
+            act |= bit(i);
+    }
+    std::uint64_t connected = 0;
+    std::uint64_t inbound = 0;
+    for (unsigned id = 0; id < ports_.size(); ++id) {
+        const TLClientPort *p = ports_[id];
+        if (p == nullptr)
+            continue;
+        connected |= bit(id);
+        if ((polled_ & bit(id)) == 0 &&
+            (p->aReady() || p->cReady() || p->eReady())) {
+            inbound |= bit(id);
+        }
+    }
+    const auto mismatch = [&](const char *what, std::uint64_t kept,
+                              std::uint64_t want) {
+        return detail::concat(name(), ": ", what, " mask is 0x", std::hex,
+                              kept, ", entries say 0x", want);
+    };
+    if (live_ != live)
+        return mismatch("live", live_, live);
+    if (act_ != act)
+        return mismatch("act", act_, act);
+    if ((polled_ & ~connected) != 0)
+        return mismatch("polled", polled_, polled_ & connected);
+    if (inbound_ != inbound)
+        return mismatch("inbound", inbound_, inbound);
+    return {};
 }
 
 } // namespace skipit

@@ -167,6 +167,10 @@ class L2Cache : public Ticked, public probe::Inspectable
     void injectDropHolder(Addr addr, AgentId id);
     /** Flip one byte of a resident line's BankedStore copy. */
     void injectStoreCorruption(Addr addr);
+    /** Tests only: recompute the MSHR and port bitsets from the MSHRs
+     *  and the ports' queues. @return the first mismatch, or "" if
+     *  none. */
+    std::string checkLiveSets() const;
     /// @}
 
   private:
@@ -257,6 +261,21 @@ class L2Cache : public Ticked, public probe::Inspectable
     BoundedFifo<CMsg> list_buffer_;
     std::uint64_t untracked_tag_ = 0;
 
+    /// @name Live-entry bitsets (bit i = MSHR i or client i)
+    /// Walked in ascending order, which is the order a scan of every
+    /// entry would visit them in.
+    /// @{
+    std::uint64_t live_ = 0; //!< valid MSHRs
+    /** Valid MSHRs that are not parked. A parked MSHR waits on probe
+     *  acks, on DRAM or for its GrantAck, and its tick is a no-op; the
+     *  arrival that unparks it sets its bit again. */
+    std::uint64_t act_ = 0;
+    /** Ports that cannot see their arrivals (TLDirectPort): polled. */
+    std::uint64_t polled_ = 0;
+    /** Routed ports with a message waiting; the ports keep it. */
+    std::uint64_t inbound_ = 0;
+    /// @}
+
     void drainDramResponses();
     void acceptChannelC();
     void acceptChannelE();
@@ -289,6 +308,12 @@ class L2Cache : public Ticked, public probe::Inspectable
 
     int findFreeMshr() const;
     int mshrForLine(Addr line) const;
+    /** Claim the free MSHR @p idx for a new transaction. */
+    Mshr &allocMshr(unsigned idx);
+    void freeMshr(unsigned idx);
+    /** The ports acceptChannel*() visit: polled ones and any with a
+     *  message waiting. */
+    std::uint64_t portsToVisit() const { return polled_ | inbound_; }
     /** Apply a C-channel shrink report to the directory entry. */
     static void applyReport(DirEntry &e, AgentId src, Shrink param);
 

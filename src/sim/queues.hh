@@ -53,15 +53,13 @@ class DelayQueue
         const Cycle ready = sim_.now() + std::max(delay, latency_);
         SKIPIT_ASSERT(q_.empty() || q_.back().ready <= ready,
                       "DelayQueue entries must become ready in FIFO order");
+        if (q_.empty())
+            head_ready_ = ready;
         q_.push_back(Entry{ready, std::move(v)});
     }
 
     /** True if an entry is visible this cycle. */
-    bool
-    ready() const
-    {
-        return !q_.empty() && q_.front().ready <= sim_.now();
-    }
+    bool ready() const { return head_ready_ <= sim_.now(); }
 
     /** Peek the visible head; undefined unless ready(). */
     const T &
@@ -78,6 +76,7 @@ class DelayQueue
         SKIPIT_ASSERT(ready(), "pop() on non-ready DelayQueue");
         T v = std::move(q_.front().value);
         q_.pop_front();
+        head_ready_ = q_.empty() ? never : q_.front().ready;
         return v;
     }
 
@@ -93,7 +92,7 @@ class DelayQueue
     frontReadyAt() const
     {
         SKIPIT_ASSERT(!q_.empty(), "frontReadyAt() on empty DelayQueue");
-        return q_.front().ready;
+        return head_ready_;
     }
 
   private:
@@ -103,9 +102,14 @@ class DelayQueue
         T value;
     };
 
+    static constexpr Cycle never = Ticked::wake_never;
+
     const Simulator &sim_;
     Cycle latency_;
     std::deque<Entry> q_;
+    /** The head's ready cycle, never when empty: polls read this
+     *  member instead of a deque block. */
+    Cycle head_ready_ = never;
 };
 
 /**
@@ -184,6 +188,7 @@ class CompletionBuffer
     push(T v, Cycle ready_at)
     {
         buf_.emplace(ready_at, std::move(v));
+        head_ready_ = std::min(head_ready_, ready_at);
     }
 
     /** Schedule @p v to complete @p delay cycles from now. */
@@ -193,11 +198,7 @@ class CompletionBuffer
         push(std::move(v), sim_.now() + delay);
     }
 
-    bool
-    ready() const
-    {
-        return !buf_.empty() && buf_.begin()->first <= sim_.now();
-    }
+    bool ready() const { return head_ready_ <= sim_.now(); }
 
     T
     pop()
@@ -206,6 +207,7 @@ class CompletionBuffer
         auto it = buf_.begin();
         T v = std::move(it->second);
         buf_.erase(it);
+        head_ready_ = buf_.empty() ? never : buf_.begin()->first;
         return v;
     }
 
@@ -229,12 +231,17 @@ class CompletionBuffer
     {
         SKIPIT_ASSERT(!buf_.empty(),
                       "frontReadyAt() on empty CompletionBuffer");
-        return buf_.begin()->first;
+        return head_ready_;
     }
 
   private:
+    static constexpr Cycle never = Ticked::wake_never;
+
     const Simulator &sim_;
     std::multimap<Cycle, T> buf_;
+    /** The earliest ready cycle, never when empty: polls read this
+     *  member instead of a tree node. */
+    Cycle head_ready_ = never;
 };
 
 } // namespace skipit

@@ -31,6 +31,9 @@
  * TLClientPort is the manager-side abstraction the L2 consumes: a
  * TLDirectPort wraps a raw TLLink (unit tests, legacy wiring), while
  * the crossbar's internal endpoints expose the routed per-slice view.
+ * An endpoint keeps one bit of its slice's inbound mask set exactly
+ * while a message waits in it, so the slice visits only those ports; a
+ * direct port cannot see its link's sends and is polled every cycle.
  */
 
 #ifndef SKIPIT_TILELINK_XBAR_HH
@@ -77,8 +80,24 @@ class TLClientPort
     /// @}
 
     /** Earliest cycle inbound work may become consumable, clamped to
-     *  @p now; wake_never when nothing is in flight. */
-    virtual Cycle inboundWakeAt(Cycle now) const = 0;
+     *  @p now; wake_never when nothing is in flight. Asked only of ports
+     *  that refuse bindInbound(); the default, @p now, is always safe. */
+    virtual Cycle inboundWakeAt(Cycle now) const { return now; }
+
+    /**
+     * Bind this port to @p bit of its manager's inbound @p mask: from
+     * now on the port keeps that bit set exactly while an A, C or E
+     * message waits in it.
+     * @return false when the port cannot see its arrivals, so the
+     *         manager must poll it every cycle
+     */
+    virtual bool
+    bindInbound(std::uint64_t &mask, std::uint64_t bit)
+    {
+        (void)mask;
+        (void)bit;
+        return false;
+    }
 };
 
 /** A port wrapping the manager end of a point-to-point TLLink. */
@@ -155,6 +174,9 @@ class TLXbar final : public Ticked
     void
     connectClient(AgentId id, TLLink &link)
     {
+        SKIPIT_ASSERT(id >= 0 && id < 64,
+                      "xbar client id must be 0..63: each client is one "
+                      "bit of a 64-bit bitset");
         if (static_cast<std::size_t>(id) >= links_.size()) {
             links_.resize(id + 1, nullptr);
             for (auto &row : endpoints_)
@@ -277,6 +299,7 @@ class TLXbar final : public Ticked
         {
             AMsg m = aq.front();
             aq.pop_front();
+            settle();
             return m;
         }
 
@@ -287,6 +310,7 @@ class TLXbar final : public Ticked
         {
             CMsg m = cq.front();
             cq.pop_front();
+            settle();
             return m;
         }
 
@@ -297,6 +321,7 @@ class TLXbar final : public Ticked
         {
             EMsg m = eq.front();
             eq.pop_front();
+            settle();
             return m;
         }
 
@@ -308,12 +333,26 @@ class TLXbar final : public Ticked
             xbar.routeD(m, beats, extra);
         }
 
-        Cycle
-        inboundWakeAt(Cycle now) const override
+        bool
+        bindInbound(std::uint64_t &mask, std::uint64_t bit) override
         {
-            if (!aq.empty() || !cq.empty() || !eq.empty())
-                return now;
-            return Ticked::wake_never;
+            inbound = &mask;
+            inbound_bit = bit;
+            settle();
+            return true;
+        }
+
+        /** The crossbar queued a message here. */
+        void arrived() { *inbound |= inbound_bit; }
+
+        /** Keep the inbound bit equal to "a message waits here". */
+        void
+        settle()
+        {
+            if (aq.empty() && cq.empty() && eq.empty())
+                *inbound &= ~inbound_bit;
+            else
+                *inbound |= inbound_bit;
         }
 
         TLXbar &xbar;
@@ -321,6 +360,12 @@ class TLXbar final : public Ticked
         std::deque<AMsg> aq;
         std::deque<CMsg> cq;
         std::deque<EMsg> eq;
+        /** Until a slice binds the port, it points at a spare word of
+         *  its own with an empty bit, so arrivals and pops change
+         *  nothing. */
+        std::uint64_t unbound = 0;
+        std::uint64_t *inbound = &unbound;
+        std::uint64_t inbound_bit = 0;
     };
 
     unsigned
@@ -343,7 +388,9 @@ class TLXbar final : public Ticked
         while (l->a.ready()) {
             AMsg m = l->a.recv();
             const unsigned s = routeSliceOf(m.addr);
-            endpoints_[s][c]->aq.push_back(std::move(m));
+            Endpoint &ep = *endpoints_[s][c];
+            ep.aq.push_back(std::move(m));
+            ep.arrived();
             ++a_routed_[s];
         }
     }
@@ -357,7 +404,9 @@ class TLXbar final : public Ticked
         while (l->c.ready()) {
             CMsg m = l->c.recv();
             const unsigned s = index_.sliceOf(lineAlign(m.addr));
-            endpoints_[s][c]->cq.push_back(std::move(m));
+            Endpoint &ep = *endpoints_[s][c];
+            ep.cq.push_back(std::move(m));
+            ep.arrived();
             ++c_routed_[s];
         }
     }
@@ -371,7 +420,9 @@ class TLXbar final : public Ticked
         while (l->e.ready()) {
             EMsg m = l->e.recv();
             const unsigned s = index_.sliceOf(lineAlign(m.addr));
-            endpoints_[s][c]->eq.push_back(std::move(m));
+            Endpoint &ep = *endpoints_[s][c];
+            ep.eq.push_back(std::move(m));
+            ep.arrived();
             ++e_routed_[s];
         }
     }

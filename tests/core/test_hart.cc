@@ -144,5 +144,52 @@ TEST(HartWaitUntil, SuccessiveGatesPaceAnOpenLoopProgram)
     EXPECT_GE(soc.hart(0).markerCycle(3), 600u);
 }
 
+TEST(HartLoadValue, EachProgramHasItsOwnLoadTable)
+{
+    SoCConfig cfg;
+    cfg.cores = 1;
+    SoC soc(cfg);
+    soc.hart(0).setProgram({
+        MemOp::store(0x1000, 11),
+        MemOp::fence(),
+        MemOp::load(0x1000),
+    });
+    soc.runToCompletion();
+    EXPECT_EQ(soc.hart(0).loadValue(2), 11u);
+
+    // LSU tickets keep counting; the op indices start again at 0.
+    soc.hart(0).setProgram({
+        MemOp::load(0x1000),
+        MemOp::store(0x1000, 22),
+        MemOp::fence(),
+        MemOp::load(0x1000),
+    });
+    soc.runToCompletion();
+    EXPECT_EQ(soc.hart(0).loadValue(0), 11u);
+    EXPECT_EQ(soc.hart(0).loadValue(3), 22u);
+}
+
+TEST(HartLoadValueDeathTest, OpThatIsNotALoadIsRejected)
+{
+    SoCConfig cfg;
+    cfg.cores = 1;
+    SoC soc(cfg);
+    soc.hart(0).setProgram({MemOp::store(0x1000, 1), MemOp::load(0x1000)});
+    soc.runToCompletion();
+    EXPECT_DEATH(soc.hart(0).loadValue(0), "op 0 is not a dispatched load");
+    EXPECT_DEATH(soc.hart(0).loadValue(2), "op 2 is not a dispatched load");
+}
+
+TEST(HartLoadValueDeathTest, IncompleteLoadIsRejected)
+{
+    SoCConfig cfg;
+    cfg.cores = 1;
+    SoC soc(cfg);
+    soc.hart(0).setProgram({MemOp::load(0x90000)}); // long miss
+    soc.sim().run(5);
+    ASSERT_FALSE(soc.hart(0).done());
+    EXPECT_DEATH(soc.hart(0).loadValue(0), "unknown or incomplete load");
+}
+
 } // namespace
 } // namespace skipit
