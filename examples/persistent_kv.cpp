@@ -26,12 +26,11 @@ using namespace skipit::workloads;
 int
 main()
 {
-    KvSpec spec;
-    spec.mix = "A"; // YCSB-A: 50% reads, 50% updates
-    spec.keys = 256;
-    spec.ops = 256;
-    spec.cores = 2;
-    spec.seed = 7;
+    KvSpec spec{.mix = "A", // YCSB-A: 50% reads, 50% updates
+                .keys = 256,
+                .ops = 256,
+                .cores = 2,
+                .seed = 7};
 
     std::printf("persistent KV store (skiplist + value log, mix %s, "
                 "%u harts, %llu ops/hart)\n",

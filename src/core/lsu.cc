@@ -82,7 +82,7 @@ Lsu::dispatch(const MemOp &op)
     // never perturbs ids (and thus never perturbs anything downstream).
     // Each LSU allocates from its own id lane, so the ids it hands out
     // depend only on its own dispatch history — never on how dispatches
-    // interleave across cores (or across parallel-engine workers).
+    // interleave across cores.
     e.txn = sim_.probes().newTxn(
         source_ == invalid_agent ? 0u
                                  : static_cast<unsigned>(source_) + 1);

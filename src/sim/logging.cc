@@ -16,7 +16,7 @@ struct HandlerEntry
     std::function<void(std::ostream &)> fn;
 };
 
-// Thread-local: each parallel-sweep worker owns a full Simulator/SoC
+// Thread-local: each sweep or fuzz worker owns a full Simulator/SoC
 // stack, and a crash must report only the crashing thread's context.
 thread_local std::vector<HandlerEntry> crash_handlers;
 thread_local std::size_t next_handler_id = 1;

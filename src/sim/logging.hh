@@ -24,7 +24,7 @@ namespace skipit {
  * process dies, so crashes leave diagnosable artifacts (current cycle,
  * active transaction, pending trace output) instead of truncated logs.
  *
- * The registry is thread-local: parallel sweep workers each own a full
+ * The registry is thread-local: sweep and fuzz workers each own a full
  * Simulator/SoC stack, and a crash on one thread must only report that
  * thread's context. Handlers run newest-first and must not allocate
  * simulated state or panic themselves (re-entrant panics skip handlers).

@@ -54,56 +54,11 @@ Hub::detach(Sink &sink)
                  sinks_.end());
 }
 
-namespace {
-
-/** The calling thread's staging target; null outside the lane phase. */
-thread_local std::vector<Event> *tl_stage = nullptr;
-
-} // namespace
-
 void
 Hub::emit(const Event &e)
 {
-    if (tl_stage != nullptr) {
-        tl_stage->push_back(e);
-        return;
-    }
     for (Sink *s : sinks_)
         s->onEvent(e);
-}
-
-void
-Hub::enableStaging(std::size_t buffers)
-{
-    staged_.resize(buffers);
-}
-
-void
-Hub::stageInto(std::size_t index)
-{
-    SKIPIT_ASSERT(index < staged_.size(),
-                  "staging buffer out of range: ", index);
-    tl_stage = &staged_[index];
-}
-
-void
-Hub::unstage()
-{
-    tl_stage = nullptr;
-}
-
-void
-Hub::flushStaged()
-{
-    SKIPIT_ASSERT(tl_stage == nullptr,
-                  "flushStaged() while this thread is staging");
-    for (std::vector<Event> &buf : staged_) {
-        for (const Event &e : buf) {
-            for (Sink *s : sinks_)
-                s->onEvent(e);
-        }
-        buf.clear();
-    }
 }
 
 void

@@ -18,7 +18,7 @@
 #ifndef SKIPIT_SIM_PROBE_HH
 #define SKIPIT_SIM_PROBE_HH
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -79,15 +79,8 @@ class Sink
  * Transaction ids are partitioned into allocation lanes so that the id an
  * allocator hands out depends only on that allocator's own history, never
  * on cross-component interleaving: id = (lane << txn_lane_shift) | count.
- * Each LSU allocates from its own lane, which is what lets the parallel
- * tick engine hand out ids concurrently and still match the serial engine
- * bit for bit (see docs/PARALLELISM.md).
- *
- * For the parallel engine the hub can also stage events: components that
- * tick concurrently write into per-component buffers (stageInto() installs
- * the calling thread's target) and the engine replays the buffers in
- * registration order at the cycle barrier, so attached sinks observe the
- * exact serial event stream.
+ * Lane 0 serves components with no hart; hart h's LSU allocates from lane
+ * h + 1, which is how the durability oracle reads the hart out of an id.
  */
 class Hub
 {
@@ -104,49 +97,20 @@ class Hub
     void detach(Sink &sink);
 
     /** Allocate the next transaction id in @p lane (per-lane monotonic,
-     *  never 0). Distinct lanes may allocate concurrently. */
+     *  never 0). */
     TxnId
     newTxn(unsigned lane = 0)
     {
         SKIPIT_ASSERT(lane < txn_lanes, "txn lane out of range: ", lane);
-        const TxnId id = (static_cast<TxnId>(lane) << txn_lane_shift) |
-                         ++lanes_[lane].count;
-        last_txn_.store(id, std::memory_order_relaxed);
-        return id;
+        last_txn_ = (static_cast<TxnId>(lane) << txn_lane_shift) |
+                    ++lane_counts_[lane];
+        return last_txn_;
     }
 
-    /** Most recently allocated transaction id (0 when none yet). Under
-     *  the parallel engine this is a best-effort diagnostic value. */
-    TxnId lastTxn() const
-    {
-        return last_txn_.load(std::memory_order_relaxed);
-    }
+    /** Most recently allocated transaction id (0 when none yet). */
+    TxnId lastTxn() const { return last_txn_; }
 
     void emit(const Event &e);
-
-    /// @name Parallel-engine event staging
-    ///
-    /// The engine sizes one buffer per concurrently-ticked component,
-    /// points each worker thread at the buffer of the component it is
-    /// about to tick, and replays all buffers in component registration
-    /// order at the barrier. Threads with no staging target installed
-    /// (the serial engine, and the serial phases of the parallel one)
-    /// dispatch straight to the sinks.
-    /// @{
-
-    /** Size the staging area; must not be called mid-cycle. */
-    void enableStaging(std::size_t buffers);
-
-    /** Route this thread's emits into staging buffer @p index. */
-    void stageInto(std::size_t index);
-
-    /** Stop staging on this thread; emits dispatch to sinks again. */
-    static void unstage();
-
-    /** Dispatch every staged event to the sinks, in buffer-index order,
-     *  and clear the buffers. Call from one thread with no lane active. */
-    void flushStaged();
-    /// @}
 
     /// @name Emission helpers (only call when active())
     /// @{
@@ -173,16 +137,9 @@ class Hub
     /// @}
 
   private:
-    /** One cacheline per lane: lanes allocate with zero false sharing. */
-    struct alignas(64) TxnLane
-    {
-        TxnId count = 0;
-    };
-
     std::vector<Sink *> sinks_;
-    std::vector<TxnLane> lanes_{txn_lanes};
-    std::atomic<TxnId> last_txn_{0};
-    std::vector<std::vector<Event>> staged_;
+    std::array<TxnId, txn_lanes> lane_counts_{};
+    TxnId last_txn_ = 0;
 };
 
 /**

@@ -57,10 +57,9 @@ class Distribution
  * full name are summed (every L2 slice registers under "l2."), and a
  * counter still at zero is hidden, as if it had never been bumped.
  *
- * A bump is an increment of a field its component owns, so under the
- * parallel engine each lane writes only the counters of the components
- * it ticks, and reads are exact after every step(). Registered
- * components must outlive every read.
+ * A bump is an increment of a field its component owns, so reads are
+ * exact after every step(). Registered components must outlive every
+ * read.
  */
 class Stats
 {

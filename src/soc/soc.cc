@@ -13,9 +13,6 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
     const unsigned slices = std::max(1u, cfg.l2.slices);
     SKIPIT_ASSERT(!cfg.direct_l2_wiring || slices == 1,
                   "direct_l2_wiring requires a single L2 slice");
-    const bool parallel = cfg.engine == Simulator::Engine::parallel;
-    SKIPIT_ASSERT(!parallel || !cfg.direct_l2_wiring,
-                  "the parallel engine requires the crossbar topology");
 
     dram_ = std::make_unique<Dram>("dram", sim_, cfg.dram, stats_);
     if (!cfg.direct_l2_wiring) {
@@ -69,34 +66,27 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
     // cores. All cross-component traffic flows through >= 1-cycle
     // queues, so the order affects nothing but same-cycle wakeups.
     //
-    // Affinities place each component for the parallel engine: DRAM and
-    // the crossbar are shared producers (pre phase), the L2 slices form
-    // the serial commit phase that pushes responses into the per-core
-    // links (mem phase), and each core's L1 + LSU + Hart tick as one
-    // lane. The serial engine ignores the affinities; the parallel
-    // engine's schedule is bit-identical to it (docs/PARALLELISM.md).
-    using Affinity = Simulator::Affinity;
     // The crash freezer ticks before the DRAM controller so a crash
     // freezes the persist-domain image at the *start* of the crash
     // cycle, before any cycle-C writes are accepted or issued. The
-    // oracle itself ticks last (post), after the probe hub has flushed
-    // the cycle's staged events. Both are pure observers.
+    // oracle itself ticks last, after every event of the cycle has been
+    // emitted. Both are pure observers.
     durability_ = std::make_unique<verify::DurabilityOracle>(
         "durability", sim_, cfg.durability);
     freezer_ = std::make_unique<verify::CrashFreezer>("crash-freezer",
                                                       *durability_);
-    sim_.add(*freezer_, {Affinity::pre, 0});
-    sim_.add(*dram_, {Affinity::pre, 0});
+    sim_.add(*freezer_);
+    sim_.add(*dram_);
     if (xbar_)
-        sim_.add(*xbar_, {Affinity::pre, 0});
+        sim_.add(*xbar_);
     for (auto &l2 : l2s_)
-        sim_.add(*l2, {Affinity::mem, 0});
+        sim_.add(*l2);
     for (unsigned c = 0; c < cfg.cores; ++c)
-        sim_.add(*l1s_[c], {Affinity::lane, c});
+        sim_.add(*l1s_[c]);
     for (unsigned c = 0; c < cfg.cores; ++c)
-        sim_.add(*lsus_[c], {Affinity::lane, c});
+        sim_.add(*lsus_[c]);
     for (unsigned c = 0; c < cfg.cores; ++c)
-        sim_.add(*harts_[c], {Affinity::lane, c});
+        sim_.add(*harts_[c]);
 
     // The watchdog ticks last so it sees each cycle's settled state.
     watchdog_ = std::make_unique<Watchdog>("watchdog", sim_, cfg.watchdog);
@@ -104,7 +94,7 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
         watchdog_->watch(*l1);
     for (auto &l2 : l2s_)
         watchdog_->watch(*l2);
-    sim_.add(*watchdog_, {Affinity::post, 0});
+    sim_.add(*watchdog_);
 
     // The invariant checker ticks after everything (observer only). A
     // skip bit is only meaningful when GrantData vs GrantDataDirty can
@@ -121,14 +111,14 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
     for (auto &l2 : l2s_)
         checker_->setL2(*l2);
     checker_->setDram(*dram_);
-    sim_.add(*checker_, {Affinity::post, 0});
+    sim_.add(*checker_);
 
     for (auto &l1 : l1s_)
         durability_->addL1(*l1);
     for (auto &l2 : l2s_)
         durability_->setL2(*l2);
     durability_->setDram(*dram_);
-    sim_.add(*durability_, {Affinity::post, 0});
+    sim_.add(*durability_);
     if (cfg.durability.enabled)
         sim_.probes().attach(*durability_);
 
@@ -143,9 +133,6 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
     });
 
     sim_.setFastForward(cfg.fast_forward);
-
-    if (parallel)
-        sim_.setEngine(Simulator::Engine::parallel, cfg.workers);
 }
 
 std::string
@@ -179,14 +166,6 @@ SoCConfig::describe() const
        << dram.write_ack_latency << ", issue interval "
        << dram.issue_interval << "\n"
        << "link latency: " << link_latency << "\n"
-       << "engine: "
-       << (engine == Simulator::Engine::parallel
-               ? "parallel, " +
-                     (workers == 0 ? std::string("hw-concurrency")
-                                   : std::to_string(workers)) +
-                     " workers"
-               : std::string("serial"))
-       << "\n"
        << "fast-forward: " << (fast_forward ? "on" : "off") << "\n"
        << "checker: " << (verify.enabled ? "on" : "off")
        << (verify.enabled && !verify.fatal ? " (latching)" : "")

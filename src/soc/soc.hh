@@ -67,14 +67,6 @@ struct SoCConfig
      *  Requires l2.slices == 1. Kept solely so the equivalence tests
      *  can demonstrate the crossbar at slices=1 is bit-identical. */
     bool direct_l2_wiring = false;
-    /** Tick engine. The serial engine is the reference; the parallel
-     *  engine ticks per-core lanes on a worker pool and is bit-identical
-     *  to it at any worker count (docs/PARALLELISM.md). Requires the
-     *  crossbar topology (no direct_l2_wiring). */
-    Simulator::Engine engine = Simulator::Engine::serial;
-    /** Parallel-engine thread count including the stepping thread;
-     *  0 = hardware concurrency. Ignored by the serial engine. */
-    unsigned workers = 0;
 
     /** Convenience: toggle every Skip-It-related feature at once. */
     SoCConfig &

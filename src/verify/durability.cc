@@ -214,9 +214,10 @@ DurabilityOracle::crashNow()
         return;
     SKIPIT_ASSERT(dram_ != nullptr, "durability oracle without a DRAM");
     // Events already delivered this cycle belong to pre-crash execution
-    // only when the freeze runs from the pre phase, where pending_ is
-    // always empty (the previous post tick drained it). When crashNow()
-    // is called from a runner between cycles, drain first.
+    // only when the freeze runs from the freezer's tick, first in the
+    // cycle, where pending_ is always empty (the oracle's tick at the end
+    // of the previous cycle drained it). When crashNow() is called from a
+    // runner between cycles, drain first.
     for (const probe::Event &e : pending_)
         process(e);
     pending_.clear();

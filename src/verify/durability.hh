@@ -41,10 +41,9 @@
  *                       flushed value in the frozen image, unless a later
  *                       accepted write legitimately superseded it.
  *
- * The freezer runs in the pre phase *before* the DRAM controller, so the
- * image is captured before any cycle-C activity; the oracle runs in the
- * post phase, after the probe hub has flushed the cycle's staged events,
- * so it sees the exact serial event stream under both engines.
+ * The freezer ticks *before* the DRAM controller, so the image is
+ * captured before any cycle-C activity; the oracle ticks last, after
+ * every component has emitted the cycle's events.
  */
 
 #ifndef SKIPIT_VERIFY_DURABILITY_HH

@@ -240,10 +240,6 @@ fuzzConfig(const FuzzSpec &spec, std::uint64_t seed)
     cfg.l2.policy = spec.l2_policy;
     cfg.l2.index = spec.l2_index;
     cfg.l2.replace = spec.l2_replace;
-    if (spec.parallel) {
-        cfg.engine = Simulator::Engine::parallel;
-        cfg.workers = spec.workers;
-    }
     if (spec.crash_at != 0) {
         cfg.durability.enabled = true;
         cfg.durability.crash_at = spec.crash_at;
@@ -600,8 +596,6 @@ writeReplayBundle(const FuzzSpec &in_spec, const FuzzFailure &failure,
         << "break_probe_invalidate "
         << (spec.break_probe_invalidate ? 1 : 0) << "\n"
         << "crash_at " << spec.crash_at << "\n"
-        << "parallel " << (spec.parallel ? 1 : 0) << "\n"
-        << "workers " << spec.workers << "\n"
         << "# resolved configuration:\n";
     std::istringstream desc(fuzzConfig(spec, failure.seed).describe());
     for (std::string line; std::getline(desc, line);)
@@ -687,8 +681,7 @@ readReplayBundle(const std::string &dir, std::vector<Program> &programs)
         } else if (key == "jitter" || key == "max_delay" ||
                  key == "max_cycles" || key == "fshrs" ||
                  key == "flush_queue_depth" || key == "l2_slices" ||
-                 key == "break_probe_invalidate" || key == "crash_at" ||
-                 key == "parallel" || key == "workers") {
+                 key == "break_probe_invalidate" || key == "crash_at") {
             std::uint64_t v = 0;
             ls >> v;
             if (key == "jitter")
@@ -705,10 +698,6 @@ readReplayBundle(const std::string &dir, std::vector<Program> &programs)
                 spec.l2_slices = static_cast<unsigned>(v);
             else if (key == "crash_at")
                 spec.crash_at = v;
-            else if (key == "parallel")
-                spec.parallel = v != 0;
-            else if (key == "workers")
-                spec.workers = static_cast<unsigned>(v);
             else
                 spec.break_probe_invalidate = v != 0;
         } else {

@@ -77,8 +77,6 @@ struct FuzzSpec
     /** Crash at exactly this cycle instead of sampling (replay/shrink
      *  identity of one crash run). 0 = off. */
     Cycle crash_at = 0;
-    bool parallel = false;    //!< run on the parallel tick engine
-    unsigned workers = 0;     //!< parallel-engine workers (0 = hw)
 };
 
 /** One reproducible failure. */

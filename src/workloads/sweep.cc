@@ -162,16 +162,6 @@ applyCycleParam(CycleParams &p, const std::string &name,
         p.cfg.fast_forward = parseFlag(name, token);
     else if (name == "cores")
         p.cores = static_cast<unsigned>(parseU64(name, token));
-    else if (name == "engine") {
-        if (token == "serial")
-            p.cfg.engine = Simulator::Engine::serial;
-        else if (token == "parallel")
-            p.cfg.engine = Simulator::Engine::parallel;
-        else
-            fail("sweep: engine must be 'serial' or 'parallel', got '" +
-                 token + "'");
-    } else if (name == "workers")
-        p.cfg.workers = static_cast<unsigned>(parseU64(name, token));
     else
         fail("sweep: unknown axis '" + name + "' for a cycle-model kind");
 }

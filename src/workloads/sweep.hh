@@ -44,10 +44,7 @@ struct SweepAxis
  *      cross_kind_coalesce(0) wide_data_array(1) fshrs(8)
  *      flush_queue_depth(8) mshrs(4) llc_skip(1) grant_data_dirty(1)
  *      dram_latency(80) link_latency(3) fast_forward(1)
- *      cores(threads) l2_slices(1) engine(serial) workers(0)
- *      The engine axis takes "serial" or "parallel"; measured cycle
- *      counts are engine-independent by the determinism contract
- *      (docs/PARALLELISM.md), so sweeping it only affects wall-clock.
+ *      cores(threads) l2_slices(1)
  *  - "throughput" runThroughput       — Figs 14-16 style
  *      ds(bst) policy(skip-it) mode(automatic) update_pct(5)
  *      threads(2) budget(400000) flit_entries(65536) seed(base+index)

@@ -98,8 +98,6 @@ validate(const KvSpec &spec)
     if (spec.distribution == "zipfian" &&
         (spec.theta <= 0.0 || spec.theta >= 1.0))
         throw std::runtime_error("kv: theta must be in (0, 1)");
-    if (spec.engine != "serial" && spec.engine != "parallel")
-        throw std::runtime_error("kv: engine must be serial or parallel");
     if (spec.scan_len == 0)
         throw std::runtime_error("kv: scan_len must be >= 1");
 }
@@ -356,9 +354,6 @@ runKv(const KvSpec &spec)
     cfg.l2.policy = spec.l2_policy;
     cfg.l2.index = spec.l2_index;
     cfg.l2.replace = spec.l2_replace;
-    cfg.engine = spec.engine == "parallel" ? Simulator::Engine::parallel
-                                           : Simulator::Engine::serial;
-    cfg.workers = spec.workers;
     cfg.withSkipIt(spec.skipit);
     if (spec.crash_at > 0) {
         cfg.durability.enabled = true;

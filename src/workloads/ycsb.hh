@@ -19,9 +19,9 @@
  * time).
  *
  * Determinism: key streams are generated host-side from the spec seed
- * before the machine is even built, and the tick engines are
- * bit-identical (docs/PARALLELISM.md), so a fixed-seed run produces
- * byte-identical results at any engine/worker setting.
+ * before the machine is even built, and the simulation is a pure
+ * function of its configuration, so a fixed-seed run produces
+ * byte-identical results on every rerun.
  */
 
 #ifndef SKIPIT_WORKLOADS_YCSB_HH
@@ -90,8 +90,6 @@ struct KvSpec
     StateKind l2_policy = StateKind::Inclusive;
     IndexKind l2_index = IndexKind::Modulo;
     ReplaceKind l2_replace = ReplaceKind::Lru;
-    std::string engine = "serial"; //!< serial|parallel (result-neutral)
-    unsigned workers = 0;       //!< parallel-engine threads (0 = hw)
     bool skipit = true;
     std::string distribution = "zipfian"; //!< zipfian|uniform
     double theta = 0.99;
@@ -193,9 +191,8 @@ KvBenchResult runKvBench(const KvBenchSpec &spec);
  * Render BENCH_kv.json (schema "skipit-kv-bench-v1"): the config block,
  * one "runs" entry per (mix, cores, skipit) with throughput, latency
  * percentiles and clean/skip counters, and one "comparisons" entry per
- * (mix, cores) with the skip-on/off deltas. Deliberately excludes
- * engine/workers and any wall-clock quantity, so the bytes are identical
- * across engines and worker counts at a fixed seed.
+ * (mix, cores) with the skip-on/off deltas. Deliberately excludes any
+ * wall-clock quantity, so a fixed seed always renders the same bytes.
  */
 void writeKvBenchJson(const KvBenchResult &result, std::ostream &os);
 

@@ -251,8 +251,7 @@ outcome(SoC &soc, Cycle cycles)
  * compute delays, drawn from a fixed seed.
  */
 std::string
-runNackHeavyMix(unsigned window, Simulator::Engine engine =
-                                     Simulator::Engine::serial)
+runNackHeavyMix(unsigned window)
 {
     constexpr unsigned harts = 4;
     constexpr unsigned lines = 8;
@@ -263,8 +262,6 @@ runNackHeavyMix(unsigned window, Simulator::Engine engine =
     cfg.l1.mshrs = 2;
     cfg.l1.flush_queue_depth = 2;
     cfg.lsu.window = window;
-    cfg.engine = engine;
-    cfg.workers = 3;
     Rng rng(14);
     std::vector<Program> programs(harts);
     for (Program &p : programs) {
@@ -362,7 +359,7 @@ constexpr const char *mix_window64 =
 
 TEST(LsuCyclePin, ManycoreShape)
 {
-    // bench/manycore and skipit-bench's wb-storm at seed 0.
+    // skipit-bench's wb-storm at seed 0.
     constexpr unsigned cores = 16;
     constexpr unsigned lines = 256;
     SoCConfig cfg;
@@ -399,14 +396,6 @@ TEST(LsuCyclePin, NackHeavyMixWindow32)
 TEST(LsuCyclePin, NackHeavyMixWindow64)
 {
     EXPECT_EQ(runNackHeavyMix(64), mix_window64);
-}
-
-TEST(LsuCyclePin, NackHeavyMixParallelMatchesSerial)
-{
-    // Lanes tick each LSU on a worker thread; the stepping thread reads
-    // the LSUs' wakes between cycles.
-    EXPECT_EQ(runNackHeavyMix(32, Simulator::Engine::parallel),
-              mix_window32);
 }
 
 } // namespace

@@ -1,14 +1,13 @@
 # Run skipit-kv on a tiny fixed-seed grid (mixes A/B/C at 1 and 2
 # cores, skip on/off each) and compare BENCH_kv.json against the golden
-# copy byte for byte — on the parallel engine with two workers, so the
-# golden bytes also witness the engine-determinism contract. Then
-# validate the document's shape with cmake's JSON parser: schema tag,
-# run count, and the presence of the latency percentiles.
+# copy byte for byte. Then validate the document's shape with cmake's
+# JSON parser: schema tag, run count, and the presence of the latency
+# percentiles.
 # Invoked by ctest; see tests/CMakeLists.txt (cli_kv_golden).
 
 execute_process(
     COMMAND ${KV_BIN} --mixes A,B,C --cores 1,2 --keys 64 --ops 60
-            --seed 1 --engine parallel --workers 2 -o ${OUT}
+            --seed 1 -o ${OUT}
     RESULT_VARIABLE rc
     OUTPUT_QUIET)
 if(NOT rc EQUAL 0)

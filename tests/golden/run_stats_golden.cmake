@@ -1,9 +1,9 @@
 # Run skipit-run --stats on three fixed program sets and diff each
 # output against its golden copy, so every counter name and value (and
 # the cycle count) is pinned byte for byte. The third run puts the three
-# programs on a 16-hart, 4-slice machine under the parallel engine: it
-# covers lane-owned counters and the sum over the L2 slices' "l2."
-# counters. Invoked by ctest; see tests/CMakeLists.txt (cli_stats_golden).
+# programs on a 16-hart, 4-slice machine: it covers per-core counters
+# and the sum over the L2 slices' "l2." counters. Invoked by ctest; see
+# tests/CMakeLists.txt (cli_stats_golden).
 
 function(check_run name)
     set(out ${WORKDIR}/${name}.out.txt)
@@ -27,6 +27,5 @@ endfunction()
 check_run(stats_writeback ${PROGRAMS}/writeback.s)
 check_run(stats_dual_core ${PROGRAMS}/dual_core_a.s
           ${PROGRAMS}/dual_core_b.s)
-check_run(stats_cores16 --cores 16 --slices 4 --engine parallel
-          --workers 3 ${PROGRAMS}/writeback.s ${PROGRAMS}/dual_core_a.s
-          ${PROGRAMS}/dual_core_b.s)
+check_run(stats_cores16 --cores 16 --slices 4 ${PROGRAMS}/writeback.s
+          ${PROGRAMS}/dual_core_a.s ${PROGRAMS}/dual_core_b.s)

@@ -1,8 +1,6 @@
 # Run skipit-sweep over the checked-in 16-core scale-out spec (threads
-# x l2_slices x engine x skip_it on a 16-hart SoC) and diff the CSV
-# against the golden copy. The engine axis is the determinism contract
-# in CSV form: for every configuration the serial and parallel rows
-# must carry the same cycle count (docs/PARALLELISM.md).
+# x l2_slices x bytes on a 16-hart SoC) and diff the CSV against the
+# golden copy.
 # Invoked by ctest; see tests/CMakeLists.txt (cli_sweep_cores_golden).
 
 execute_process(

@@ -352,17 +352,6 @@ TEST(LiveSetPin, EvictionStormExclusiveHashedRandom)
     EXPECT_EQ(o.pin, storm_exclusive_hashed_random_pin) << o.listing;
 }
 
-TEST(LiveSetPin, EvictionStormParallelMatchesSerial)
-{
-    // Lane threads tick the L1s and write their masks; the stepping
-    // thread reads them in the wake scan between cycles.
-    SoCConfig cfg = stormConfig(storm_harts, storm_slices);
-    cfg.engine = Simulator::Engine::parallel;
-    cfg.workers = 3;
-    const Outcome o = runStorm(cfg);
-    EXPECT_EQ(o.pin, storm_pin) << o.listing;
-}
-
 TEST(LiveSetPin, DirectWiring)
 {
     // Point-to-point ports cannot see their links' sends, so the L2

@@ -2,12 +2,11 @@
  * @file
  * The power-failure injection subsystem end to end:
  *
- *  - the oracle is off-path: enabling it changes no cycle count, on
- *    either engine, at any slice count;
+ *  - the oracle is off-path: enabling it changes no cycle count, at
+ *    any slice count;
  *  - crashing at EVERY cycle of a fig9-style multi-hart CBO run passes
- *    the durability audit at cores {2,16} x slices {1,4} x both
- *    engines — the §6 soundness argument holds at every power-failure
- *    point;
+ *    the durability audit at cores {2,16} x slices {1,4} — the §6
+ *    soundness argument holds at every power-failure point;
  *  - quiescing before the crash point audits the final image;
  *  - the negative control: injected skip-bit corruption (a line marked
  *    "already persisted" whose bytes are not) is reliably flagged.
@@ -65,87 +64,76 @@ cboPrograms(unsigned harts, unsigned lines_per_hart = 2)
 }
 
 SoCConfig
-makeConfig(unsigned cores, unsigned slices, bool parallel)
+makeConfig(unsigned cores, unsigned slices)
 {
     SoCConfig cfg;
     cfg.cores = cores;
     cfg.withSkipIt(true);
     cfg.l2.slices = slices;
-    if (parallel) {
-        cfg.engine = Simulator::Engine::parallel;
-        cfg.workers = 3;
-    }
     return cfg;
 }
 
 TEST(Durability, OracleIsCycleNeutral)
 {
-    for (const bool parallel : {false, true}) {
-        for (const unsigned slices : {1u, 4u}) {
-            SoCConfig off = makeConfig(2, slices, parallel);
-            SoC soc_off(off);
-            soc_off.setPrograms(cboPrograms(2));
-            const Cycle t_off = soc_off.runToQuiescence();
+    for (const unsigned slices : {1u, 4u}) {
+        SoCConfig off = makeConfig(2, slices);
+        SoC soc_off(off);
+        soc_off.setPrograms(cboPrograms(2));
+        const Cycle t_off = soc_off.runToQuiescence();
 
-            SoCConfig on = off;
-            on.durability.enabled = true;
-            SoC soc_on(on);
-            soc_on.setPrograms(cboPrograms(2));
-            const Cycle t_on = soc_on.runToQuiescence();
+        SoCConfig on = off;
+        on.durability.enabled = true;
+        SoC soc_on(on);
+        soc_on.setPrograms(cboPrograms(2));
+        const Cycle t_on = soc_on.runToQuiescence();
 
-            EXPECT_EQ(t_off, t_on)
-                << "oracle perturbed timing (slices " << slices
-                << (parallel ? ", parallel" : ", serial") << ")";
-            EXPECT_TRUE(soc_on.durability().clean());
-            EXPECT_FALSE(soc_on.durability().crashed());
-        }
+        EXPECT_EQ(t_off, t_on)
+            << "oracle perturbed timing (slices " << slices << ")";
+        EXPECT_TRUE(soc_on.durability().clean());
+        EXPECT_FALSE(soc_on.durability().crashed());
     }
 }
 
 TEST(Durability, CrashAtEveryCyclePassesTheAudit)
 {
-    for (const bool parallel : {false, true}) {
-        for (const unsigned cores : {2u, 16u}) {
-            for (const unsigned slices : {1u, 4u}) {
-                SoCConfig cfg = makeConfig(cores, slices, parallel);
-                cfg.durability.enabled = true;
-                cfg.durability.fatal = false;
+    for (const unsigned cores : {2u, 16u}) {
+        for (const unsigned slices : {1u, 4u}) {
+            SoCConfig cfg = makeConfig(cores, slices);
+            cfg.durability.enabled = true;
+            cfg.durability.fatal = false;
 
-                // One clean run establishes the natural length T.
-                Cycle total = 0;
-                {
-                    SoC soc(cfg);
-                    soc.setPrograms(cboPrograms(cores));
-                    total = soc.runToQuiescence();
-                    ASSERT_TRUE(soc.durability().clean());
-                    ASSERT_TRUE(soc.checker().clean());
-                }
+            // One clean run establishes the natural length T.
+            Cycle total = 0;
+            {
+                SoC soc(cfg);
+                soc.setPrograms(cboPrograms(cores));
+                total = soc.runToQuiescence();
+                ASSERT_TRUE(soc.durability().clean());
+                ASSERT_TRUE(soc.checker().clean());
+            }
 
-                for (Cycle c = 1; c <= total; ++c) {
-                    SoCConfig crash = cfg;
-                    crash.durability.crash_at = c;
-                    SoC soc(crash);
-                    soc.setPrograms(cboPrograms(cores));
-                    // The crash freezes at the first *executed* cycle
-                    // >= c; if the machine settles first (c at the very
-                    // end), the image can no longer change — audit it.
-                    soc.sim().runUntil(
-                        [&] {
-                            return soc.durability().crashed() ||
-                                   settled(soc);
-                        },
-                        total + 10'000);
-                    if (!soc.durability().crashed())
-                        soc.durability().crashNow();
-                    ASSERT_TRUE(soc.durability().crashed());
-                    EXPECT_GE(soc.durability().crashCycle(), c);
-                    EXPECT_TRUE(soc.durability().clean())
-                        << "crash @ cycle " << c << "/" << total
-                        << " (cores " << cores << ", slices " << slices
-                        << (parallel ? ", parallel)" : ", serial)")
-                        << ": "
-                        << soc.durability().violations().front().detail;
-                }
+            for (Cycle c = 1; c <= total; ++c) {
+                SoCConfig crash = cfg;
+                crash.durability.crash_at = c;
+                SoC soc(crash);
+                soc.setPrograms(cboPrograms(cores));
+                // The crash freezes at the first *executed* cycle >= c;
+                // if the machine settles first (c at the very end), the
+                // image can no longer change — audit it.
+                soc.sim().runUntil(
+                    [&] {
+                        return soc.durability().crashed() || settled(soc);
+                    },
+                    total + 10'000);
+                if (!soc.durability().crashed())
+                    soc.durability().crashNow();
+                ASSERT_TRUE(soc.durability().crashed());
+                EXPECT_GE(soc.durability().crashCycle(), c);
+                EXPECT_TRUE(soc.durability().clean())
+                    << "crash @ cycle " << c << "/" << total
+                    << " (cores " << cores << ", slices " << slices
+                    << "): "
+                    << soc.durability().violations().front().detail;
             }
         }
     }
@@ -153,7 +141,7 @@ TEST(Durability, CrashAtEveryCyclePassesTheAudit)
 
 TEST(Durability, QuiescingBeforeTheCrashPointAuditsTheFinalImage)
 {
-    SoCConfig cfg = makeConfig(2, 1, false);
+    SoCConfig cfg = makeConfig(2, 1);
     cfg.durability.enabled = true;
     cfg.durability.fatal = false;
     cfg.durability.crash_at = 1'000'000'000; // far beyond quiescence
@@ -181,7 +169,7 @@ TEST(Durability, QuiescingBeforeTheCrashPointAuditsTheFinalImage)
 
 TEST(Durability, CrashOnStageTriggersAtTheEvent)
 {
-    SoCConfig cfg = makeConfig(2, 1, false);
+    SoCConfig cfg = makeConfig(2, 1);
     cfg.durability.enabled = true;
     cfg.durability.fatal = false;
     cfg.durability.crash_on_stage = "persist.fence";
@@ -201,7 +189,7 @@ TEST(Durability, CrashOnStageTriggersAtTheEvent)
 TEST(Durability, RedundantCleanAfterDirtyingIsSound)
 {
     const Addr line = 0x90140;
-    SoCConfig cfg = makeConfig(1, 1, false);
+    SoCConfig cfg = makeConfig(1, 1);
     cfg.durability.enabled = true;
     SoC soc(cfg);
     soc.setPrograms({Program{MemOp::store(line + 0x38, 0x5117),
@@ -225,7 +213,7 @@ TEST(Durability, RedundantCleanAfterDirtyingIsSound)
 TEST(Durability, RecleanAfterRedirtyPersistsTheNewValue)
 {
     const Addr line = 0x90140;
-    SoCConfig cfg = makeConfig(1, 1, false);
+    SoCConfig cfg = makeConfig(1, 1);
     cfg.durability.enabled = true;
     SoC soc(cfg);
     soc.setPrograms({Program{MemOp::store(line, 1), MemOp::clean(line),
@@ -246,7 +234,7 @@ TEST(Durability, RecleanAfterRedirtyPersistsTheNewValue)
  *  replay bundles print: frozen state once crashed, crash cycle named. */
 TEST(Durability, ReportSummaryDescribesTheFrozenPersistDomain)
 {
-    SoCConfig cfg = makeConfig(2, 1, false);
+    SoCConfig cfg = makeConfig(2, 1);
     cfg.durability.enabled = true;
     cfg.durability.fatal = false;
     SoC soc(cfg);
@@ -275,7 +263,7 @@ TEST(Durability, InjectedSkipCorruptionIsDetected)
 {
     const Addr line = 0xB0000;
     for (const bool inject : {false, true}) {
-        SoCConfig cfg = makeConfig(2, 1, false);
+        SoCConfig cfg = makeConfig(2, 1);
         cfg.durability.enabled = true;
         cfg.durability.fatal = false;
         // The coherence checker's skip-soundness sweep catches the

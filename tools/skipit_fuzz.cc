@@ -22,6 +22,7 @@
 #include <iostream>
 #include <string>
 
+#include "parse_number.hh"
 #include "workloads/fuzz.hh"
 
 using namespace skipit;
@@ -37,8 +38,7 @@ usage()
         "                   [--ops N] [--lines N] [--max-cycles C]\n"
         "                   [--no-jitter] [--max-delay D] [-j N]\n"
         "                   [--fshrs N] [--queue N] [--slices N]\n"
-        "                   [--crash N] [--crash-at C] [--parallel]\n"
-        "                   [--workers N] [--bundle-dir DIR]\n"
+        "                   [--crash N] [--crash-at C] [--bundle-dir DIR]\n"
         "                   [--l2-policy inclusive|exclusive]\n"
         "                   [--l2-index modulo|hashed]\n"
         "                   [--l2-replace lru|fifo|random]\n"
@@ -49,18 +49,6 @@ usage()
         "                power failing at N sampled cycles and audit\n"
         "                the frozen persist-domain image\n"
         "  --crash-at C  crash every run at exactly cycle C\n");
-}
-
-std::uint64_t
-parseU64(const char *what, const std::string &token)
-{
-    try {
-        return std::stoull(token, nullptr, 0);
-    } catch (const std::exception &) {
-        std::fprintf(stderr, "skipit-fuzz: bad %s: '%s'\n", what,
-                     token.c_str());
-        std::exit(2);
-    }
 }
 
 } // namespace
@@ -87,30 +75,28 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--seeds")
-            seeds = static_cast<unsigned>(parseU64("count", next()));
+            seeds = parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--seed-base")
-            seed_base = parseU64("seed", next());
+            seed_base = parseUnsigned(arg.c_str(), next());
         else if (arg == "--harts")
-            spec.harts = static_cast<unsigned>(parseU64("harts", next()));
+            spec.harts = parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--ops")
-            spec.ops = static_cast<unsigned>(parseU64("ops", next()));
+            spec.ops = parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--lines")
-            spec.lines = static_cast<unsigned>(parseU64("lines", next()));
+            spec.lines = parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--max-cycles")
-            spec.max_cycles = parseU64("cycles", next());
+            spec.max_cycles = parseUnsigned(arg.c_str(), next());
         else if (arg == "--no-jitter")
             spec.jitter = false;
         else if (arg == "--max-delay")
-            spec.max_delay =
-                static_cast<unsigned>(parseU64("delay", next()));
+            spec.max_delay = parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--fshrs")
-            spec.fshrs = static_cast<unsigned>(parseU64("fshrs", next()));
+            spec.fshrs = parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--queue")
             spec.flush_queue_depth =
-                static_cast<unsigned>(parseU64("depth", next()));
+                parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--slices")
-            spec.l2_slices =
-                static_cast<unsigned>(parseU64("slices", next()));
+            spec.l2_slices = parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--l2-policy") {
             if (!stateKindFromString(next(), spec.l2_policy)) {
                 std::fprintf(stderr, "skipit-fuzz: bad --l2-policy\n");
@@ -128,19 +114,13 @@ main(int argc, char **argv)
             }
         }
         else if (arg == "--crash")
-            spec.crash_points =
-                static_cast<unsigned>(parseU64("crash points", next()));
+            spec.crash_points = parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--crash-at")
-            spec.crash_at = parseU64("crash cycle", next());
-        else if (arg == "--parallel")
-            spec.parallel = true;
-        else if (arg == "--workers")
-            spec.workers =
-                static_cast<unsigned>(parseU64("workers", next()));
+            spec.crash_at = parseUnsigned(arg.c_str(), next());
         else if (arg == "-j")
-            jobs = static_cast<unsigned>(parseU64("jobs", next()));
+            jobs = parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg.rfind("-j", 0) == 0 && arg.size() > 2)
-            jobs = static_cast<unsigned>(parseU64("jobs", arg.substr(2)));
+            jobs = parseUnsigned<unsigned>("-j", arg.substr(2));
         else if (arg == "--bundle-dir")
             bundle_dir = next();
         else if (arg == "--no-shrink")

@@ -21,8 +21,6 @@
  *   --keys N         prefilled keys per hart (default 1024)
  *   --ops N          operations per hart (default 4096)
  *   --slices N       L2 slices (default 1)
- *   --engine E       serial (default) or parallel; result-neutral
- *   --workers N      parallel-engine thread count (0 = hw concurrency)
  *   --distribution D zipfian (default) or uniform
  *   --theta T        zipfian skew in (0,1) (default 0.99)
  *   --value-bytes N  payload size (default 64)
@@ -55,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "parse_number.hh"
 #include "sim/logging.hh"
 #include "workloads/ycsb.hh"
 
@@ -70,8 +69,7 @@ usage()
         stderr,
         "usage: skipit-kv [--mixes A,B,C] [--cores 1,2] [--keys N] "
         "[--ops N]\n"
-        "                 [--slices N] [--engine serial|parallel] "
-        "[--workers N]\n"
+        "                 [--slices N]\n"
         "                 [--l2-policy inclusive|exclusive] "
         "[--l2-index modulo|hashed]\n"
         "                 [--l2-replace lru|fifo|random]\n"
@@ -169,15 +167,13 @@ main(int argc, char **argv)
         } else if (arg == "--cores" && i + 1 < argc) {
             spec.cores.clear();
             for (const std::string &c : splitList(argv[++i]))
-                spec.cores.push_back(
-                    static_cast<unsigned>(std::stoul(c)));
+                spec.cores.push_back(parseUnsigned<unsigned>("--cores", c));
         } else if (arg == "--keys" && i + 1 < argc) {
-            spec.base.keys = std::stoull(argv[++i]);
+            spec.base.keys = parseUnsigned("--keys", argv[++i]);
         } else if (arg == "--ops" && i + 1 < argc) {
-            spec.base.ops = std::stoull(argv[++i]);
+            spec.base.ops = parseUnsigned("--ops", argv[++i]);
         } else if (arg == "--slices" && i + 1 < argc) {
-            spec.base.slices =
-                static_cast<unsigned>(std::stoul(argv[++i]));
+            spec.base.slices = parseUnsigned<unsigned>("--slices", argv[++i]);
         } else if (arg == "--l2-policy" && i + 1 < argc) {
             if (!stateKindFromString(argv[++i], spec.base.l2_policy))
                 SKIPIT_FATAL("--l2-policy must be inclusive or "
@@ -190,32 +186,27 @@ main(int argc, char **argv)
             if (!replaceKindFromString(argv[++i], spec.base.l2_replace))
                 SKIPIT_FATAL("--l2-replace must be lru, fifo or random, "
                              "got '", argv[i], "'");
-        } else if (arg == "--engine" && i + 1 < argc) {
-            spec.base.engine = argv[++i];
-        } else if (arg == "--workers" && i + 1 < argc) {
-            spec.base.workers =
-                static_cast<unsigned>(std::stoul(argv[++i]));
         } else if (arg == "--distribution" && i + 1 < argc) {
             spec.base.distribution = argv[++i];
         } else if (arg == "--theta" && i + 1 < argc) {
             spec.base.theta = std::stod(argv[++i]);
         } else if (arg == "--value-bytes" && i + 1 < argc) {
             spec.base.value_bytes =
-                static_cast<unsigned>(std::stoul(argv[++i]));
+                parseUnsigned<unsigned>("--value-bytes", argv[++i]);
         } else if (arg == "--period" && i + 1 < argc) {
-            spec.base.arrival_period = std::stoull(argv[++i]);
+            spec.base.arrival_period = parseUnsigned("--period", argv[++i]);
         } else if (arg == "--scan-len" && i + 1 < argc) {
             spec.base.scan_len =
-                static_cast<unsigned>(std::stoul(argv[++i]));
+                parseUnsigned<unsigned>("--scan-len", argv[++i]);
         } else if (arg == "--checkpoint" && i + 1 < argc) {
             spec.base.checkpoint_every =
-                static_cast<unsigned>(std::stoul(argv[++i]));
+                parseUnsigned<unsigned>("--checkpoint", argv[++i]);
         } else if (arg == "--seed" && i + 1 < argc) {
-            spec.base.seed = std::stoull(argv[++i]);
+            spec.base.seed = parseUnsigned("--seed", argv[++i]);
         } else if (arg == "-o" && i + 1 < argc) {
             out_path = argv[++i];
         } else if (arg == "--crash" && i + 1 < argc) {
-            crash_at = std::stoull(argv[++i]);
+            crash_at = parseUnsigned("--crash", argv[++i]);
         } else if (arg == "--no-skipit") {
             crash_skipit = false;
         } else if (arg == "--stages") {

@@ -8,9 +8,6 @@
  *
  *   --cores N        number of cores, 1-64 (default: number of programs)
  *   --slices N       number of address-interleaved L2 slices (default 1)
- *   --engine E       tick engine: serial (default) or parallel; both are
- *                    bit-identical (see docs/PARALLELISM.md)
- *   --workers N      parallel-engine thread count (0 = hw concurrency)
  *   --no-skipit      disable the Skip It skip bit and GrantDataDirty
  *   --trace P[,P]    print every probe event whose stage starts with a
  *                    listed prefix (l1.flushq, l2, dram, ...; all for
@@ -43,6 +40,7 @@
 #include <vector>
 
 #include "core/asm.hh"
+#include "parse_number.hh"
 #include "sim/txn_tracer.hh"
 #include "soc/soc.hh"
 
@@ -55,9 +53,7 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: skipit-run [--cores N] [--slices N] "
-                 "[--engine serial|parallel]\n"
-                 "                  [--workers N] [--no-skipit] "
-                 "[--trace P[,P]] [--stats]\n"
+                 "[--no-skipit] [--trace P[,P]] [--stats]\n"
                  "                  [--stats-prefix P] "
                  "[--trace-out FILE] [--describe]\n"
                  "                  [--l2-policy inclusive|exclusive] "
@@ -108,8 +104,6 @@ main(int argc, char **argv)
     StateKind l2_policy = StateKind::Inclusive;
     IndexKind l2_index = IndexKind::Modulo;
     ReplaceKind l2_replace = ReplaceKind::Lru;
-    unsigned workers = 0;
-    Simulator::Engine engine = Simulator::Engine::serial;
     bool skip_it = true;
     bool dump_stats = false;
     bool describe = false;
@@ -122,24 +116,9 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--cores" && i + 1 < argc) {
-            cores = static_cast<unsigned>(std::stoul(argv[++i]));
+            cores = parseUnsigned<unsigned>("--cores", argv[++i]);
         } else if (arg == "--slices" && i + 1 < argc) {
-            slices = static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (arg == "--engine" && i + 1 < argc) {
-            const std::string e = argv[++i];
-            if (e == "serial") {
-                engine = Simulator::Engine::serial;
-            } else if (e == "parallel") {
-                engine = Simulator::Engine::parallel;
-            } else {
-                std::fprintf(stderr,
-                             "error: --engine must be serial or "
-                             "parallel, got '%s'\n",
-                             e.c_str());
-                return 1;
-            }
-        } else if (arg == "--workers" && i + 1 < argc) {
-            workers = static_cast<unsigned>(std::stoul(argv[++i]));
+            slices = parseUnsigned<unsigned>("--slices", argv[++i]);
         } else if (arg == "--l2-policy" && i + 1 < argc) {
             if (!stateKindFromString(argv[++i], l2_policy)) {
                 std::fprintf(stderr, "error: --l2-policy must be "
@@ -181,7 +160,7 @@ main(int argc, char **argv)
         } else if (arg == "--describe") {
             describe = true;
         } else if (arg == "--peek" && i + 1 < argc) {
-            peeks.push_back(std::stoull(argv[++i], nullptr, 0));
+            peeks.push_back(parseUnsigned<Addr>("--peek", argv[++i]));
         } else if (arg == "--help" || arg == "-h") {
             usage();
             return 0;
@@ -210,8 +189,6 @@ main(int argc, char **argv)
     cfg.l2.policy = l2_policy;
     cfg.l2.index = l2_index;
     cfg.l2.replace = l2_replace;
-    cfg.engine = engine;
-    cfg.workers = workers;
     cfg.withSkipIt(skip_it);
     SoC soc(cfg);
     if (describe)

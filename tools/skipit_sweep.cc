@@ -36,6 +36,7 @@
 #include <sstream>
 #include <string>
 
+#include "parse_number.hh"
 #include "workloads/sweep.hh"
 
 using namespace skipit;
@@ -97,12 +98,12 @@ main(int argc, char **argv)
         } else if (arg.rfind("--spec=", 0) == 0) {
             spec_file = arg.substr(7);
         } else if ((arg == "-j" || arg == "--jobs") && i + 1 < argc) {
-            jobs = static_cast<unsigned>(std::stoul(argv[++i]));
+            jobs = parseUnsigned<unsigned>("-j", argv[++i]);
         } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2 &&
                    arg[2] != 'o') {
-            jobs = static_cast<unsigned>(std::stoul(arg.substr(2)));
+            jobs = parseUnsigned<unsigned>("-j", arg.substr(2));
         } else if (arg == "--seed" && i + 1 < argc) {
-            spec.seed = std::stoull(argv[++i]);
+            spec.seed = parseUnsigned("--seed", argv[++i]);
             have_cli_grid = true;
         } else if (arg == "-o" && i + 1 < argc) {
             out_file = argv[++i];
