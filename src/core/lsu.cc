@@ -100,6 +100,7 @@ Lsu::dispatch(const MemOp &op)
         fence_ |= b;
     else if (op.kind == MemOpKind::Store)
         store_ |= b;
+    wakeAt(sim_.now());
     return e.ticket;
 }
 
@@ -342,6 +343,9 @@ Lsu::retire()
     head_ = (head_ + n) % cfg_.window;
     count_ -= n;
     retired_upto_ += n;
+    // The hart ticks later in this cycle and may dispatch into the room.
+    if (dispatcher_ != nullptr)
+        dispatcher_->wakeAt(sim_.now());
 }
 
 void

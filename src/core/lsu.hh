@@ -56,6 +56,10 @@ class Lsu : public Ticked
     void tick() override;
     Cycle nextWake() const override;
 
+    /** The hart: woken when retirement frees window entries, which
+     *  raises canDispatch() and empty(). */
+    void setDispatcher(Ticked &hart) { dispatcher_ = &hart; }
+
     /** Can another op be dispatched this cycle? */
     bool canDispatch() const { return count_ < cfg_.window; }
 
@@ -101,6 +105,7 @@ class Lsu : public Ticked
     LsuConfig cfg_;
     DataCache &dcache_;
     AgentId source_;
+    Ticked *dispatcher_ = nullptr;
 
     /** Registered with Stats under "<name>." ("core0.lsu."). */
     struct Counters

@@ -28,6 +28,7 @@ Dram::submit(const MemReq &req)
     const bool pushed = req_q_.tryPush(req);
     SKIPIT_ASSERT(pushed, "DRAM push failed");
     ++(req.write ? ctr_.writes : ctr_.reads);
+    wakeAt(std::max(sim_.now(), next_issue_));
 }
 
 Cycle
@@ -68,6 +69,8 @@ Dram::tick()
         resp.data = peekLine(req.addr);
         resp_q_.pushIn(resp, cfg_.latency);
     }
+    for (Ticked *slice : readers_)
+        slice->wakeAt(resp_q_.frontReadyAt());
     if (sim_.probes().active()) {
         sim_.probes().span(
             sim_.now(), req.write ? cfg_.write_ack_latency : cfg_.latency,

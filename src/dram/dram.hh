@@ -74,6 +74,10 @@ class Dram : public Ticked
     void tick() override;
     Cycle nextWake() const override;
 
+    /** Register an LLC slice that reads the response queue: each queued
+     *  response wakes it. */
+    void addReader(Ticked &slice) { readers_.push_back(&slice); }
+
     /** Can a new request be submitted this cycle? */
     bool canAccept() const;
 
@@ -150,6 +154,7 @@ class Dram : public Ticked
     std::vector<Addr> line_addrs_;
     std::deque<LineData> lines_;
     mutable ChangeLog changes_;
+    std::vector<Ticked *> readers_;
     unsigned inflight_ = 0;
     Cycle next_issue_ = 0;
 

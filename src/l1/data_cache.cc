@@ -212,12 +212,15 @@ DataCache::submit(const CpuReq &req)
     SKIPIT_ASSERT(req.source == invalid_agent || req.source == id_,
                   "CpuReq submitted to a cache with a different source id");
     in_q_.push(req);
+    wakeAt(in_q_.frontReadyAt());
 }
 
 void
 DataCache::respond(const CpuReq &req, std::uint64_t data, Cycle delay)
 {
     resp_q_.pushIn(CpuResp{req.id, false, data}, delay);
+    if (requester_ != nullptr)
+        requester_->wakeAt(resp_q_.frontReadyAt());
 }
 
 void
@@ -225,6 +228,8 @@ DataCache::respondNack(const CpuReq &req)
 {
     resp_q_.pushIn(CpuResp{req.id, true, 0}, 1);
     ++ctr_.nacks;
+    if (requester_ != nullptr)
+        requester_->wakeAt(resp_q_.frontReadyAt());
 }
 
 std::uint64_t
@@ -1245,6 +1250,10 @@ DataCache::completeFshr(Fshr &f)
     SKIPIT_ASSERT(flush_counter_ > 0, "flush counter underflow");
     --flush_counter_;
     ++ctr_.fshr_completions;
+    // flushing() fell: a fence in the LSU, which ticks later in this
+    // cycle, may release now.
+    if (flush_counter_ == 0 && requester_ != nullptr)
+        requester_->wakeAt(sim_.now());
 }
 
 void

@@ -47,6 +47,10 @@ class DataCache : public Ticked, public probe::Inspectable
 
     /// @name LSU-facing interface
     /// @{
+    /** The LSU: woken when a response is queued for it and when the
+     *  flushing signal falls. */
+    void setRequester(Ticked &lsu) { requester_ = &lsu; }
+
     /** Fire a request into the cache (models the LSU request port). */
     void submit(const CpuReq &req);
     bool respReady() const { return resp_q_.ready(); }
@@ -77,6 +81,8 @@ class DataCache : public Ticked, public probe::Inspectable
     /// @name Checker introspection (verify/ reads, never writes)
     /// @{
     const std::vector<Fshr> &fshrs() const { return fshrs_; }
+    /** Every FSHR is Invalid. */
+    bool fshrsIdle() const { return fshr_busy_ == 0; }
     const std::vector<L1Mshr> &mshrs() const { return mshrs_; }
     const BoundedFifo<FlushQueueEntry> &flushQueue() const
     {
@@ -122,6 +128,7 @@ class DataCache : public Ticked, public probe::Inspectable
     L1Config cfg_;
     AgentId id_;
     TLLink &link_;
+    Ticked *requester_ = nullptr;
 
     /** Registered with Stats under "l1.<id>.". */
     struct Counters

@@ -100,7 +100,7 @@ L2Cache::connectPort(AgentId id, TLClientPort &port)
         ports_.resize(id + 1, nullptr);
     SKIPIT_ASSERT(ports_[id] == nullptr, "client ", id, " already connected");
     ports_[id] = &port;
-    if (!port.bindInbound(inbound_, bit(static_cast<unsigned>(id))))
+    if (!port.bindInbound(inbound_, bit(static_cast<unsigned>(id)), *this))
         polled_ |= bit(static_cast<unsigned>(id));
 }
 

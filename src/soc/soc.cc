@@ -61,6 +61,19 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
         }
     }
 
+    // Input edges (Ticked::wakeAt): whatever a component hands another
+    // — a message, a response, a state change it reads — wakes the
+    // receiver, so fast-forward ticks each only when it is due. The
+    // crossbar endpoints wake their slices themselves (connectPort).
+    Ticked &manager = xbar_ ? static_cast<Ticked &>(*xbar_) : *l2s_[0];
+    for (unsigned c = 0; c < cfg.cores; ++c) {
+        links_[c]->setConsumers(*l1s_[c], manager);
+        l1s_[c]->setRequester(*lsus_[c]);
+        lsus_[c]->setDispatcher(*harts_[c]);
+    }
+    for (auto &l2 : l2s_)
+        dram_->addReader(*l2);
+
     // Tick order: memory side first, then the crossbar (so wire
     // arrivals are routed the cycle they land), then caches, then
     // cores. All cross-component traffic flows through >= 1-cycle

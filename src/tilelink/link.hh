@@ -99,6 +99,8 @@ class TLChannel
                                last_arrival_);
         }
         last_arrival_ = arrival;
+        if (consumer_ != nullptr)
+            consumer_->wakeAt(arrival);
         if (sim_.probes().active()) {
             // One span per message covering its wire occupancy; a 4-beat
             // data message renders 4x wider than a header-only one.
@@ -118,8 +120,13 @@ class TLChannel
     /** Arrival cycle of the in-flight head; undefined unless !empty(). */
     Cycle nextArrival() const { return q_.frontReadyAt(); }
 
+    /** The component that receives from this channel: each send wakes
+     *  it at the message's arrival. */
+    void setConsumer(Ticked &consumer) { consumer_ = &consumer; }
+
   private:
     const Simulator &sim_;
+    Ticked *consumer_ = nullptr;
     Cycle latency_;
     Cycle busy_until_ = 0;
     Cycle last_arrival_ = 0;
@@ -159,6 +166,17 @@ class TLLink
     TLChannel<CMsg> c;
     TLChannel<DMsg> d;
     TLChannel<EMsg> e;
+
+    /** Wake @p client on B/D sends and @p manager on A/C/E sends. */
+    void
+    setConsumers(Ticked &client, Ticked &manager)
+    {
+        b.setConsumer(client);
+        d.setConsumer(client);
+        a.setConsumer(manager);
+        c.setConsumer(manager);
+        e.setConsumer(manager);
+    }
 
     /** Beats a C message occupies: data messages move a full line. */
     static unsigned

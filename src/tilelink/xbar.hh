@@ -16,11 +16,12 @@
  *    disagree about a line's home.
  *  - Responses (channels B, D) are routed back by agent id: D by the
  *    message's dest field, B by the probed client's port identity.
- *  - Arbitration is deterministic round-robin per channel: each tick
- *    the drain origin rotates, and because the drain is exhaustive and
- *    per-(slice, client) FIFOs preserve per-client arrival order, the
- *    routed schedule is a pure function of the message timeline —
- *    independent of construction order and of any host parallelism.
+ *  - Each tick drains every wire-arrived message, client by client in
+ *    ascending order. The order is unobservable: each (slice, client)
+ *    pair has its own FIFO, which keeps that client's arrival order,
+ *    and a slice consumes its ports in ascending client order. So the
+ *    routed schedule is a pure function of the message timeline, and a
+ *    tick that moves no message changes no state.
  *
  * The crossbar adds zero latency: it ticks before the slices, so a
  * message whose wire arrival is cycle T is visible to its slice's
@@ -32,8 +33,9 @@
  * TLDirectPort wraps a raw TLLink (unit tests, legacy wiring), while
  * the crossbar's internal endpoints expose the routed per-slice view.
  * An endpoint keeps one bit of its slice's inbound mask set exactly
- * while a message waits in it, so the slice visits only those ports; a
- * direct port cannot see its link's sends and is polled every cycle.
+ * while a message waits in it, so the slice visits only those ports,
+ * and wakes the slice when a message arrives; a direct port cannot see
+ * its link's sends and is polled every cycle.
  */
 
 #ifndef SKIPIT_TILELINK_XBAR_HH
@@ -85,17 +87,18 @@ class TLClientPort
     virtual Cycle inboundWakeAt(Cycle now) const { return now; }
 
     /**
-     * Bind this port to @p bit of its manager's inbound @p mask: from
+     * Bind this port to @p bit of its @p manager's inbound @p mask: from
      * now on the port keeps that bit set exactly while an A, C or E
-     * message waits in it.
+     * message waits in it, and wakes @p manager when one arrives.
      * @return false when the port cannot see its arrivals, so the
      *         manager must poll it every cycle
      */
     virtual bool
-    bindInbound(std::uint64_t &mask, std::uint64_t bit)
+    bindInbound(std::uint64_t &mask, std::uint64_t bit, Ticked &manager)
     {
         (void)mask;
         (void)bit;
+        (void)manager;
         return false;
     }
 };
@@ -207,27 +210,19 @@ class TLXbar final : public Ticked
     }
 
     /**
-     * Drain every wire-arrived A/C/E message into its slice endpoint.
-     * The drain origin rotates per channel each tick (round-robin);
-     * per-(slice, client) FIFOs keep each client's arrival order, so
-     * the schedule seen by the slices is deterministic regardless of
-     * how many clients contend in one cycle.
+     * Drain every wire-arrived A/C/E message into its slice endpoint,
+     * client by client in ascending order (see the file comment for why
+     * the order cannot be observed).
      */
     void
     tick() override
     {
-        const unsigned n = clients();
-        if (n == 0)
-            return;
-        for (unsigned i = 0; i < n; ++i)
-            drainClientA((rr_a_ + i) % n);
-        rr_a_ = (rr_a_ + 1) % n;
-        for (unsigned i = 0; i < n; ++i)
-            drainClientC((rr_c_ + i) % n);
-        rr_c_ = (rr_c_ + 1) % n;
-        for (unsigned i = 0; i < n; ++i)
-            drainClientE((rr_e_ + i) % n);
-        rr_e_ = (rr_e_ + 1) % n;
+        for (unsigned c = 0; c < clients(); ++c)
+            drainClientA(c);
+        for (unsigned c = 0; c < clients(); ++c)
+            drainClientC(c);
+        for (unsigned c = 0; c < clients(); ++c)
+            drainClientE(c);
     }
 
     /** Wake when the next client-side message lands on a wire; routed
@@ -334,16 +329,25 @@ class TLXbar final : public Ticked
         }
 
         bool
-        bindInbound(std::uint64_t &mask, std::uint64_t bit) override
+        bindInbound(std::uint64_t &mask, std::uint64_t bit,
+                    Ticked &slice) override
         {
             inbound = &mask;
             inbound_bit = bit;
+            manager = &slice;
             settle();
             return true;
         }
 
-        /** The crossbar queued a message here. */
-        void arrived() { *inbound |= inbound_bit; }
+        /** The crossbar queued a message here: the slice can take it in
+         *  this cycle (it ticks after the crossbar). */
+        void
+        arrived()
+        {
+            *inbound |= inbound_bit;
+            if (manager != nullptr)
+                manager->wakeAt(xbar.sim_.now());
+        }
 
         /** Keep the inbound bit equal to "a message waits here". */
         void
@@ -366,6 +370,7 @@ class TLXbar final : public Ticked
         std::uint64_t unbound = 0;
         std::uint64_t *inbound = &unbound;
         std::uint64_t inbound_bit = 0;
+        Ticked *manager = nullptr;
     };
 
     unsigned
@@ -455,9 +460,6 @@ class TLXbar final : public Ticked
     std::vector<TLLink *> links_;
     /** endpoints_[slice][client]; unique_ptr keeps addresses stable. */
     std::vector<std::vector<std::unique_ptr<Endpoint>>> endpoints_;
-    unsigned rr_a_ = 0;
-    unsigned rr_c_ = 0;
-    unsigned rr_e_ = 0;
     std::vector<std::uint64_t> a_routed_;
     std::vector<std::uint64_t> c_routed_;
     std::vector<std::uint64_t> e_routed_;

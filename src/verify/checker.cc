@@ -67,7 +67,7 @@ fshrTransitionLegal(Fshr::State from, Fshr::State to)
 
 CoherenceChecker::CoherenceChecker(std::string name, Simulator &sim,
                                    const CheckerConfig &cfg)
-    : Ticked(std::move(name)), sim_(sim), cfg_(cfg)
+    : Ticked(std::move(name), Role::Observer), sim_(sim), cfg_(cfg)
 {
 }
 
@@ -76,8 +76,11 @@ CoherenceChecker::addL1(const DataCache &l1)
 {
     // Index order must match AgentId order: l1s_[id] is the cache whose
     // TileLink source id is @p id (the SoC adds them in core order).
+    SKIPIT_ASSERT(l1s_.size() < 64, "the checker watches at most 64 L1s: "
+                  "each is one bit of a 64-bit bitset");
     l1s_.push_back(&l1);
     prev_fshr_.emplace_back(l1.fshrs().size(), Fshr::State::Invalid);
+    idle_at_last_check_ |= std::uint64_t{1} << (l1s_.size() - 1);
     const std::size_t slots =
         std::size_t{l1.arrays().sets()} * l1.arrays().ways();
     work_.push_back({ChangeLog(slots), {}, ChangeLog(slots)});
@@ -103,8 +106,13 @@ CoherenceChecker::tick()
             }
         }
         w.recheck.clear();
-        checkL1Queues(i);
-        checkFshrFsm(i);
+        if (quietL1(i)) {
+            checkQuietFlushCounter(i);
+        } else {
+            checkL1Queues(i);
+            checkFshrFsm(i);
+            snapshotFshrStates(i);
+        }
     }
     checkSliceRouting(false);
     checkGlobalFlushCounter();
@@ -124,7 +132,6 @@ CoherenceChecker::tick()
         }
         checkSliceRouting(true);
     }
-    snapshotFshrStates();
 }
 
 void
@@ -229,7 +236,8 @@ CoherenceChecker::checkNow()
             checkValues(i);
         checkL2DramSweep();
     }
-    snapshotFshrStates();
+    for (std::size_t i = 0; i < l1s_.size(); ++i)
+        snapshotFshrStates(i);
     return violations_.size() - before;
 }
 
@@ -482,12 +490,33 @@ CoherenceChecker::checkFshrFsm(std::size_t idx)
 }
 
 void
-CoherenceChecker::snapshotFshrStates()
+CoherenceChecker::snapshotFshrStates(std::size_t idx)
 {
-    for (std::size_t idx = 0; idx < l1s_.size(); ++idx) {
-        const std::vector<Fshr> &fshrs = l1s_[idx]->fshrs();
-        for (std::size_t i = 0; i < fshrs.size(); ++i)
-            prev_fshr_[idx][i] = fshrs[i].state;
+    const std::vector<Fshr> &fshrs = l1s_[idx]->fshrs();
+    for (std::size_t i = 0; i < fshrs.size(); ++i)
+        prev_fshr_[idx][i] = fshrs[i].state;
+    if (l1s_[idx]->fshrsIdle())
+        idle_at_last_check_ |= std::uint64_t{1} << idx;
+    else
+        idle_at_last_check_ &= ~(std::uint64_t{1} << idx);
+}
+
+bool
+CoherenceChecker::quietL1(std::size_t idx) const
+{
+    const DataCache &dc = *l1s_[idx];
+    return dc.flushQueue().empty() && dc.fshrsIdle() &&
+           (idle_at_last_check_ >> idx & 1) != 0;
+}
+
+void
+CoherenceChecker::checkQuietFlushCounter(std::size_t idx)
+{
+    const DataCache &dc = *l1s_[idx];
+    if (dc.flushCounter() != 0) {
+        fail("flush-counter", detail::concat(
+                 "l1[", idx, "] flush counter ", dc.flushCounter(),
+                 " != 0 queued + 0 in FSHRs"));
     }
 }
 
@@ -644,8 +673,10 @@ CoherenceChecker::checkGlobalFlushCounter()
     for (const DataCache *l1 : l1s_) {
         counters += l1->flushCounter();
         expected += l1->flushQueue().size();
-        for (const Fshr &f : l1->fshrs())
-            expected += f.busy() ? 1 : 0;
+        if (!l1->fshrsIdle()) {
+            for (const Fshr &f : l1->fshrs())
+                expected += f.busy() ? 1 : 0;
+        }
     }
     if (counters != expected) {
         fail("flush-counter-global", detail::concat(

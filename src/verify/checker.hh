@@ -67,9 +67,13 @@
  * cycle, so the violation sequence is the one a full sweep gives. Value
  * and skip checks keep their value_interval cadence but visit only the
  * lines that still owe one: changed since their last quiet pass, still
- * busy, or failing. The first tick is a full pass; the queue, FSHR,
- * counter and slice-routing checks and checkNow() always cover
- * everything.
+ * busy, or failing. The first tick is a full pass; the slice-routing
+ * checks and checkNow() always cover everything. The queue, FSHR and
+ * flush-counter checks cover every L1 but a quiet one: an L1 whose
+ * flush queue is empty and whose FSHRs are all Invalid, now and at its
+ * last check. Its flushq-meta and probe-invalidate checks are vacuous,
+ * its FSHRs took self loops and its snapshot is unchanged, so comparing
+ * its flush counter with 0 gives the same verdict as the full checks.
  *
  * The rule this rests on: every mutable path into L1 arrays, the
  * directory, the BankedStore or DRAM goes through a logged accessor.
@@ -144,10 +148,9 @@ class CoherenceChecker : public Ticked
     void setDram(const Dram &dram) { dram_ = &dram; }
     /// @}
 
+    /** An observer: it never makes a cycle execute, and it runs in every
+     *  executed cycle, the only cycles in which state can change. */
     void tick() override;
-    /** The checker never forces a cycle to execute: state only changes in
-     *  executed cycles, and the checker runs in each of those. */
-    Cycle nextWake() const override { return wake_never; }
 
     /**
      * Exhaustive sweep right now: every structural invariant, every value
@@ -178,6 +181,8 @@ class CoherenceChecker : public Ticked
     std::uint64_t checks_run_ = 0;
     /** Previous-tick FSHR states, per L1, for transition checking. */
     std::vector<std::vector<Fshr::State>> prev_fshr_;
+    /** Bit i: every FSHR of L1 i was Invalid in its last snapshot. */
+    std::uint64_t idle_at_last_check_ = 0;
     /** When non-null, fail() collects here instead of panicking. */
     std::vector<Violation> *collect_ = nullptr;
 
@@ -219,7 +224,15 @@ class CoherenceChecker : public Ticked
     void checkSliceRouting(bool deep);
     /** flush-counter-global: machine-wide counter conservation. */
     void checkGlobalFlushCounter();
-    void snapshotFshrStates();
+    /** Record L1 @p idx's FSHR states for its next fshr-fsm check. */
+    void snapshotFshrStates(std::size_t idx);
+    /** L1 @p idx has an empty flush queue and every FSHR Invalid, now
+     *  and at its last snapshot: its flushq-meta and probe-invalidate
+     *  checks are vacuous, its FSHRs took self loops and its snapshot
+     *  is unchanged, so only its flush counter needs a look. */
+    bool quietL1(std::size_t idx) const;
+    /** flush-counter for a quiet L1: the counter must be 0. */
+    void checkQuietFlushCounter(std::size_t idx);
 
     /** The slice whose address range contains @p line (null if none). */
     const L2Cache *homeL2(Addr line) const;

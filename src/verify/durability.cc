@@ -13,7 +13,7 @@ namespace skipit::verify {
 
 DurabilityOracle::DurabilityOracle(std::string name, Simulator &sim,
                                    const DurabilityConfig &cfg)
-    : Ticked(std::move(name)), sim_(sim), cfg_(cfg)
+    : Ticked(std::move(name), Role::Observer), sim_(sim), cfg_(cfg)
 {
 }
 

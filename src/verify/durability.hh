@@ -121,8 +121,6 @@ class DurabilityOracle : public Ticked, public probe::Sink
     /** Post-phase tick: consume the cycle's event stream, run the online
      *  soundness checks, arm the event-triggered crash. */
     void tick() override;
-    /** Observer only: never forces a cycle to execute. */
-    Cycle nextWake() const override { return wake_never; }
 
     /** probe::Sink: buffer an event for this cycle's tick(). */
     void onEvent(const probe::Event &e) override;
@@ -232,21 +230,21 @@ class DurabilityOracle : public Ticked, public probe::Sink
 
 /**
  * The crash trigger: a pre-phase component registered *before* the DRAM
- * controller so the image freezes at the start of the crash cycle. It
- * never self-schedules (wake_never): skipped cycles are provably idle,
- * so freezing at the next executed cycle yields the identical image —
- * which is what keeps the crash knob cycle-neutral too.
+ * controller so the image freezes at the start of the crash cycle. An
+ * observer: it never makes a cycle execute, and skipped cycles are
+ * provably idle, so freezing at the next executed cycle yields the
+ * identical image — which is what keeps the crash knob cycle-neutral
+ * too.
  */
 class CrashFreezer : public Ticked
 {
   public:
     CrashFreezer(std::string name, DurabilityOracle &oracle)
-        : Ticked(std::move(name)), oracle_(oracle)
+        : Ticked(std::move(name), Role::Observer), oracle_(oracle)
     {
     }
 
     void tick() override { oracle_.freezeTick(); }
-    Cycle nextWake() const override { return wake_never; }
 
   private:
     DurabilityOracle &oracle_;

@@ -4,9 +4,11 @@
 
 #include <atomic>
 #include <cctype>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
+#include "sim/parse.hh"
 #include "workloads.hh"
 
 namespace skipit::workloads {
@@ -38,19 +40,16 @@ scalarToken(const JsonValue &v)
 // Value parsing.
 // ---------------------------------------------------------------------
 
-std::uint64_t
-parseU64(const std::string &name, const std::string &token)
+/** @p token, a value of axis @p name, as an unsigned integer of type T
+ *  (see unsignedToken()). */
+template <typename T = std::uint64_t>
+T
+parseUint(const std::string &name, const std::string &token)
 {
-    try {
-        std::size_t used = 0;
-        const std::uint64_t v = std::stoull(token, &used, 0);
-        if (used != token.size())
-            fail("");
-        return v;
-    } catch (const std::exception &) {
-        fail("sweep: axis '" + name + "': '" + token +
-             "' is not an unsigned integer");
-    }
+    if (const std::optional<T> v = unsignedToken<T>(token))
+        return *v;
+    fail("sweep: axis '" + name + "': '" + token +
+         "' is not an unsigned integer that fits the axis");
 }
 
 double
@@ -115,9 +114,9 @@ applyCycleParam(CycleParams &p, const std::string &name,
                 const std::string &token)
 {
     if (name == "threads")
-        p.threads = static_cast<unsigned>(parseU64(name, token));
+        p.threads = parseUint<unsigned>(name, token);
     else if (name == "bytes")
-        p.bytes = static_cast<std::size_t>(parseU64(name, token));
+        p.bytes = parseUint<std::size_t>(name, token);
     else if (name == "flush")
         p.flush = parseFlag(name, token);
     else if (name == "skipit")
@@ -129,16 +128,15 @@ applyCycleParam(CycleParams &p, const std::string &name,
     else if (name == "wide_data_array")
         p.cfg.l1.wide_data_array = parseFlag(name, token);
     else if (name == "fshrs")
-        p.cfg.l1.fshrs = static_cast<unsigned>(parseU64(name, token));
+        p.cfg.l1.fshrs = parseUint<unsigned>(name, token);
     else if (name == "flush_queue_depth")
-        p.cfg.l1.flush_queue_depth =
-            static_cast<unsigned>(parseU64(name, token));
+        p.cfg.l1.flush_queue_depth = parseUint<unsigned>(name, token);
     else if (name == "mshrs")
-        p.cfg.l1.mshrs = static_cast<unsigned>(parseU64(name, token));
+        p.cfg.l1.mshrs = parseUint<unsigned>(name, token);
     else if (name == "llc_skip")
         p.cfg.l2.llc_skip = parseFlag(name, token);
     else if (name == "l2_slices")
-        p.cfg.l2.slices = static_cast<unsigned>(parseU64(name, token));
+        p.cfg.l2.slices = parseUint<unsigned>(name, token);
     else if (name == "l2_policy") {
         if (!stateKindFromString(token, p.cfg.l2.policy))
             fail("sweep: l2_policy must be 'inclusive' or 'exclusive', "
@@ -155,13 +153,13 @@ applyCycleParam(CycleParams &p, const std::string &name,
     else if (name == "grant_data_dirty")
         p.cfg.l2.grant_data_dirty = parseFlag(name, token);
     else if (name == "dram_latency")
-        p.cfg.dram.latency = parseU64(name, token);
+        p.cfg.dram.latency = parseUint(name, token);
     else if (name == "link_latency")
-        p.cfg.link_latency = parseU64(name, token);
+        p.cfg.link_latency = parseUint(name, token);
     else if (name == "fast_forward")
         p.cfg.fast_forward = parseFlag(name, token);
     else if (name == "cores")
-        p.cores = static_cast<unsigned>(parseU64(name, token));
+        p.cores = parseUint<unsigned>(name, token);
     else
         fail("sweep: unknown axis '" + name + "' for a cycle-model kind");
 }
@@ -238,13 +236,13 @@ applyThroughputParam(ThroughputParams &p, const std::string &name,
     else if (name == "update_pct")
         p.update_pct = parseF64(name, token);
     else if (name == "threads")
-        p.threads = static_cast<unsigned>(parseU64(name, token));
+        p.threads = parseUint<unsigned>(name, token);
     else if (name == "budget")
-        p.budget = parseU64(name, token);
+        p.budget = parseUint(name, token);
     else if (name == "flit_entries")
-        p.flit_entries = static_cast<std::size_t>(parseU64(name, token));
+        p.flit_entries = parseUint<std::size_t>(name, token);
     else if (name == "seed") {
-        p.seed = parseU64(name, token);
+        p.seed = parseUint(name, token);
         p.seed_set = true;
     } else {
         fail("sweep: unknown axis '" + name + "' for kind throughput");
@@ -338,7 +336,7 @@ SweepSpec::fromJsonText(const std::string &text)
         } else if (key == "seed") {
             if (value.type != JsonValue::Type::Number)
                 fail("sweep spec: \"seed\" must be a number");
-            spec.seed = parseU64("seed", value.text);
+            spec.seed = parseUint("seed", value.text);
         } else if (key == "axes") {
             if (value.type != JsonValue::Type::Object)
                 fail("sweep spec: \"axes\" must be an object");

@@ -1,8 +1,11 @@
 #include "ycsb.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -190,6 +193,71 @@ emitProgram(const KvSpec &spec, kv::KvStore &store,
     return prog;
 }
 
+/** A serve's host-side inputs, built before the machine exists. */
+struct KvInputs
+{
+    std::vector<std::unique_ptr<kv::KvStore>> stores;
+    std::vector<std::vector<OpPlan>> plans;
+    std::vector<Program> programs;
+};
+
+KvInputs
+planServe(const KvSpec &spec)
+{
+    // The rank→key scramble, shared by all harts (each hart has its own
+    // keyspace, so sharing the permutation shares only the *shape* of
+    // the hot set).
+    std::vector<std::uint64_t> perm(spec.keys);
+    std::iota(perm.begin(), perm.end(), 1);
+    Rng prng(stir(spec.seed, 0x5ca3b1e));
+    for (std::size_t i = perm.size(); i > 1; --i)
+        std::swap(perm[i - 1], perm[prng.below(i)]);
+
+    std::unique_ptr<ZipfianGen> zipf;
+    if (spec.distribution == "zipfian")
+        zipf = std::make_unique<ZipfianGen>(spec.keys, spec.theta);
+
+    // Build the stores and their op traces (host-side, machine-free).
+    KvInputs in;
+    for (unsigned h = 0; h < spec.cores; ++h) {
+        kv::KvStoreConfig scfg;
+        scfg.hart = h;
+        scfg.value_bytes = spec.value_bytes;
+        auto store = std::make_unique<kv::KvStore>(scfg);
+        store->prefill(spec.keys);
+        in.plans.push_back(planOps(spec, zipf.get(), perm, h));
+        in.programs.push_back(emitProgram(spec, *store, in.plans.back()));
+        in.stores.push_back(std::move(store));
+    }
+    return in;
+}
+
+void
+loadServe(SoC &soc, const KvInputs &in)
+{
+    // Start against the recovered store image with cold caches.
+    for (const auto &store : in.stores) {
+        for (const auto &[addr, line] : store->image())
+            soc.dram().pokeLine(addr, line);
+    }
+    for (unsigned h = 0; h < in.programs.size(); ++h)
+        soc.hart(h).setProgram(in.programs[h]);
+}
+
+/** @p v is a JSON number written as plain decimal digits (no sign,
+ *  fraction or exponent) whose value is at most @p max. */
+bool
+isUnsigned(const JsonValue &v, std::uint64_t max)
+{
+    if (v.type != JsonValue::Type::Number || v.text.empty() ||
+        !std::all_of(v.text.begin(), v.text.end(),
+                     [](char c) { return c >= '0' && c <= '9'; }))
+        return false;
+    errno = 0;
+    const unsigned long long x = std::strtoull(v.text.c_str(), nullptr, 10);
+    return errno == 0 && x <= max;
+}
+
 /** Little-endian word read of a frozen persist image (absent = 0). */
 std::uint64_t
 imageWord(const std::unordered_map<Addr, LineData> &image, Addr addr)
@@ -315,39 +383,9 @@ ZipfianGen::probability(std::uint64_t rank) const
            (std::pow(static_cast<double>(rank + 1), theta_) * zetan_);
 }
 
-KvRunResult
-runKv(const KvSpec &spec)
+SoCConfig
+kvMachineConfig(const KvSpec &spec)
 {
-    validate(spec);
-
-    // The rank→key scramble, shared by all harts (each hart has its own
-    // keyspace, so sharing the permutation shares only the *shape* of
-    // the hot set).
-    std::vector<std::uint64_t> perm(spec.keys);
-    std::iota(perm.begin(), perm.end(), 1);
-    Rng prng(stir(spec.seed, 0x5ca3b1e));
-    for (std::size_t i = perm.size(); i > 1; --i)
-        std::swap(perm[i - 1], perm[prng.below(i)]);
-
-    std::unique_ptr<ZipfianGen> zipf;
-    if (spec.distribution == "zipfian")
-        zipf = std::make_unique<ZipfianGen>(spec.keys, spec.theta);
-
-    // Build the stores and their op traces (host-side, machine-free).
-    std::vector<std::unique_ptr<kv::KvStore>> stores;
-    std::vector<std::vector<OpPlan>> plans;
-    std::vector<Program> programs;
-    for (unsigned h = 0; h < spec.cores; ++h) {
-        kv::KvStoreConfig scfg;
-        scfg.hart = h;
-        scfg.value_bytes = spec.value_bytes;
-        auto store = std::make_unique<kv::KvStore>(scfg);
-        store->prefill(spec.keys);
-        plans.push_back(planOps(spec, zipf.get(), perm, h));
-        programs.push_back(emitProgram(spec, *store, plans.back()));
-        stores.push_back(std::move(store));
-    }
-
     SoCConfig cfg;
     cfg.cores = spec.cores;
     cfg.l2.slices = std::max(1u, spec.slices);
@@ -360,19 +398,27 @@ runKv(const KvSpec &spec)
         cfg.durability.crash_at = spec.crash_at;
         cfg.durability.fatal = false; // latch; we report the verdict
     }
-    SoC soc(cfg);
+    return cfg;
+}
+
+void
+loadKvServe(const KvSpec &spec, SoC &soc)
+{
+    validate(spec);
+    loadServe(soc, planServe(spec));
+}
+
+KvRunResult
+runKv(const KvSpec &spec)
+{
+    validate(spec);
+    const KvInputs in = planServe(spec);
+    SoC soc(kvMachineConfig(spec));
 
     TxnTracer tracer(/*keep_events=*/false);
     if (spec.trace_stages)
         soc.sim().probes().attach(tracer);
-
-    // Start against the recovered store image with cold caches.
-    for (const auto &store : stores) {
-        for (const auto &[addr, line] : store->image())
-            soc.dram().pokeLine(addr, line);
-    }
-    for (unsigned h = 0; h < spec.cores; ++h)
-        soc.hart(h).setProgram(programs[h]);
+    loadServe(soc, in);
 
     KvRunResult res;
     if (spec.crash_at == 0) {
@@ -403,7 +449,7 @@ runKv(const KvSpec &spec)
         res.oracle_violations = oracle.violations().size();
         const auto image = oracle.image();
         for (unsigned h = 0; h < spec.cores; ++h)
-            auditKvRecovery(spec, *stores[h], h, image,
+            auditKvRecovery(spec, *in.stores[h], h, image,
                             res.recovery_violations);
         return res; // latency/throughput are meaningless mid-crash
     }
@@ -411,7 +457,7 @@ runKv(const KvSpec &spec)
     // Harvest per-op latencies from the RDCYCLE marker pairs.
     for (unsigned h = 0; h < spec.cores; ++h) {
         Hart &hart = soc.hart(h);
-        for (std::size_t i = 0; i < plans[h].size(); ++i) {
+        for (std::size_t i = 0; i < in.plans[h].size(); ++i) {
             const Cycle end = hart.markerCycle(2 * i + 1);
             const Cycle from =
                 spec.arrival_period > 0
@@ -419,9 +465,9 @@ runKv(const KvSpec &spec)
                     : hart.markerCycle(2 * i);
             const auto lat = static_cast<double>(end - from);
             res.latency.add(lat);
-            res.by_op[opName(plans[h][i].kind)].add(lat);
+            res.by_op[opName(in.plans[h][i].kind)].add(lat);
         }
-        res.total_ops += plans[h].size();
+        res.total_ops += in.plans[h].size();
     }
     res.ops_per_kcycle =
         res.cycles == 0 ? 0.0
@@ -445,25 +491,38 @@ KvBenchSpec::fromJsonText(const std::string &text)
         throw std::runtime_error("kv bench spec: top level must be an "
                                  "object");
     KvBenchSpec spec;
-    const auto num = [&](const char *name, auto &out) {
-        if (const JsonValue *v = doc.field(name)) {
-            if (v->type != JsonValue::Type::Number)
-                throw std::runtime_error(
-                    std::string("kv bench spec: '") + name +
-                    "' must be a number");
-            out = static_cast<std::decay_t<decltype(out)>>(
-                std::stod(v->text));
-        }
+    // Integer fields take plain unsigned integers that fit the field.
+    const auto setUnsigned = [](const char *name, const JsonValue &v,
+                                auto &out) {
+        using T = std::decay_t<decltype(out)>;
+        if (!isUnsigned(v, std::numeric_limits<T>::max()))
+            throw std::runtime_error(
+                std::string("kv bench spec: '") + name + "' must be an "
+                "unsigned integer that fits its field, got '" + v.text +
+                "'");
+        out = static_cast<T>(std::strtoull(v.text.c_str(), nullptr, 10));
     };
-    num("keys", spec.base.keys);
-    num("ops", spec.base.ops);
-    num("seed", spec.base.seed);
-    num("theta", spec.base.theta);
-    num("value_bytes", spec.base.value_bytes);
-    num("arrival_period", spec.base.arrival_period);
-    num("slices", spec.base.slices);
-    num("scan_len", spec.base.scan_len);
-    num("checkpoint_every", spec.base.checkpoint_every);
+    const auto field = [&](const char *name, auto &out) {
+        if (const JsonValue *v = doc.field(name))
+            setUnsigned(name, *v, out);
+    };
+    field("keys", spec.base.keys);
+    field("ops", spec.base.ops);
+    field("seed", spec.base.seed);
+    field("value_bytes", spec.base.value_bytes);
+    field("arrival_period", spec.base.arrival_period);
+    field("slices", spec.base.slices);
+    field("scan_len", spec.base.scan_len);
+    field("checkpoint_every", spec.base.checkpoint_every);
+    if (const JsonValue *v = doc.field("theta")) {
+        char *end = nullptr;
+        const double theta = std::strtod(v->text.c_str(), &end);
+        if (v->type != JsonValue::Type::Number || *end != '\0' ||
+            !std::isfinite(theta))
+            throw std::runtime_error("kv bench spec: 'theta' must be a "
+                                     "number");
+        spec.base.theta = theta;
+    }
     if (const JsonValue *v = doc.field("distribution")) {
         if (v->type != JsonValue::Type::String)
             throw std::runtime_error("kv bench spec: 'distribution' must "
@@ -506,11 +565,8 @@ KvBenchSpec::fromJsonText(const std::string &text)
                                      "non-empty array");
         spec.cores.clear();
         for (const JsonValue &c : v->items) {
-            if (c.type != JsonValue::Type::Number)
-                throw std::runtime_error("kv bench spec: cores entries "
-                                         "must be numbers");
-            spec.cores.push_back(
-                static_cast<unsigned>(std::stoul(c.text)));
+            spec.cores.emplace_back();
+            setUnsigned("cores", c, spec.cores.back());
         }
     }
     return spec;

@@ -43,6 +43,8 @@
 #include "tilelink/messages.hh"
 
 namespace skipit {
+class SoC;
+struct SoCConfig;
 namespace kv {
 class KvStore;
 }
@@ -147,6 +149,18 @@ struct KvRunResult
  * @throws std::runtime_error on an invalid spec
  */
 KvRunResult runKv(const KvSpec &spec);
+
+/** The machine runKv(@p spec) serves on. */
+SoCConfig kvMachineConfig(const KvSpec &spec);
+
+/**
+ * What runKv does between building the machine and running it: poke
+ * @p spec's prefilled store images into @p soc's DRAM and give each hart
+ * its op program. Tests use it to serve the same workload on a machine
+ * they set up themselves (fast-forward off, the wake audit on).
+ * @throws std::runtime_error on an invalid spec
+ */
+void loadKvServe(const KvSpec &spec, SoC &soc);
 
 /** The benchmark grid: mixes × core counts, each with skip on and off. */
 struct KvBenchSpec

@@ -248,10 +248,11 @@ outcome(SoC &soc, Cycle cycles)
  * Four harts over eight shared lines with two L1 MSHRs and a two-deep
  * flush queue, so the L1 nacks often: 8- and 4-byte loads and stores
  * (exact-word forwards and partial overlaps), CBO.CLEAN/FLUSH, fences and
- * compute delays, drawn from a fixed seed.
+ * compute delays, drawn from a fixed seed. With @p audit, the run keeps
+ * the wake audit on and stores its verdict there.
  */
 std::string
-runNackHeavyMix(unsigned window)
+runNackHeavyMix(unsigned window, std::string *audit = nullptr)
 {
     constexpr unsigned harts = 4;
     constexpr unsigned lines = 8;
@@ -310,7 +311,11 @@ runNackHeavyMix(unsigned window)
     }
     SoC soc(cfg);
     soc.setPrograms(programs);
+    if (audit != nullptr)
+        soc.sim().auditWakes();
     const Cycle cycles = soc.runToCompletion();
+    if (audit != nullptr)
+        *audit = soc.sim().wakeAudit();
     return outcome(soc, cycles);
 }
 
@@ -396,6 +401,14 @@ TEST(LsuCyclePin, NackHeavyMixWindow32)
 TEST(LsuCyclePin, NackHeavyMixWindow64)
 {
     EXPECT_EQ(runNackHeavyMix(64), mix_window64);
+}
+
+TEST(WakeAudit, NackHeavyMixWindow32)
+{
+    // Nacks, backoffs, forwards and fences: every LSU wake source.
+    std::string audit = "not run";
+    EXPECT_EQ(runNackHeavyMix(32, &audit), mix_window32);
+    EXPECT_EQ(audit, "");
 }
 
 } // namespace

@@ -3,17 +3,23 @@
  * Quiescence fast-forward equivalence: a fast-forwarded run must be
  * bit-identical to the ticked baseline — same final cycle, same stats,
  * same probe-event timestamps — on CBO-heavy workloads, while actually
- * skipping a significant share of the cycles.
+ * skipping a significant share of the cycles. Fast-forward also ticks
+ * each component only in the cycles its wake calendar entry is due, so
+ * the many-hart, jittered and open-loop rows are where the input edges
+ * that re-arm those entries fire.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 
 #include "core/asm.hh"
 #include "sim/txn_tracer.hh"
 #include "soc/soc.hh"
+#include "workloads/fuzz.hh"
 #include "workloads/workloads.hh"
+#include "workloads/ycsb.hh"
 
 using namespace skipit;
 
@@ -28,16 +34,17 @@ struct RunRecord
     std::vector<probe::Event> events;
 };
 
+/** Build @p cfg's machine, let @p load give it work, run it to
+ *  quiescence and record the outcome. */
 RunRecord
-runPrograms(const std::vector<Program> &programs, bool fast_forward,
-            SoCConfig cfg = {})
+runMachine(SoCConfig cfg, bool fast_forward,
+           const std::function<void(SoC &)> &load)
 {
-    cfg.cores = static_cast<unsigned>(programs.size());
     cfg.fast_forward = fast_forward;
     SoC soc(cfg);
     TxnTracer tracer;
     soc.sim().probes().attach(tracer);
-    soc.setPrograms(programs);
+    load(soc);
 
     RunRecord rec;
     rec.elapsed = soc.runToQuiescence();
@@ -47,6 +54,15 @@ runPrograms(const std::vector<Program> &programs, bool fast_forward,
     rec.stats = os.str();
     rec.events = tracer.events();
     return rec;
+}
+
+RunRecord
+runPrograms(const std::vector<Program> &programs, bool fast_forward,
+            SoCConfig cfg = {})
+{
+    cfg.cores = static_cast<unsigned>(programs.size());
+    return runMachine(cfg, fast_forward,
+                      [&](SoC &soc) { soc.setPrograms(programs); });
 }
 
 void
@@ -138,6 +154,94 @@ TEST(FastForward, SkipItDisabledConfigIsBitIdentical)
         cboHeavyProgram(0x10000000, 16, true)};
     expectIdentical(runPrograms(progs, false, cfg),
                     runPrograms(progs, true, cfg));
+}
+
+TEST(FastForward, SixteenHartFourSliceStormIsBitIdentical)
+{
+    // Loads, stores, CBOs and fences from 16 harts through the crossbar
+    // into four slices: endpoint arrivals wake the slices, and every
+    // slice wakes on each DRAM response.
+    workloads::FuzzSpec spec;
+    spec.harts = 16;
+    spec.l2_slices = 4;
+    spec.lines = 32;
+    spec.ops = 100;
+    spec.jitter = false;
+    const SoCConfig cfg = workloads::fuzzConfig(spec, 5);
+    const std::vector<Program> programs =
+        workloads::generateFuzzPrograms(spec, 5);
+    const auto load = [&](SoC &soc) { soc.setPrograms(programs); };
+    const RunRecord ff = runMachine(cfg, true, load);
+    EXPECT_GT(ff.events.size(), 10000u);
+    expectIdentical(runMachine(cfg, false, load), ff);
+}
+
+TEST(FastForward, JitteredFourHartRunIsBitIdentical)
+{
+    // ChannelJitter delays and bursts every TileLink send, so each
+    // channel wakes its receiver at a jittered arrival.
+    workloads::FuzzSpec spec;
+    spec.harts = 4;
+    spec.lines = 8;
+    spec.jitter = true;
+    const SoCConfig cfg = workloads::fuzzConfig(spec, 11);
+    ASSERT_TRUE(cfg.jitter.enabled);
+    const std::vector<Program> programs =
+        workloads::generateFuzzPrograms(spec, 11);
+    const auto load = [&](SoC &soc) { soc.setPrograms(programs); };
+    const RunRecord ff = runMachine(cfg, true, load);
+    EXPECT_GT(ff.skipped, 0u);
+    expectIdentical(runMachine(cfg, false, load), ff);
+}
+
+TEST(FastForward, OpenLoopKvServeIsBitIdentical)
+{
+    // Each request waits at its WaitUntil arrival gate; fenced CBO.CLEAN
+    // commits and checkpoint re-cleans wake the fences as the flush
+    // counter drains.
+    workloads::KvSpec spec;
+    spec.cores = 2;
+    spec.keys = 256;
+    spec.ops = 96;
+    spec.arrival_period = 600;
+    const SoCConfig cfg = workloads::kvMachineConfig(spec);
+    const auto load = [&](SoC &soc) { workloads::loadKvServe(spec, soc); };
+    const RunRecord ff = runMachine(cfg, true, load);
+    EXPECT_GT(ff.skipped, ff.elapsed / 4);
+    expectIdentical(runMachine(cfg, false, load), ff);
+}
+
+TEST(FastForward, WorkBetweenRunsIsSeen)
+{
+    // New programs, hand-driven step()s and short run()s between runs:
+    // each run() and runUntil() must re-derive every cached wake before
+    // it skips anything. Hart 1 finishes its first program long before
+    // hart 0, so its wake was last seen as wake_never.
+    SoCConfig cfg;
+    cfg.cores = 2;
+    const std::vector<Program> first{cboHeavyProgram(0x10000000, 8, true),
+                                     cboHeavyProgram(0x20000000, 1, false)};
+    const std::vector<Program> second{cboHeavyProgram(0x20000000, 8, true),
+                                      cboHeavyProgram(0x10000000, 8, true)};
+    const auto load = [&](SoC &soc) {
+        soc.setPrograms(first);
+        soc.runToQuiescence();
+        soc.setPrograms(second);
+        soc.sim().run(50);
+        for (int round = 0; round < 20; ++round) {
+            for (int i = 0; i < 7; ++i)
+                soc.sim().step();
+            soc.sim().run(13);
+        }
+    };
+    expectIdentical(runMachine(cfg, false, load),
+                    runMachine(cfg, true, load));
+
+    SoC soc(cfg);
+    soc.sim().auditWakes();
+    load(soc);
+    soc.runToQuiescence();
+    EXPECT_EQ(soc.sim().wakeAudit(), "");
 }
 
 TEST(FastForward, WorkloadLatencyMeasurementsAreBitIdentical)

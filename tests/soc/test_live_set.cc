@@ -458,5 +458,30 @@ TEST(LiveSetOracle, SixtyFourDirectClients)
     EXPECT_EQ(stepStorm(stormConfig(64, 1, /*direct=*/true), 60), "");
 }
 
+/**
+ * Run the storm under fast-forward with the wake audit on: every tick
+ * the calendar gives or skips, and every jump, must match a fresh
+ * nextWake(). @return the audit's first failure, or "" if none
+ */
+std::string
+auditStorm(const SoCConfig &cfg)
+{
+    SoC soc(cfg);
+    soc.setPrograms(stormPrograms(cfg.cores, storm_ops));
+    soc.sim().auditWakes();
+    soc.runToQuiescence(1'000'000);
+    return soc.sim().wakeAudit();
+}
+
+TEST(WakeAudit, EvictionStorm)
+{
+    EXPECT_EQ(auditStorm(stormConfig(storm_harts, storm_slices)), "");
+}
+
+TEST(WakeAudit, DirectWiring)
+{
+    EXPECT_EQ(auditStorm(stormConfig(4, 1, /*direct=*/true)), "");
+}
+
 } // namespace
 } // namespace skipit

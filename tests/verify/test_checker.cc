@@ -90,9 +90,9 @@ TEST(CoherenceChecker, LatchingModeRecordsViolationsWithoutAborting)
 
 TEST(CoherenceChecker, CheckerOnOffIsCycleIdentical)
 {
-    // The checker is an observer registered last with nextWake() ==
-    // wake_never: enabling it must not move a single cycle, even with
-    // quiescence fast-forward on.
+    // The checker is an observer registered last: it never makes a
+    // cycle execute, so enabling it must not move a single cycle, even
+    // with quiescence fast-forward on.
     const auto run = [](bool enabled) {
         SoCConfig cfg;
         cfg.cores = 2;

@@ -182,6 +182,23 @@ TEST(Durability, CrashOnStageTriggersAtTheEvent)
     EXPECT_GT(soc.durability().crashCycle(), 0u);
 }
 
+TEST(WakeAudit, CrashOnStageMachine)
+{
+    // The freezer and the oracle are observers: they tick in every
+    // executed cycle, so the event-triggered crash still fires.
+    SoCConfig cfg = makeConfig(2, 1);
+    cfg.durability.enabled = true;
+    cfg.durability.fatal = false;
+    cfg.durability.crash_on_stage = "persist.fence";
+    SoC soc(cfg);
+    soc.setPrograms(cboPrograms(2));
+    soc.sim().auditWakes();
+    soc.sim().runUntil([&] { return soc.durability().crashed(); },
+                       1'000'000);
+    EXPECT_TRUE(soc.durability().crashed());
+    EXPECT_EQ(soc.sim().wakeAudit(), "");
+}
+
 /** The fuzzer's shrunk repro for the stale-skip-bit bug: dirty a line,
  *  clean it twice. The second clean must not be elided off the skip bit
  *  the fill set — dirtying clears it — and when the FSHR coalesces the

@@ -97,6 +97,20 @@ TEST(Fuzz, CleanSeedsStayCleanAtFourSlicesUnderJitter)
     EXPECT_FALSE(workloads::runFuzz(spec, 0, 25, 2).has_value());
 }
 
+TEST(WakeAudit, JitteredFuzzSeed)
+{
+    // Jittered arrivals and backpressure bursts on every channel, through
+    // the crossbar into two slices.
+    FuzzSpec spec = smallSpec();
+    spec.l2_slices = 2;
+    SoC soc(workloads::fuzzConfig(spec, 7));
+    soc.setPrograms(workloads::generateFuzzPrograms(spec, 7));
+    soc.sim().auditWakes();
+    soc.runToQuiescence(spec.max_cycles);
+    EXPECT_TRUE(soc.checker().clean());
+    EXPECT_EQ(soc.sim().wakeAudit(), "");
+}
+
 TEST(Fuzz, InjectedFaultIsCaughtAndReplaysDeterministically)
 {
     const FuzzSpec spec = faultySpec();

@@ -9,6 +9,9 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "workloads/sweep.hh"
 #include "workloads/workloads.hh"
@@ -106,6 +109,21 @@ TEST(SweepRun, UnknownAxisOrKindIsRejectedUpfront)
 
     spec.axes = {{"threads", {"banana"}}};
     EXPECT_THROW(workloads::runSweep(spec, 1), std::runtime_error);
+
+    // Integer axes take no sign and no value too large for their field.
+    for (const auto &[axis, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"threads", "-1"},
+             {"bytes", "-64"},
+             {"threads", "+2"},
+             {"threads", " 2"},
+             {"threads", "4294967296"},
+             {"fshrs", "4294967297"},
+             {"dram_latency", "18446744073709551616"}}) {
+        spec.axes = {{axis, {value}}};
+        EXPECT_THROW(workloads::runSweep(spec, 1), std::runtime_error)
+            << axis << "=" << value;
+    }
 }
 
 TEST(SweepRun, CboPointMatchesDirectMeasurement)

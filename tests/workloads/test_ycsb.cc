@@ -14,6 +14,7 @@
 #include <unordered_map>
 
 #include "kv/store.hh"
+#include "soc/soc.hh"
 #include "workloads/json.hh"
 #include "workloads/ycsb.hh"
 
@@ -416,6 +417,51 @@ TEST(KvBench, SpecParsesFromJson)
     EXPECT_THROW(KvBenchSpec::fromJsonText("[1]"), std::runtime_error);
     EXPECT_THROW(KvBenchSpec::fromJsonText(R"({"mixes": []})"),
                  std::runtime_error);
+    // Integer fields take plain unsigned integers that fit the field;
+    // the error names the field.
+    for (const char *bad :
+         {R"({"keys": -5})", R"({"ops": 2.7})", R"({"seed": 1e3})",
+          R"({"value_bytes": 4294967296})", R"({"arrival_period": -1})",
+          R"({"slices": 0.5})", R"({"scan_len": 99999999999})",
+          R"({"checkpoint_every": -16})",
+          R"({"keys": 18446744073709551616})", R"({"cores": [-1]})",
+          R"({"cores": [2, 1.5]})", R"({"cores": [4294967296]})",
+          R"({"theta": "high"})"}) {
+        const std::string text = bad;
+        const std::string field = text.substr(2, text.find('"', 2) - 2);
+        try {
+            KvBenchSpec::fromJsonText(text);
+            ADD_FAILURE() << text << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("'" + field + "'"),
+                      std::string::npos)
+                << text << ": " << e.what();
+        }
+    }
+    EXPECT_EQ(KvBenchSpec::fromJsonText(R"({"seed": 18446744073709551615})")
+                  .base.seed,
+              18446744073709551615u);
+}
+
+// ---------------------------------------------------------------------
+// Wake audit
+
+TEST(WakeAudit, TwoHartOpenLoopServe)
+{
+    // Arrival gates, fenced commits and checkpoint re-cleans: every
+    // hart stall, LSU response and flush-counter edge of a KV serve must
+    // wake its consumer exactly when a fresh nextWake() says so.
+    KvSpec spec;
+    spec.cores = 2;
+    spec.keys = 256;
+    spec.ops = 128;
+    spec.arrival_period = 600;
+    SoC soc(kvMachineConfig(spec));
+    loadKvServe(spec, soc);
+    soc.sim().auditWakes();
+    soc.runToQuiescence(1'000'000);
+    EXPECT_TRUE(soc.hart(0).done() && soc.hart(1).done());
+    EXPECT_EQ(soc.sim().wakeAudit(), "");
 }
 
 } // namespace

@@ -1,18 +1,19 @@
 /**
  * @file
- * Whole-token parsing for the tools' integer flags.
+ * Whole-token parsing for the tools' numeric flags.
  */
 
 #ifndef SKIPIT_TOOLS_PARSE_NUMBER_HH
 #define SKIPIT_TOOLS_PARSE_NUMBER_HH
 
 #include <cctype>
-#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string>
+
+#include "sim/parse.hh"
 
 namespace skipit {
 
@@ -28,15 +29,32 @@ template <typename T = std::uint64_t>
 T
 parseUnsigned(const char *flag, const std::string &token)
 {
-    if (!token.empty() && std::isdigit(static_cast<unsigned char>(token[0]))) {
-        errno = 0;
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(token.c_str(), &end, 0);
-        if (errno == 0 && *end == '\0' && v <= std::numeric_limits<T>::max())
-            return static_cast<T>(v);
-    }
+    if (const std::optional<T> v = unsignedToken<T>(token))
+        return *v;
     std::fprintf(stderr, "error: %s expects an unsigned integer, got '%s'\n",
                  flag, token.c_str());
+    std::exit(2);
+}
+
+/**
+ * Parse @p token, the value of @p flag, as a finite floating-point
+ * number. The whole token must be one number. Leading space, a trailing
+ * character, inf, nan or a value too large for a double prints
+ * "error: <flag> expects a number, got '<token>'" and exits with status
+ * 2.
+ */
+inline double
+parseFinite(const char *flag, const std::string &token)
+{
+    if (!token.empty() &&
+        !std::isspace(static_cast<unsigned char>(token[0]))) {
+        char *end = nullptr;
+        const double v = std::strtod(token.c_str(), &end);
+        if (*end == '\0' && std::isfinite(v))
+            return v;
+    }
+    std::fprintf(stderr, "error: %s expects a number, got '%s'\n", flag,
+                 token.c_str());
     std::exit(2);
 }
 

@@ -189,7 +189,7 @@ main(int argc, char **argv)
         } else if (arg == "--distribution" && i + 1 < argc) {
             spec.base.distribution = argv[++i];
         } else if (arg == "--theta" && i + 1 < argc) {
-            spec.base.theta = std::stod(argv[++i]);
+            spec.base.theta = parseFinite("--theta", argv[++i]);
         } else if (arg == "--value-bytes" && i + 1 < argc) {
             spec.base.value_bytes =
                 parseUnsigned<unsigned>("--value-bytes", argv[++i]);
