@@ -8,14 +8,13 @@
  * reports Skip It's advantage over the plain policy in both.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
-#include "common.hh"
+#include "sim/random.hh"
+#include "workloads/workloads.hh"
 
 using namespace skipit;
-using bench::DsKind;
+using workloads::DsKind;
 
 namespace {
 
@@ -82,30 +81,11 @@ printTable()
                 "advantage)\n\n");
 }
 
-void
-BM_HierarchyDepth(benchmark::State &state)
-{
-    const bool l3 = state.range(0) != 0;
-    const FlushPolicy p =
-        state.range(1) != 0 ? FlushPolicy::SkipIt : FlushPolicy::Plain;
-    workloads::ThroughputResult r;
-    for (auto _ : state)
-        r = run(p, l3);
-    state.counters["ops_per_mcycle"] = r.mops_per_mcycle;
-}
-
-BENCHMARK(BM_HierarchyDepth)
-    ->ArgsProduct({{0, 1}, {0, 1}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -7,14 +7,12 @@
  * plain far behind in read-heavy modes.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <thread>
 #include <vector>
 
-#include "common.hh"
 #include "ds/ms_queue.hh"
+#include "sim/random.hh"
 
 using namespace skipit;
 
@@ -91,27 +89,11 @@ printTable()
     std::printf("\n");
 }
 
-void
-BM_QueueThroughput(benchmark::State &state)
-{
-    const FlushPolicy p = policies[state.range(0)];
-    double r = 0;
-    for (auto _ : state)
-        r = run(p, PersistMode::NvTraverse);
-    state.SetLabel(toString(p));
-    state.counters["ops_per_mcycle"] = r;
-}
-
-BENCHMARK(BM_QueueThroughput)->Arg(0)->Arg(4)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -84,13 +84,6 @@ L2Cache::L2Cache(std::string name, Simulator &sim, const L2Config &cfg,
 }
 
 void
-L2Cache::connectClient(AgentId id, TLLink &link)
-{
-    owned_ports_.push_back(std::make_unique<TLDirectPort>(link));
-    connectPort(id, *owned_ports_.back());
-}
-
-void
 L2Cache::connectPort(AgentId id, TLClientPort &port)
 {
     SKIPIT_ASSERT(id >= 0 && id < 64,
@@ -100,8 +93,7 @@ L2Cache::connectPort(AgentId id, TLClientPort &port)
         ports_.resize(id + 1, nullptr);
     SKIPIT_ASSERT(ports_[id] == nullptr, "client ", id, " already connected");
     ports_[id] = &port;
-    if (!port.bindInbound(inbound_, bit(static_cast<unsigned>(id)), *this))
-        polled_ |= bit(static_cast<unsigned>(id));
+    port.bindInbound(inbound_, bit(static_cast<unsigned>(id)), *this);
 }
 
 void
@@ -125,7 +117,7 @@ L2Cache::nextWake() const
 
     // Buffered RootReleases are retried every cycle (conservative: the
     // retry may be blocked on a free MSHR, but spinning is always safe).
-    // A message waiting in a routed port is consumable now.
+    // A message waiting in a port is consumable now.
     if (!list_buffer_.empty() || inbound_ != 0)
         return now;
 
@@ -137,10 +129,6 @@ L2Cache::nextWake() const
         // wait_until passes; !dram_.canAccept() stalls just spin.
         const Mshr &m = mshrs_[std::countr_zero(todo)];
         wake = std::min(wake, std::max(m.wait_until, now));
-    }
-    for (std::uint64_t todo = polled_; todo != 0; todo &= todo - 1) {
-        const TLClientPort &p = *ports_[std::countr_zero(todo)];
-        wake = std::min(wake, p.inboundWakeAt(now));
     }
     return wake;
 }
@@ -376,7 +364,7 @@ L2Cache::acceptChannelC()
 {
     // Accepting never queues a message in a port, so a snapshot of the
     // port mask covers every port with traffic.
-    for (std::uint64_t todo = portsToVisit(); todo != 0; todo &= todo - 1) {
+    for (std::uint64_t todo = inbound_; todo != 0; todo &= todo - 1) {
         TLClientPort *port = ports_[std::countr_zero(todo)];
         while (port->cReady()) {
             const CMsg msg = port->cPop();
@@ -412,7 +400,7 @@ L2Cache::acceptChannelC()
 void
 L2Cache::acceptChannelE()
 {
-    for (std::uint64_t todo = portsToVisit(); todo != 0; todo &= todo - 1) {
+    for (std::uint64_t todo = inbound_; todo != 0; todo &= todo - 1) {
         TLClientPort *port = ports_[std::countr_zero(todo)];
         while (port->eReady()) {
             const EMsg msg = port->ePop();
@@ -446,7 +434,7 @@ L2Cache::retryListBuffer()
 void
 L2Cache::acceptChannelA()
 {
-    for (std::uint64_t todo = portsToVisit(); todo != 0; todo &= todo - 1) {
+    for (std::uint64_t todo = inbound_; todo != 0; todo &= todo - 1) {
         TLClientPort *port = ports_[std::countr_zero(todo)];
         // Head-of-line per client: an Acquire that conflicts with an
         // in-flight transaction back-pressures the channel.
@@ -1038,17 +1026,11 @@ L2Cache::checkLiveSets() const
         if (!parked)
             act |= bit(i);
     }
-    std::uint64_t connected = 0;
     std::uint64_t inbound = 0;
     for (unsigned id = 0; id < ports_.size(); ++id) {
         const TLClientPort *p = ports_[id];
-        if (p == nullptr)
-            continue;
-        connected |= bit(id);
-        if ((polled_ & bit(id)) == 0 &&
-            (p->aReady() || p->cReady() || p->eReady())) {
+        if (p != nullptr && (p->aReady() || p->cReady() || p->eReady()))
             inbound |= bit(id);
-        }
     }
     const auto mismatch = [&](const char *what, std::uint64_t kept,
                               std::uint64_t want) {
@@ -1059,8 +1041,6 @@ L2Cache::checkLiveSets() const
         return mismatch("live", live_, live);
     if (act_ != act)
         return mismatch("act", act_, act);
-    if ((polled_ & ~connected) != 0)
-        return mismatch("polled", polled_, polled_ & connected);
     if (inbound_ != inbound)
         return mismatch("inbound", inbound_, inbound);
     return {};

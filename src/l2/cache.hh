@@ -106,12 +106,8 @@ class L2Cache : public Ticked, public probe::Inspectable
     L2Cache(std::string name, Simulator &sim, const L2Config &cfg,
             Dram &dram, Stats &stats, unsigned slice = 0);
 
-    /** Attach client @p id's link point-to-point (single-slice wiring
-     *  and unit tests); call once per L1 before simulating. */
-    void connectClient(AgentId id, TLLink &link);
-
-    /** Attach client @p id through an externally owned routed port
-     *  (crossbar wiring); call once per client before simulating. */
+    /** Attach client @p id through its crossbar port; call once per
+     *  client before simulating. */
     void connectPort(AgentId id, TLClientPort &port);
 
     void tick() override;
@@ -253,8 +249,6 @@ class L2Cache : public Ticked, public probe::Inspectable
     L2IndexPolicy index_;
     std::unique_ptr<const StatePolicy> policy_;
     std::vector<TLClientPort *> ports_;
-    /** Ports created by connectClient() (point-to-point wiring). */
-    std::vector<std::unique_ptr<TLDirectPort>> owned_ports_;
     Directory dir_;
     BankedStore store_;
     std::vector<Mshr> mshrs_;
@@ -270,9 +264,7 @@ class L2Cache : public Ticked, public probe::Inspectable
      *  acks, on DRAM or for its GrantAck, and its tick is a no-op; the
      *  arrival that unparks it sets its bit again. */
     std::uint64_t act_ = 0;
-    /** Ports that cannot see their arrivals (TLDirectPort): polled. */
-    std::uint64_t polled_ = 0;
-    /** Routed ports with a message waiting; the ports keep it. */
+    /** Ports with a message waiting; the ports keep it. */
     std::uint64_t inbound_ = 0;
     /// @}
 
@@ -311,9 +303,6 @@ class L2Cache : public Ticked, public probe::Inspectable
     /** Claim the free MSHR @p idx for a new transaction. */
     Mshr &allocMshr(unsigned idx);
     void freeMshr(unsigned idx);
-    /** The ports acceptChannel*() visit: polled ones and any with a
-     *  message waiting. */
-    std::uint64_t portsToVisit() const { return polled_ | inbound_; }
     /** Apply a C-channel shrink report to the directory entry. */
     static void applyReport(DirEntry &e, AgentId src, Shrink param);
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Whole-token unsigned integer parsing, shared by the tools' flags and
- * the sweep axes.
+ * Whole-token number parsing, shared by the tools' flags and the sweep
+ * axes.
  */
 
 #ifndef SKIPIT_SIM_PARSE_HH
@@ -9,6 +9,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -35,6 +36,23 @@ unsignedToken(const std::string &token)
     if (errno != 0 || *end != '\0' || v > std::numeric_limits<T>::max())
         return std::nullopt;
     return static_cast<T>(v);
+}
+
+/**
+ * @p token as a finite double, when the whole token is one number.
+ * Leading space, a trailing character, inf, nan or a value too large
+ * for a double gives nullopt.
+ */
+inline std::optional<double>
+finiteToken(const std::string &token)
+{
+    if (token.empty() || std::isspace(static_cast<unsigned char>(token[0])))
+        return std::nullopt;
+    char *end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    if (*end != '\0' || !std::isfinite(v))
+        return std::nullopt;
+    return v;
 }
 
 } // namespace skipit

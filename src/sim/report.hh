@@ -1,9 +1,8 @@
 /**
  * @file
  * Tabular result reporting: collect named series (one row per sweep
- * point) and render them as aligned text or CSV. The figure benches use
- * this to emit machine-readable copies of every figure next to the
- * human-readable tables.
+ * point) and render them as aligned text or CSV. skipit-sweep renders
+ * every figure's grid through it.
  */
 
 #ifndef SKIPIT_SIM_REPORT_HH

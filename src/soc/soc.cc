@@ -11,17 +11,12 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
                   "core count out of range");
 
     const unsigned slices = std::max(1u, cfg.l2.slices);
-    SKIPIT_ASSERT(!cfg.direct_l2_wiring || slices == 1,
-                  "direct_l2_wiring requires a single L2 slice");
 
     dram_ = std::make_unique<Dram>("dram", sim_, cfg.dram, stats_);
-    if (!cfg.direct_l2_wiring) {
-        // One L2IndexPolicy value feeds both the crossbar's routing and
-        // every slice's directory indexing — the single source of truth
-        // for where a line homes.
-        xbar_ = std::make_unique<TLXbar>("xbar", sim_,
-                                         cfg.l2.indexPolicy());
-    }
+    // One L2IndexPolicy value feeds both the crossbar's routing and
+    // every slice's directory indexing — the single source of truth for
+    // where a line homes.
+    xbar_ = std::make_unique<TLXbar>("xbar", sim_, cfg.l2.indexPolicy());
     for (unsigned s = 0; s < slices; ++s) {
         const std::string sn =
             slices == 1 ? "l2" : "l2.s" + std::to_string(s);
@@ -37,11 +32,7 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
         jit.seed = jit.seed * 0x9e3779b97f4a7c15ULL + c + 1;
         links_.push_back(std::make_unique<TLLink>(sim_, cfg.link_latency,
                                                   cn + ".tl", jit));
-        if (cfg.direct_l2_wiring)
-            l2s_[0]->connectClient(static_cast<AgentId>(c),
-                                   *links_.back());
-        else
-            xbar_->connectClient(static_cast<AgentId>(c), *links_.back());
+        xbar_->connectClient(static_cast<AgentId>(c), *links_.back());
         l1s_.push_back(std::make_unique<DataCache>(
             cn + ".l1d", sim_, cfg.l1, static_cast<AgentId>(c),
             *links_.back(), stats_));
@@ -52,22 +43,17 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
                                                 *lsus_.back(),
                                                 cfg.dispatch_width));
     }
-    if (!cfg.direct_l2_wiring) {
-        for (unsigned s = 0; s < slices; ++s) {
-            for (unsigned c = 0; c < cfg.cores; ++c) {
-                l2s_[s]->connectPort(static_cast<AgentId>(c),
-                                     xbar_->port(s, c));
-            }
-        }
+    for (unsigned s = 0; s < slices; ++s) {
+        for (unsigned c = 0; c < cfg.cores; ++c)
+            l2s_[s]->connectPort(static_cast<AgentId>(c), xbar_->port(s, c));
     }
 
     // Input edges (Ticked::wakeAt): whatever a component hands another
     // — a message, a response, a state change it reads — wakes the
     // receiver, so fast-forward ticks each only when it is due. The
-    // crossbar endpoints wake their slices themselves (connectPort).
-    Ticked &manager = xbar_ ? static_cast<Ticked &>(*xbar_) : *l2s_[0];
+    // crossbar ports wake their slices themselves (connectPort).
     for (unsigned c = 0; c < cfg.cores; ++c) {
-        links_[c]->setConsumers(*l1s_[c], manager);
+        links_[c]->setConsumers(*l1s_[c], *xbar_);
         l1s_[c]->setRequester(*lsus_[c]);
         lsus_[c]->setDispatcher(*harts_[c]);
     }
@@ -90,8 +76,7 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
                                                       *durability_);
     sim_.add(*freezer_);
     sim_.add(*dram_);
-    if (xbar_)
-        sim_.add(*xbar_);
+    sim_.add(*xbar_);
     for (auto &l2 : l2s_)
         sim_.add(*l2);
     for (unsigned c = 0; c < cfg.cores; ++c)
@@ -168,12 +153,8 @@ SoCConfig::describe() const
        << "l2 policies: " << toString(l2.policy) << ", "
        << toString(l2.index) << " index, " << toString(l2.replace)
        << " replacement\n"
-       << "topology: "
-       << (direct_l2_wiring ? "direct point-to-point"
-                            : "crossbar, " +
-                                  std::to_string(std::max(1u, l2.slices)) +
-                                  " address-interleaved slice" +
-                                  (std::max(1u, l2.slices) > 1 ? "s" : ""))
+       << "topology: crossbar, " << std::max(1u, l2.slices)
+       << " address-interleaved slice" << (l2.slices > 1 ? "s" : "")
        << "\n"
        << "dram: read " << dram.latency << ", write-ack "
        << dram.write_ack_latency << ", issue interval "
@@ -240,7 +221,7 @@ SoC::runToQuiescence(Cycle max_cycles)
 bool
 SoC::l2Idle() const
 {
-    if (xbar_ && !xbar_->idle())
+    if (!xbar_->idle())
         return false;
     for (const auto &l2 : l2s_) {
         if (!l2->idle())

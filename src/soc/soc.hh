@@ -63,10 +63,6 @@ struct SoCConfig
      *  Ticked::nextWake() contract — so there is no reason to turn it
      *  off outside of equivalence tests. */
     bool fast_forward = true;
-    /** Legacy point-to-point L1↔L2 wiring without the crossbar.
-     *  Requires l2.slices == 1. Kept solely so the equivalence tests
-     *  can demonstrate the crossbar at slices=1 is bit-identical. */
-    bool direct_l2_wiring = false;
 
     /** Convenience: toggle every Skip-It-related feature at once. */
     SoCConfig &
@@ -108,7 +104,8 @@ class SoC
     unsigned l2Slices() const { return unsigned(l2s_.size()); }
     /** True when every L2 slice (and the crossbar) is quiesced. */
     bool l2Idle() const;
-    /** The memory-side crossbar; nullptr under direct_l2_wiring. */
+    /** The memory-side crossbar between the L1s and the L2 slices;
+     *  never null. */
     TLXbar *xbar() { return xbar_.get(); }
     Dram &dram() { return *dram_; }
     Watchdog &watchdog() { return *watchdog_; }

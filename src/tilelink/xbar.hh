@@ -1,13 +1,13 @@
 /**
  * @file
  * A deterministic TileLink crossbar routing N client links onto S
- * address-interleaved manager slices.
+ * address-interleaved manager slices: the one L1-to-L2 wiring.
  *
- * The paper's platform has exactly one inclusive L2, so the seed wired
- * each core's TLLink point-to-point into it. Scaled-out designs shard
- * the shared cache instead (BlackParrot's BedRock distributes its
- * directory across address-interleaved slices); this crossbar is the
- * interconnect half of that refactor:
+ * The paper's platform has exactly one inclusive L2, which is the
+ * one-slice case. Scaled-out designs shard the shared cache instead
+ * (BlackParrot's BedRock distributes its directory across
+ * address-interleaved slices); this crossbar is the interconnect half
+ * of that design:
  *
  *  - Requests (channels A, C, E) are routed by the home slice of the
  *    line address, computed by the same L2IndexPolicy the cache slices
@@ -25,17 +25,12 @@
  *
  * The crossbar adds zero latency: it ticks before the slices, so a
  * message whose wire arrival is cycle T is visible to its slice's
- * accept logic in cycle T, exactly as with direct point-to-point
- * wiring. With one slice the routed system is bit-identical to the
- * pre-crossbar topology (asserted by the fig09 equivalence test).
+ * accept logic in cycle T.
  *
- * TLClientPort is the manager-side abstraction the L2 consumes: a
- * TLDirectPort wraps a raw TLLink (unit tests, legacy wiring), while
- * the crossbar's internal endpoints expose the routed per-slice view.
- * An endpoint keeps one bit of its slice's inbound mask set exactly
- * while a message waits in it, so the slice visits only those ports,
- * and wakes the slice when a message arrives; a direct port cannot see
- * its link's sends and is polled every cycle.
+ * TLClientPort is a slice's view of one client: the routed (slice,
+ * client) queues. A port keeps one bit of its slice's inbound mask set
+ * exactly while a message waits in it, so the slice visits only those
+ * ports, and wakes the slice when a message arrives.
  */
 
 #ifndef SKIPIT_TILELINK_XBAR_HH
@@ -53,93 +48,116 @@
 
 namespace skipit {
 
+class TLXbar;
+
 /**
- * The manager-side view of one client connection. The inclusive cache
- * accepts inbound A/C/E traffic and issues outbound B/D responses
- * through this interface without knowing whether the other end is a
- * raw link or a crossbar slice endpoint.
+ * The manager-side view of one client connection: the messages the
+ * crossbar routed from that client to one slice, and the way back. The
+ * inclusive cache accepts inbound A/C/E traffic and issues outbound B/D
+ * responses through it.
  */
 class TLClientPort
 {
   public:
-    virtual ~TLClientPort() = default;
+    TLClientPort(TLXbar &xbar, AgentId client) : xbar_(xbar), client_(client)
+    {
+    }
+    /** A slice holds the port's address, and an unbound port points
+     *  into itself. */
+    TLClientPort(const TLClientPort &) = delete;
+    TLClientPort &operator=(const TLClientPort &) = delete;
 
     /// @name Inbound (client -> manager)
     /// @{
-    virtual bool aReady() const = 0;
-    virtual const AMsg &aFront() const = 0;
-    virtual AMsg aPop() = 0;
-    virtual bool cReady() const = 0;
-    virtual CMsg cPop() = 0;
-    virtual bool eReady() const = 0;
-    virtual EMsg ePop() = 0;
+    bool aReady() const { return !aq_.empty(); }
+    const AMsg &aFront() const { return aq_.front(); }
+
+    AMsg
+    aPop()
+    {
+        AMsg m = aq_.front();
+        aq_.pop_front();
+        settle();
+        return m;
+    }
+
+    bool cReady() const { return !cq_.empty(); }
+
+    CMsg
+    cPop()
+    {
+        CMsg m = cq_.front();
+        cq_.pop_front();
+        settle();
+        return m;
+    }
+
+    bool eReady() const { return !eq_.empty(); }
+
+    EMsg
+    ePop()
+    {
+        EMsg m = eq_.front();
+        eq_.pop_front();
+        settle();
+        return m;
+    }
     /// @}
 
     /// @name Outbound (manager -> client)
     /// @{
-    virtual void sendB(const BMsg &m) = 0;
-    virtual void sendD(const DMsg &m, unsigned beats, Cycle extra = 0) = 0;
+    void sendB(const BMsg &m);
+    void sendD(const DMsg &m, unsigned beats, Cycle extra = 0);
     /// @}
-
-    /** Earliest cycle inbound work may become consumable, clamped to
-     *  @p now; wake_never when nothing is in flight. Asked only of ports
-     *  that refuse bindInbound(); the default, @p now, is always safe. */
-    virtual Cycle inboundWakeAt(Cycle now) const { return now; }
 
     /**
      * Bind this port to @p bit of its @p manager's inbound @p mask: from
      * now on the port keeps that bit set exactly while an A, C or E
      * message waits in it, and wakes @p manager when one arrives.
-     * @return false when the port cannot see its arrivals, so the
-     *         manager must poll it every cycle
      */
-    virtual bool
+    void
     bindInbound(std::uint64_t &mask, std::uint64_t bit, Ticked &manager)
     {
-        (void)mask;
-        (void)bit;
-        (void)manager;
-        return false;
-    }
-};
-
-/** A port wrapping the manager end of a point-to-point TLLink. */
-class TLDirectPort final : public TLClientPort
-{
-  public:
-    explicit TLDirectPort(TLLink &link) : link_(link) {}
-
-    bool aReady() const override { return link_.a.ready(); }
-    const AMsg &aFront() const override { return link_.a.front(); }
-    AMsg aPop() override { return link_.a.recv(); }
-    bool cReady() const override { return link_.c.ready(); }
-    CMsg cPop() override { return link_.c.recv(); }
-    bool eReady() const override { return link_.e.ready(); }
-    EMsg ePop() override { return link_.e.recv(); }
-
-    void sendB(const BMsg &m) override { link_.b.send(m); }
-
-    void
-    sendD(const DMsg &m, unsigned beats, Cycle extra = 0) override
-    {
-        link_.d.send(m, beats, extra);
-    }
-
-    Cycle
-    inboundWakeAt(Cycle now) const override
-    {
-        Cycle wake = Ticked::wake_never;
-        if (!link_.a.empty())
-            wake = std::min(wake, std::max(link_.a.nextArrival(), now));
-        if (!link_.c.empty())
-            wake = std::min(wake, std::max(link_.c.nextArrival(), now));
-        if (!link_.e.empty())
-            wake = std::min(wake, std::max(link_.e.nextArrival(), now));
-        return wake;
+        inbound_ = &mask;
+        inbound_bit_ = bit;
+        manager_ = &manager;
+        settle();
     }
 
   private:
-    TLLink &link_;
+    friend class TLXbar;
+
+    /** The crossbar queued a message here: the slice can take it in
+     *  cycle @p now (it ticks after the crossbar). */
+    void
+    arrived(Cycle now)
+    {
+        *inbound_ |= inbound_bit_;
+        if (manager_ != nullptr)
+            manager_->wakeAt(now);
+    }
+
+    /** Keep the inbound bit equal to "a message waits here". */
+    void
+    settle()
+    {
+        if (aq_.empty() && cq_.empty() && eq_.empty())
+            *inbound_ &= ~inbound_bit_;
+        else
+            *inbound_ |= inbound_bit_;
+    }
+
+    TLXbar &xbar_;
+    AgentId client_;
+    std::deque<AMsg> aq_;
+    std::deque<CMsg> cq_;
+    std::deque<EMsg> eq_;
+    /** Until a slice binds the port, it points at a spare word of its
+     *  own with an empty bit, so arrivals and pops change nothing. */
+    std::uint64_t unbound_ = 0;
+    std::uint64_t *inbound_ = &unbound_;
+    std::uint64_t inbound_bit_ = 0;
+    Ticked *manager_ = nullptr;
 };
 
 /** See file comment. */
@@ -173,7 +191,7 @@ class TLXbar final : public Ticked
     }
 
     /** Attach client @p id's link; call once per client before the
-     *  first tick, then port() the endpoints into the slices. */
+     *  first tick, then hand each slice its port(). */
     void
     connectClient(AgentId id, TLLink &link)
     {
@@ -182,18 +200,18 @@ class TLXbar final : public Ticked
                       "bit of a 64-bit bitset");
         if (static_cast<std::size_t>(id) >= links_.size()) {
             links_.resize(id + 1, nullptr);
-            for (auto &row : endpoints_)
+            for (auto &row : ports_)
                 row.resize(id + 1);
         }
         SKIPIT_ASSERT(links_[id] == nullptr, "xbar client ", id,
                       " already connected");
         links_[id] = &link;
-        if (endpoints_.empty())
-            endpoints_.resize(slices_);
+        if (ports_.empty())
+            ports_.resize(slices_);
         for (unsigned s = 0; s < slices_; ++s) {
-            if (endpoints_[s].size() < links_.size())
-                endpoints_[s].resize(links_.size());
-            endpoints_[s][id] = std::make_unique<Endpoint>(*this, id);
+            if (ports_[s].size() < links_.size())
+                ports_[s].resize(links_.size());
+            ports_[s][id] = std::make_unique<TLClientPort>(*this, id);
         }
     }
 
@@ -203,14 +221,14 @@ class TLXbar final : public Ticked
     {
         SKIPIT_ASSERT(slice < slices_ &&
                           static_cast<std::size_t>(client) <
-                              endpoints_[slice].size() &&
-                          endpoints_[slice][client] != nullptr,
+                              ports_[slice].size() &&
+                          ports_[slice][client] != nullptr,
                       "xbar port (", slice, ", ", client, ") not wired");
-        return *endpoints_[slice][client];
+        return *ports_[slice][client];
     }
 
     /**
-     * Drain every wire-arrived A/C/E message into its slice endpoint,
+     * Drain every wire-arrived A/C/E message into its slice's port,
      * client by client in ascending order (see the file comment for why
      * the order cannot be observed).
      */
@@ -225,8 +243,8 @@ class TLXbar final : public Ticked
             drainClientE(c);
     }
 
-    /** Wake when the next client-side message lands on a wire; routed
-     *  endpoints wake their slices themselves. */
+    /** Wake when the next client-side message lands on a wire; the
+     *  ports wake their slices themselves. */
     Cycle
     nextWake() const override
     {
@@ -245,14 +263,14 @@ class TLXbar final : public Ticked
         return wake;
     }
 
-    /** No routed message waiting in any endpoint queue. */
+    /** No routed message waiting in any port. */
     bool
     idle() const
     {
-        for (const auto &row : endpoints_) {
-            for (const auto &ep : row) {
-                if (ep != nullptr && (!ep->aq.empty() || !ep->cq.empty() ||
-                                      !ep->eq.empty())) {
+        for (const auto &row : ports_) {
+            for (const auto &p : row) {
+                if (p != nullptr &&
+                    (p->aReady() || p->cReady() || p->eReady())) {
                     return false;
                 }
             }
@@ -278,100 +296,7 @@ class TLXbar final : public Ticked
     }
 
   private:
-    /** Routed per-(slice, client) queues; the slice consumes these. */
-    struct Endpoint final : public TLClientPort
-    {
-        Endpoint(TLXbar &xbar, AgentId client)
-            : xbar(xbar), client(client)
-        {
-        }
-
-        bool aReady() const override { return !aq.empty(); }
-        const AMsg &aFront() const override { return aq.front(); }
-
-        AMsg
-        aPop() override
-        {
-            AMsg m = aq.front();
-            aq.pop_front();
-            settle();
-            return m;
-        }
-
-        bool cReady() const override { return !cq.empty(); }
-
-        CMsg
-        cPop() override
-        {
-            CMsg m = cq.front();
-            cq.pop_front();
-            settle();
-            return m;
-        }
-
-        bool eReady() const override { return !eq.empty(); }
-
-        EMsg
-        ePop() override
-        {
-            EMsg m = eq.front();
-            eq.pop_front();
-            settle();
-            return m;
-        }
-
-        void sendB(const BMsg &m) override { xbar.routeB(client, m); }
-
-        void
-        sendD(const DMsg &m, unsigned beats, Cycle extra = 0) override
-        {
-            xbar.routeD(m, beats, extra);
-        }
-
-        bool
-        bindInbound(std::uint64_t &mask, std::uint64_t bit,
-                    Ticked &slice) override
-        {
-            inbound = &mask;
-            inbound_bit = bit;
-            manager = &slice;
-            settle();
-            return true;
-        }
-
-        /** The crossbar queued a message here: the slice can take it in
-         *  this cycle (it ticks after the crossbar). */
-        void
-        arrived()
-        {
-            *inbound |= inbound_bit;
-            if (manager != nullptr)
-                manager->wakeAt(xbar.sim_.now());
-        }
-
-        /** Keep the inbound bit equal to "a message waits here". */
-        void
-        settle()
-        {
-            if (aq.empty() && cq.empty() && eq.empty())
-                *inbound &= ~inbound_bit;
-            else
-                *inbound |= inbound_bit;
-        }
-
-        TLXbar &xbar;
-        AgentId client;
-        std::deque<AMsg> aq;
-        std::deque<CMsg> cq;
-        std::deque<EMsg> eq;
-        /** Until a slice binds the port, it points at a spare word of
-         *  its own with an empty bit, so arrivals and pops change
-         *  nothing. */
-        std::uint64_t unbound = 0;
-        std::uint64_t *inbound = &unbound;
-        std::uint64_t inbound_bit = 0;
-        Ticked *manager = nullptr;
-    };
+    friend class TLClientPort;
 
     unsigned
     routeSliceOf(Addr addr)
@@ -393,9 +318,9 @@ class TLXbar final : public Ticked
         while (l->a.ready()) {
             AMsg m = l->a.recv();
             const unsigned s = routeSliceOf(m.addr);
-            Endpoint &ep = *endpoints_[s][c];
-            ep.aq.push_back(std::move(m));
-            ep.arrived();
+            TLClientPort &p = *ports_[s][c];
+            p.aq_.push_back(std::move(m));
+            p.arrived(sim_.now());
             ++a_routed_[s];
         }
     }
@@ -409,9 +334,9 @@ class TLXbar final : public Ticked
         while (l->c.ready()) {
             CMsg m = l->c.recv();
             const unsigned s = index_.sliceOf(lineAlign(m.addr));
-            Endpoint &ep = *endpoints_[s][c];
-            ep.cq.push_back(std::move(m));
-            ep.arrived();
+            TLClientPort &p = *ports_[s][c];
+            p.cq_.push_back(std::move(m));
+            p.arrived(sim_.now());
             ++c_routed_[s];
         }
     }
@@ -425,9 +350,9 @@ class TLXbar final : public Ticked
         while (l->e.ready()) {
             EMsg m = l->e.recv();
             const unsigned s = index_.sliceOf(lineAlign(m.addr));
-            Endpoint &ep = *endpoints_[s][c];
-            ep.eq.push_back(std::move(m));
-            ep.arrived();
+            TLClientPort &p = *ports_[s][c];
+            p.eq_.push_back(std::move(m));
+            p.arrived(sim_.now());
             ++e_routed_[s];
         }
     }
@@ -458,13 +383,25 @@ class TLXbar final : public Ticked
     unsigned slices_;
     unsigned slice_bits_;
     std::vector<TLLink *> links_;
-    /** endpoints_[slice][client]; unique_ptr keeps addresses stable. */
-    std::vector<std::vector<std::unique_ptr<Endpoint>>> endpoints_;
+    /** ports_[slice][client]; unique_ptr keeps addresses stable. */
+    std::vector<std::vector<std::unique_ptr<TLClientPort>>> ports_;
     std::vector<std::uint64_t> a_routed_;
     std::vector<std::uint64_t> c_routed_;
     std::vector<std::uint64_t> e_routed_;
     bool misroute_a_ = false;
 };
+
+inline void
+TLClientPort::sendB(const BMsg &m)
+{
+    xbar_.routeB(client_, m);
+}
+
+inline void
+TLClientPort::sendD(const DMsg &m, unsigned beats, Cycle extra)
+{
+    xbar_.routeD(m, beats, extra);
+}
 
 } // namespace skipit
 

@@ -3,11 +3,12 @@
 #include "json.hh"
 
 #include <atomic>
-#include <cctype>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
+#include "platform/platform.hh"
 #include "sim/parse.hh"
 #include "workloads.hh"
 
@@ -52,19 +53,28 @@ parseUint(const std::string &name, const std::string &token)
          "' is not an unsigned integer that fits the axis");
 }
 
-double
-parseF64(const std::string &name, const std::string &token)
+/** @p token, a value of axis @p name, as a thread count (>= 1). */
+unsigned
+parseThreads(const std::string &name, const std::string &token)
 {
-    try {
-        std::size_t used = 0;
-        const double v = std::stod(token, &used);
-        if (used != token.size())
-            fail("");
-        return v;
-    } catch (const std::exception &) {
+    const unsigned v = parseUint<unsigned>(name, token);
+    if (v == 0)
+        fail("sweep: axis '" + name + "': needs at least one thread");
+    return v;
+}
+
+/** @p token, a value of axis @p name, as a percentage in [0, 100]. */
+double
+parsePercent(const std::string &name, const std::string &token)
+{
+    const std::optional<double> v = finiteToken(token);
+    if (!v)
         fail("sweep: axis '" + name + "': '" + token +
-             "' is not a number");
-    }
+             "' is not a finite number");
+    if (*v < 0 || *v > 100)
+        fail("sweep: axis '" + name + "': '" + token +
+             "' is outside [0, 100]");
+    return *v;
 }
 
 bool
@@ -82,7 +92,7 @@ parseFlag(const std::string &name, const std::string &token)
 // Per-kind parameter models.
 // ---------------------------------------------------------------------
 
-enum class Kind { Cbo, Wwr, Redundant, Throughput };
+enum class Kind { Cbo, Wwr, Redundant, Throughput, Platform };
 
 Kind
 parseKind(const std::string &kind)
@@ -95,8 +105,10 @@ parseKind(const std::string &kind)
         return Kind::Redundant;
     if (kind == "throughput")
         return Kind::Throughput;
+    if (kind == "platform")
+        return Kind::Platform;
     fail("sweep: unknown kind '" + kind +
-         "' (expected cbo, wwr, redundant or throughput)");
+         "' (expected cbo, wwr, redundant, throughput or platform)");
 }
 
 /** Parameters of the cycle-model kinds (cbo / wwr / redundant). */
@@ -114,7 +126,7 @@ applyCycleParam(CycleParams &p, const std::string &name,
                 const std::string &token)
 {
     if (name == "threads")
-        p.threads = parseUint<unsigned>(name, token);
+        p.threads = parseThreads(name, token);
     else if (name == "bytes")
         p.bytes = parseUint<std::size_t>(name, token);
     else if (name == "flush")
@@ -234,9 +246,9 @@ applyThroughputParam(ThroughputParams &p, const std::string &name,
     else if (name == "mode")
         p.mode = parseMode(token);
     else if (name == "update_pct")
-        p.update_pct = parseF64(name, token);
+        p.update_pct = parsePercent(name, token);
     else if (name == "threads")
-        p.threads = parseUint<unsigned>(name, token);
+        p.threads = parseThreads(name, token);
     else if (name == "budget")
         p.budget = parseUint(name, token);
     else if (name == "flit_entries")
@@ -246,6 +258,48 @@ applyThroughputParam(ThroughputParams &p, const std::string &name,
         p.seed_set = true;
     } else {
         fail("sweep: unknown axis '" + name + "' for kind throughput");
+    }
+}
+
+/** Parameters of the platform kind. */
+struct PlatformParams
+{
+    PlatformModel model = platforms::intelXeon6238T();
+    WbInstr instr = WbInstr::Flush;
+    unsigned threads = 1;
+    std::size_t bytes = 4096;
+};
+
+void
+applyPlatformParam(PlatformParams &p, const std::string &name,
+                   const std::string &token)
+{
+    if (name == "platform") {
+        if (token == "intel")
+            p.model = platforms::intelXeon6238T();
+        else if (token == "amd")
+            p.model = platforms::amdEpyc7763();
+        else if (token == "graviton")
+            p.model = platforms::graviton3();
+        else
+            fail("sweep: unknown platform '" + token +
+                 "' (expected intel, amd or graviton)");
+    } else if (name == "instr") {
+        if (token == "flush")
+            p.instr = WbInstr::Flush;
+        else if (token == "flush-serial")
+            p.instr = WbInstr::FlushSerial;
+        else if (token == "clean")
+            p.instr = WbInstr::Clean;
+        else
+            fail("sweep: unknown instr '" + token +
+                 "' (expected flush, flush-serial or clean)");
+    } else if (name == "threads") {
+        p.threads = parseThreads(name, token);
+    } else if (name == "bytes") {
+        p.bytes = parseUint<std::size_t>(name, token);
+    } else {
+        fail("sweep: unknown axis '" + name + "' for kind platform");
     }
 }
 
@@ -261,6 +315,12 @@ resultColumns(Kind kind)
 std::vector<ReportValue>
 runPoint(const SweepSpec &spec, Kind kind, const SweepPoint &pt)
 {
+    if (kind == Kind::Platform) {
+        PlatformParams p;
+        for (const auto &[name, token] : pt.params)
+            applyPlatformParam(p, name, token);
+        return {p.model.latency(p.bytes, p.threads, p.instr)};
+    }
     if (kind == Kind::Throughput) {
         ThroughputParams p;
         for (const auto &[name, token] : pt.params)
@@ -299,15 +359,22 @@ runPoint(const SweepSpec &spec, Kind kind, const SweepPoint &pt)
     return {static_cast<std::uint64_t>(cycles)};
 }
 
-/** Reject unknown axis names / unparsable values before spawning work. */
+/** Reject repeated or unknown axis names and unparsable values before
+ *  spawning work. */
 void
 validateAxes(const SweepSpec &spec, Kind kind)
 {
+    std::set<std::string> seen;
     for (const SweepAxis &axis : spec.axes) {
+        if (!seen.insert(axis.name).second)
+            fail("sweep: axis '" + axis.name + "' is given more than once");
         if (axis.values.empty())
             fail("sweep: axis '" + axis.name + "' has no values");
         for (const std::string &token : axis.values) {
-            if (kind == Kind::Throughput) {
+            if (kind == Kind::Platform) {
+                PlatformParams scratch;
+                applyPlatformParam(scratch, axis.name, token);
+            } else if (kind == Kind::Throughput) {
                 ThroughputParams scratch;
                 applyThroughputParam(scratch, axis.name, token);
             } else {

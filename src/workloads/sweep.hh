@@ -8,9 +8,9 @@
  * Determinism: grid expansion is a cartesian product in axis order (last
  * axis varies fastest), rows are stored by grid index regardless of
  * worker completion order, and every run either has no randomness at all
- * (the cycle-model kinds) or derives its RNG seed from the spec's base
- * seed plus the grid index. Two runs of the same spec therefore render
- * byte-identical CSVs, at any -j.
+ * (the cycle-model and platform kinds) or derives its RNG seed from the
+ * spec's base seed plus the grid index. Two runs of the same spec
+ * therefore render byte-identical CSVs, at any -j.
  */
 
 #ifndef SKIPIT_WORKLOADS_SWEEP_HH
@@ -34,7 +34,8 @@ struct SweepAxis
 };
 
 /**
- * A full sweep: which measurement to run and over which grid.
+ * A full sweep: which measurement to run and over which grid. An axis
+ * name may appear once.
  *
  * Kinds and their axes (all axes optional; defaults in parentheses):
  *  - "cbo"        cboLatency          — Fig 9 style
@@ -50,6 +51,14 @@ struct SweepAxis
  *      threads(2) budget(400000) flit_entries(65536) seed(base+index)
  *      Inapplicable ds/policy combinations (link-and-persist on the
  *      BST) produce "n/a" result cells rather than failing the sweep.
+ *  - "platform"   PlatformModel::latency — Figs 11/12 style
+ *      platform(intel) instr(flush) threads(1) bytes(4096)
+ *      platform: intel (Xeon Gold 6238T), amd (EPYC 7763) or graviton
+ *      (Graviton3); instr: flush (clflushopt, dc civac), flush-serial
+ *      (clflush) or clean (clwb, dc cvac). The BOOM series of those
+ *      figures are cbo rows.
+ *
+ * threads is at least 1 in every kind, and update_pct lies in [0, 100].
  */
 struct SweepSpec
 {
@@ -84,8 +93,9 @@ std::vector<SweepPoint> expandGrid(const SweepSpec &spec);
  * >= 1) and return the merged table: one column per axis followed by the
  * kind's result columns, one row per point, in grid order.
  *
- * @throws std::runtime_error on an unknown kind, an unknown axis name
- *         for the kind, an unparsable value, or a failed run
+ * @throws std::runtime_error on an unknown kind, a repeated axis name,
+ *         an unknown axis name for the kind, an unparsable or
+ *         out-of-range value, or a failed run
  */
 ReportTable runSweep(const SweepSpec &spec, unsigned jobs);
 

@@ -20,6 +20,7 @@
 #include "dram/dram.hh"
 #include "l2/cache.hh"
 #include "soc/soc.hh"
+#include "tilelink/xbar.hh"
 #include "verify/checker.hh"
 #include "workloads/fuzz.hh"
 #include "workloads/workloads.hh"
@@ -190,21 +191,25 @@ class ExclusiveL2Test : public ::testing::Test
     L2Config cfg{};
     std::unique_ptr<Dram> dram;
     std::unique_ptr<L2Cache> l2;
+    std::unique_ptr<TLXbar> xbar;
     std::vector<std::unique_ptr<MockClient>> clients;
 
+    /** The clients reach the L2 through a one-slice crossbar. */
     void
     build(unsigned nclients = 2)
     {
         cfg.policy = StateKind::Exclusive;
         dram = std::make_unique<Dram>("dram", sim, DramConfig{}, stats);
         l2 = std::make_unique<L2Cache>("l2", sim, cfg, *dram, stats);
+        xbar = std::make_unique<TLXbar>("xbar", sim, 1);
         for (unsigned c = 0; c < nclients; ++c) {
-            clients.push_back(std::make_unique<MockClient>(
-                sim, static_cast<AgentId>(c)));
-            l2->connectClient(static_cast<AgentId>(c),
-                              clients.back()->link);
+            const auto id = static_cast<AgentId>(c);
+            clients.push_back(std::make_unique<MockClient>(sim, id));
+            xbar->connectClient(id, clients.back()->link);
+            l2->connectPort(id, xbar->port(0, id));
         }
         sim.add(*dram);
+        sim.add(*xbar);
         sim.add(*l2);
     }
 
@@ -369,10 +374,10 @@ TEST(PolicyEndToEnd, MisrouteUnderHashedIndexTripsTheChecker)
 TEST(PolicyEndToEnd, SliceIndexedDifferentlyFromItsRouterIsCaught)
 {
     // The negative control for the shared-index contract: build two
-    // slices that index with the *hashed* policy but deliver a request
-    // the way a modulo router would. The slice accepts it (slices
-    // trust their router by design) and the checker's slice-routing
-    // audit — which asks each slice's own homesLine — must flag it.
+    // slices that index with the *hashed* policy behind a modulo
+    // router. The slice accepts what the router delivers (slices trust
+    // their router by design) and the checker's slice-routing audit —
+    // which asks each slice's own homesLine — must flag it.
     Simulator sim;
     Stats stats;
     L2Config cfg;
@@ -381,9 +386,12 @@ TEST(PolicyEndToEnd, SliceIndexedDifferentlyFromItsRouterIsCaught)
     Dram dram("dram", sim, DramConfig{}, stats);
     L2Cache s0("l2.s0", sim, cfg, dram, stats, 0);
     L2Cache s1("l2.s1", sim, cfg, dram, stats, 1);
+    TLXbar xbar("xbar", sim, 2);
 
     MockClient client(sim, 0);
-    s0.connectClient(0, client.link);
+    xbar.connectClient(0, client.link);
+    s0.connectPort(0, xbar.port(0, 0));
+    s1.connectPort(0, xbar.port(1, 0));
 
     verify::CheckerConfig vcfg;
     vcfg.fatal = false;
@@ -393,15 +401,16 @@ TEST(PolicyEndToEnd, SliceIndexedDifferentlyFromItsRouterIsCaught)
     checker.setDram(dram);
 
     sim.add(dram);
+    sim.add(xbar);
     sim.add(s0);
     sim.add(s1);
     sim.add(checker);
 
-    // A line the hashed policy homes to slice 1, delivered to slice 0
-    // — exactly what a router indexing with a different policy would
-    // produce.
+    // A line the hashed policy homes to slice 1 and the modulo router
+    // delivers to slice 0.
     Addr line = 0x1000;
-    while (cfg.indexPolicy().sliceOf(line) != 1)
+    while (cfg.indexPolicy().sliceOf(line) != 1 ||
+           xbar.indexPolicy().sliceOf(line) != 0)
         line += line_bytes;
 
     client.acquire(line, Grow::NtoB);

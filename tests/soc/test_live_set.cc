@@ -38,7 +38,7 @@ namespace {
  * A-channel back-pressure all occur.
  */
 SoCConfig
-stormConfig(unsigned harts, unsigned slices, bool direct = false)
+stormConfig(unsigned harts, unsigned slices)
 {
     SoCConfig cfg;
     cfg.cores = harts;
@@ -49,7 +49,6 @@ stormConfig(unsigned harts, unsigned slices, bool direct = false)
     cfg.l2.sets = 32;
     cfg.l2.mshrs = 4;
     cfg.l2.slices = slices;
-    cfg.direct_l2_wiring = direct;
     return cfg;
 }
 
@@ -282,7 +281,7 @@ lsu.fences=188
 lsu.retries=188364
 lsu.stl_forwards=16
 )";
-constexpr const char *direct_wiring_pin = R"(cycles=19471
+constexpr const char *one_slice_pin = R"(cycles=19471
 skipped=1205
 counters=0xb41b6cab1f022b95
 l1.cbo_clean_accepted=166
@@ -352,12 +351,14 @@ TEST(LiveSetPin, EvictionStormExclusiveHashedRandom)
     EXPECT_EQ(o.pin, storm_exclusive_hashed_random_pin) << o.listing;
 }
 
+// The DirectWiring rows run 4 harts on one slice. They are named for
+// the point-to-point L1-to-L2 wiring the crossbar replaced, whose pin
+// the one-slice crossbar reproduces.
+
 TEST(LiveSetPin, DirectWiring)
 {
-    // Point-to-point ports cannot see their links' sends, so the L2
-    // polls them every cycle.
-    const Outcome o = runStorm(stormConfig(4, 1, /*direct=*/true));
-    EXPECT_EQ(o.pin, direct_wiring_pin) << o.listing;
+    const Outcome o = runStorm(stormConfig(4, 1));
+    EXPECT_EQ(o.pin, one_slice_pin) << o.listing;
 }
 
 // Each bitset is one 64-bit word, so every table it covers holds 1..64
@@ -398,9 +399,11 @@ TEST(LiveSetDeathTest, ClientIdPastTheBitsetIsRejected)
     L2Cache l2("l2", sim, L2Config{}, dram, stats);
     TLXbar xbar("xbar", sim, 1);
     TLLink link(sim);
-    EXPECT_DEATH(l2.connectClient(64, link), "L2 client id .*64-bit bitset");
     EXPECT_DEATH(xbar.connectClient(64, link),
                  "xbar client id .*64-bit bitset");
+    xbar.connectClient(0, link);
+    EXPECT_DEATH(l2.connectPort(64, xbar.port(0, 0)),
+                 "L2 client id .*64-bit bitset");
 }
 
 /**
@@ -449,13 +452,13 @@ TEST(LiveSetOracle, EvictionStorm)
 
 TEST(LiveSetOracle, DirectWiring)
 {
-    EXPECT_EQ(stepStorm(stormConfig(4, 1, /*direct=*/true), storm_ops), "");
+    EXPECT_EQ(stepStorm(stormConfig(4, 1), storm_ops), "");
 }
 
 TEST(LiveSetOracle, SixtyFourDirectClients)
 {
-    // Every port is polled: the polled mask has all 64 bits set.
-    EXPECT_EQ(stepStorm(stormConfig(64, 1, /*direct=*/true), 60), "");
+    // 64 harts on one slice: the inbound mask uses all 64 bits.
+    EXPECT_EQ(stepStorm(stormConfig(64, 1), 60), "");
 }
 
 /**
@@ -480,7 +483,7 @@ TEST(WakeAudit, EvictionStorm)
 
 TEST(WakeAudit, DirectWiring)
 {
-    EXPECT_EQ(auditStorm(stormConfig(4, 1, /*direct=*/true)), "");
+    EXPECT_EQ(auditStorm(stormConfig(4, 1)), "");
 }
 
 } // namespace

@@ -1,11 +1,9 @@
 /**
  * @file
- * Address-interleaved L2 slice tests: bit-identical equivalence of the
- * crossbar topology at slices=1 with the legacy point-to-point wiring,
- * slice-indexed SoC accessors, multi-slice end-to-end runs under the
- * invariant checker, the misroute negative control that proves the
- * checker's slice-routing invariant actually fires, and scale-out runs
- * of up to 64 harts.
+ * Address-interleaved L2 slice tests: slice-indexed SoC accessors,
+ * multi-slice end-to-end runs under the invariant checker, the misroute
+ * negative control that proves the checker's slice-routing invariant
+ * actually fires, and scale-out runs of up to 64 harts.
  */
 
 #include <gtest/gtest.h>
@@ -17,40 +15,6 @@
 
 namespace skipit {
 namespace {
-
-/** Fig 9 operating points kept small enough for a unit suite but
- *  covering both flush kinds, both thread counts and three sizes. */
-struct Fig09Point
-{
-    unsigned threads;
-    std::size_t bytes;
-    bool flush;
-};
-
-const Fig09Point fig09_points[] = {
-    {1, 256, false}, {1, 1024, false}, {1, 4096, true},
-    {2, 256, true},  {2, 1024, false}, {2, 4096, true},
-};
-
-TEST(SlicedL2, Slices1IsBitIdenticalToDirectWiringOnFig09)
-{
-    for (const Fig09Point &p : fig09_points) {
-        SoCConfig routed;
-        routed.cores = p.threads;
-        routed.l2.slices = 1;
-
-        SoCConfig direct = routed;
-        direct.direct_l2_wiring = true;
-
-        const Cycle routed_cycles =
-            workloads::cboLatency(routed, p.threads, p.bytes, p.flush);
-        const Cycle direct_cycles =
-            workloads::cboLatency(direct, p.threads, p.bytes, p.flush);
-        EXPECT_EQ(routed_cycles, direct_cycles)
-            << p.threads << " threads, " << p.bytes << " bytes, "
-            << (p.flush ? "flush" : "clean");
-    }
-}
 
 TEST(SlicedL2, SliceIndexedAccessorsAndGeometry)
 {
@@ -83,10 +47,6 @@ TEST(SlicedL2, DescribePrintsTopology)
               std::string::npos);
     cfg.l2.slices = 4;
     EXPECT_NE(cfg.describe().find("crossbar, 4 address-interleaved slices"),
-              std::string::npos);
-    cfg.l2.slices = 1;
-    cfg.direct_l2_wiring = true;
-    EXPECT_NE(cfg.describe().find("direct point-to-point"),
               std::string::npos);
 }
 

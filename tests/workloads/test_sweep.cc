@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "platform/platform.hh"
 #include "workloads/sweep.hh"
 #include "workloads/workloads.hh"
 
@@ -29,6 +30,18 @@ csvOf(const ReportTable &t)
     std::ostringstream os;
     t.renderCsv(os);
     return os.str();
+}
+
+/** The message runSweep() throws for @p spec, or "" if it runs. */
+std::string
+sweepError(const SweepSpec &spec)
+{
+    try {
+        workloads::runSweep(spec, 1);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return {};
 }
 
 } // namespace
@@ -109,6 +122,36 @@ TEST(SweepRun, UnknownAxisOrKindIsRejectedUpfront)
 
     spec.axes = {{"threads", {"banana"}}};
     EXPECT_THROW(workloads::runSweep(spec, 1), std::runtime_error);
+
+    // A repeated axis would label two columns with one name while only
+    // the last value reaches the run; the error names the axis.
+    spec.axes = {{"threads", {"1"}}, {"threads", {"2"}}, {"bytes", {"64"}}};
+    EXPECT_NE(sweepError(spec).find("axis 'threads' is given more than once"),
+              std::string::npos);
+    const SweepSpec twice = SweepSpec::fromJsonText(
+        R"({"kind": "cbo", "axes": {"bytes": [64], "bytes": [128]}})");
+    EXPECT_NE(sweepError(twice).find("axis 'bytes' is given more than once"),
+              std::string::npos);
+
+    // No kind runs zero threads.
+    for (const char *kind : {"cbo", "wwr", "redundant", "throughput",
+                             "platform"}) {
+        spec.kind = kind;
+        spec.axes = {{"threads", {"0"}}};
+        EXPECT_THROW(workloads::runSweep(spec, 1), std::runtime_error)
+            << kind;
+    }
+
+    // update_pct is a finite percentage: nan would act as 0 % and inf
+    // as 100 %.
+    spec.kind = "throughput";
+    for (const char *pct : {"nan", "inf", "-inf", "-5", "100.5", "5abc",
+                            " 5", ""}) {
+        spec.axes = {{"update_pct", {pct}}};
+        EXPECT_THROW(workloads::runSweep(spec, 1), std::runtime_error)
+            << "update_pct=" << pct;
+    }
+    spec.kind = "cbo";
 
     // Integer axes take no sign and no value too large for their field.
     for (const auto &[axis, value] :
@@ -195,4 +238,35 @@ TEST(SweepRun, ThroughputKindProducesPlausibleRows)
     ASSERT_EQ(table.columns(), 10u);
     EXPECT_GT(std::get<double>(table.at(0, 6)), 0.0);
     EXPECT_GT(std::get<std::uint64_t>(table.at(0, 7)), 0u);
+}
+
+TEST(SweepRun, PlatformPointMatchesModel)
+{
+    SweepSpec spec;
+    spec.kind = "platform";
+    spec.axes = {{"platform", {"intel", "graviton"}},
+                 {"instr", {"flush-serial", "clean"}},
+                 {"threads", {"8"}},
+                 {"bytes", {"32768"}}};
+
+    const ReportTable table = workloads::runSweep(spec, 2);
+    ASSERT_EQ(table.rows(), 4u);
+    ASSERT_EQ(table.columns(), 5u);
+    const PlatformModel intel = platforms::intelXeon6238T();
+    const PlatformModel arm = platforms::graviton3();
+    const double want[] = {
+        intel.latency(32768, 8, WbInstr::FlushSerial),
+        intel.latency(32768, 8, WbInstr::Clean),
+        arm.latency(32768, 8, WbInstr::FlushSerial),
+        arm.latency(32768, 8, WbInstr::Clean),
+    };
+    for (std::size_t r = 0; r < 4; ++r)
+        EXPECT_EQ(std::get<double>(table.at(r, 4)), want[r]) << "row " << r;
+
+    spec.axes = {{"platform", {"amd", "boom"}}};
+    EXPECT_THROW(workloads::runSweep(spec, 1), std::runtime_error);
+    spec.axes = {{"instr", {"clflush"}}};
+    EXPECT_THROW(workloads::runSweep(spec, 1), std::runtime_error);
+    spec.axes = {{"flush", {"1"}}};
+    EXPECT_THROW(workloads::runSweep(spec, 1), std::runtime_error);
 }

@@ -6,11 +6,10 @@
 #ifndef SKIPIT_TOOLS_PARSE_NUMBER_HH
 #define SKIPIT_TOOLS_PARSE_NUMBER_HH
 
-#include <cctype>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "sim/parse.hh"
@@ -46,13 +45,8 @@ parseUnsigned(const char *flag, const std::string &token)
 inline double
 parseFinite(const char *flag, const std::string &token)
 {
-    if (!token.empty() &&
-        !std::isspace(static_cast<unsigned char>(token[0]))) {
-        char *end = nullptr;
-        const double v = std::strtod(token.c_str(), &end);
-        if (*end == '\0' && std::isfinite(v))
-            return v;
-    }
+    if (const std::optional<double> v = finiteToken(token))
+        return *v;
     std::fprintf(stderr, "error: %s expects a number, got '%s'\n", flag,
                  token.c_str());
     std::exit(2);

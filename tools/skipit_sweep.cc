@@ -10,7 +10,7 @@
  * Options:
  *
  *   --kind K          measurement: cbo | wwr | redundant | throughput
- *                     (default: cbo)
+ *                     | platform (default: cbo)
  *   --axis NAME=...   add a grid axis (expansion order = CLI order,
  *                     last axis varies fastest); repeatable
  *   --spec FILE       read kind/seed/axes from a JSON file instead:
