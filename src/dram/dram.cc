@@ -166,10 +166,7 @@ Dram::queuedWriteLines() const
 std::uint64_t
 Dram::peekWord(Addr addr) const
 {
-    const LineData line = peekLine(addr);
-    std::uint64_t v = 0;
-    std::memcpy(&v, line.data() + lineOffset(addr & ~Addr{7}), sizeof(v));
-    return v;
+    return lineWord(peekLine(addr), addr);
 }
 
 } // namespace skipit

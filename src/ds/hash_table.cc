@@ -1,20 +1,9 @@
 #include "hash_table.hh"
 
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 namespace skipit {
-
-namespace {
-
-std::uint64_t
-mixKey(std::uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-} // namespace
 
 HashTable::HashTable(PersistCtx &ctx, std::size_t buckets) : ctx_(ctx)
 {
@@ -27,7 +16,7 @@ HashTable::HashTable(PersistCtx &ctx, std::size_t buckets) : ctx_(ctx)
 LinkedList &
 HashTable::bucketFor(std::uint64_t key)
 {
-    return *buckets_[mixKey(key) % buckets_.size()];
+    return *buckets_[avalanche(key) % buckets_.size()];
 }
 
 bool

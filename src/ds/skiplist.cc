@@ -1,20 +1,13 @@
 #include "skiplist.hh"
 
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 namespace skipit {
 
 namespace {
 constexpr std::uint64_t head_key = 0;
 constexpr std::uint64_t tail_key = ~std::uint64_t{0} >> 8;
-
-std::uint64_t
-mixKey(std::uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 } // namespace
 
 SkipList::SkipList(PersistCtx &ctx) : ctx_(ctx)
@@ -36,7 +29,7 @@ SkipList::levelFor(std::uint64_t key)
 {
     // Deterministic geometric(1/2) height derived from the key, so runs
     // are reproducible regardless of thread interleaving.
-    const std::uint64_t h = mixKey(key * 0x9e3779b97f4a7c15ULL + 1);
+    const std::uint64_t h = avalanche(stirSeed(key, 0));
     unsigned level = 1;
     while (level < max_level && (h >> level) % 2 == 0)
         ++level;

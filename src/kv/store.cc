@@ -3,22 +3,9 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 namespace skipit::kv {
-
-namespace {
-
-/** splitmix64 finalizer: the repo's standard deterministic mixer. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-} // namespace
 
 /** Mirror node: the host-side twin of one persistent skiplist node. */
 struct KvStore::Node
@@ -131,14 +118,7 @@ KvStore::emitCheckpoint(Program &prog)
 std::uint64_t
 KvStore::imageWord(Addr addr) const
 {
-    const auto it = image_.find(lineAlign(addr));
-    if (it == image_.end())
-        return 0;
-    const unsigned off = lineOffset(addr);
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(it->second[off + i]) << (8 * i);
-    return v;
+    return skipit::imageWord(image_, addr);
 }
 
 std::uint64_t

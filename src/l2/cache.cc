@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "sim/bits.hh"
+#include "sim/random.hh"
 
 namespace skipit {
 
@@ -48,12 +49,10 @@ L2Cache::L2Cache(std::string name, Simulator &sim, const L2Config &cfg,
                  Dram &dram, Stats &stats, unsigned slice)
     : Ticked(std::move(name)), sim_(sim), cfg_(cfg), dram_(dram),
       slice_(slice), slice_count_(std::max(1u, cfg.slices)),
-      index_(cfg.indexPolicy()), policy_(makeStatePolicy(cfg.policy)),
+      index_(cfg.indexPolicy()),
       dir_(cfg.sets / std::max(1u, cfg.slices), cfg.ways, index_,
-           cfg.replace,
-           // Stir the slice index in so sibling slices' random
-           // replacement streams are independent.
-           cfg.replace_seed * 0x9e3779b97f4a7c15ULL + slice + 1),
+           // Sibling slices draw independent replacement streams.
+           cfg.replace, stirSeed(cfg.replace_seed, slice)),
       store_(cfg.sets / std::max(1u, cfg.slices), cfg.ways),
       mshrs_(cfg.mshrs), list_buffer_(cfg.list_buffer_cap)
 {
@@ -241,17 +240,28 @@ L2Cache::drainDramResponses()
         m.awaiting_dram = false;
         act_ |= bit(static_cast<unsigned>(idx));
         if (!resp.write) {
-            // Fill from memory: the state policy decides whether the
-            // bytes land in the store (inclusive) or ride the MSHR
-            // stash to the Grant (exclusive).
             SKIPIT_ASSERT(m.state == Mshr::State::Fetch, "fill outside Fetch");
-            DirEntry &e = dir_.entry(m.set, static_cast<unsigned>(m.way));
-            m.grant_from_stash = !policy_->applyFill(
-                e, store_, m.set, static_cast<unsigned>(m.way),
-                dir_.tagOf(m.line), resp.data);
-            if (m.grant_from_stash)
+            const unsigned way = static_cast<unsigned>(m.way);
+            DirEntry &e = dir_.entry(m.set, way);
+            if (e.valid) {
+                // Only an exclusive tag-only hit fetches into a valid
+                // entry; it keeps its holders.
+                SKIPIT_ASSERT(e.tag == dir_.tagOf(m.line) && !e.data_resident,
+                              "fill into a resident or mismatched entry");
+            } else {
+                e = DirEntry{.valid = true, .tag = dir_.tagOf(m.line)};
+            }
+            // The state policy's one decision: an inclusive fill lands
+            // in the store; an exclusive one stays tag-only and the
+            // Grant reads the MSHR stash.
+            if (cfg_.policy == StateKind::Inclusive) {
+                store_.write(m.set, way, resp.data);
+            } else {
+                e.data_resident = false;
+                m.grant_from_stash = true;
                 m.fill_data = resp.data;
-            dir_.recordFill(m.set, static_cast<unsigned>(m.way));
+            }
+            dir_.recordFill(m.set, way);
             m.state = Mshr::State::Respond;
             m.wait_until = sim_.now() + cfg_.data_latency;
         } else {
@@ -293,10 +303,8 @@ L2Cache::handleRelease(const CMsg &msg)
     const unsigned set = dir_.setOf(msg.addr);
     DirEntry &e = dir_.entry(set, static_cast<unsigned>(way));
     applyReport(e, msg.source, msg.param);
-    if (msg.op == COp::ReleaseData) {
-        policy_->applyWriteback(e, store_, set, static_cast<unsigned>(way),
-                                msg.data);
-    }
+    if (msg.op == COp::ReleaseData)
+        absorbData(e, set, static_cast<unsigned>(way), msg.data);
     ++ctr_.releases;
     DMsg ack;
     ack.op = DOp::ReleaseAck;
@@ -318,10 +326,8 @@ L2Cache::applyRootReleaseArrival(const CMsg &msg)
     const unsigned set = dir_.setOf(msg.addr);
     DirEntry &e = dir_.entry(set, static_cast<unsigned>(way));
     applyReport(e, msg.source, msg.param);
-    if (msg.hasData()) {
-        policy_->applyWriteback(e, store_, set, static_cast<unsigned>(way),
-                                msg.data);
-    }
+    if (msg.hasData())
+        absorbData(e, set, static_cast<unsigned>(way), msg.data);
 }
 
 void
@@ -353,10 +359,20 @@ L2Cache::handleProbeAck(const CMsg &msg)
     DirEntry &e = dir_.entry(set, way);
     applyReport(e, msg.source, msg.param);
     if (msg.op == COp::ProbeAckData)
-        policy_->applyWriteback(e, store_, set, way, msg.data);
+        absorbData(e, set, way, msg.data);
     SKIPIT_ASSERT(m.pending_acks > 0, "unexpected ProbeAck");
     if (--m.pending_acks == 0)
         act_ |= bit(static_cast<unsigned>(idx));
+}
+
+void
+L2Cache::absorbData(DirEntry &e, unsigned set, unsigned way,
+                    const LineData &data)
+{
+    // Dirty bytes are the one thing even an exclusive LLC must keep.
+    store_.write(set, way, data);
+    e.dirty = true;
+    e.data_resident = true;
 }
 
 void
@@ -669,7 +685,7 @@ L2Cache::tickMshr(unsigned idx)
             if (!targets.empty()) {
                 startProbes(m, m.line, cap, targets);
                 m.state = Mshr::State::ProbeHolders;
-            } else if (policy_->needsFetch(e)) {
+            } else if (!e.data_resident) {
                 // Tag-only hit (exclusive policy): holders are settled
                 // but the bytes live in DRAM; fetch before granting.
                 m.state = Mshr::State::Fetch;
@@ -739,8 +755,8 @@ L2Cache::tickMshr(unsigned idx)
       case Mshr::State::EvictWriteback: {
         DirEntry &v = dir_.entry(m.set, static_cast<unsigned>(m.victim_way));
         if (v.dirty) {
-            // dirty implies data_resident under every state policy, so
-            // the store read below is always backed by real bytes.
+            // Dirty implies data_resident (absorbData), so the store
+            // read below is always backed by real bytes.
             if (!dram_.canAccept())
                 return;
             MemReq req;
@@ -786,8 +802,8 @@ L2Cache::tickMshr(unsigned idx)
             return;
         if (m.kind == Mshr::Kind::RootRelease) {
             m.state = Mshr::State::MemWriteback;
-        } else if (policy_->needsFetch(
-                       dir_.entry(m.set, static_cast<unsigned>(m.way)))) {
+        } else if (!dir_.entry(m.set, static_cast<unsigned>(m.way))
+                        .data_resident) {
             // The probes settled permissions but delivered no data
             // (clean holders, tag-only entry): fetch from DRAM, which
             // is current for a clean line.
@@ -1006,6 +1022,17 @@ L2Cache::injectStoreCorruption(Addr addr)
     LineData data = store_.read(set, static_cast<unsigned>(way));
     data[lineOffset(addr)] ^= 0xff;
     store_.write(set, static_cast<unsigned>(way), data);
+}
+
+void
+L2Cache::injectTagOnly(Addr addr)
+{
+    const Addr line = lineAlign(addr);
+    const int way = dir_.findWay(line);
+    SKIPIT_ASSERT(way >= 0, "injectTagOnly: line not resident: 0x", std::hex,
+                  line);
+    dir_.entry(dir_.setOf(line), static_cast<unsigned>(way)).data_resident =
+        false;
 }
 
 std::string

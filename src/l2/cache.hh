@@ -2,12 +2,11 @@
  * @file
  * The shared last-level cache, modelled on the SiFive inclusive cache
  * (§3.4) with the paper's RootRelease support added (§5.5) and the
- * Skip-It GrantDataDirty response (§6) — refactored into a
- * policy-agnostic MSHR/transaction core composed with three swappable
- * policy layers:
+ * Skip-It GrantDataDirty response (§6), with three selectable policies:
  *
- *  - state/inclusivity (src/l2/policy/): inclusive (the paper's L2,
- *    the default) or exclusive (clean fills bypass the BankedStore);
+ *  - state (StateKind, src/l2/directory.hh): inclusive (the paper's L2,
+ *    the default) or exclusive (clean fills bypass the BankedStore),
+ *    decided at DRAM-fill time only;
  *  - indexing (src/l2/index.hh): modulo or hashed slice+set mapping,
  *    shared with the TLXbar so routing and residency cannot disagree;
  *  - replacement (src/l2/replace.hh): lru / fifo / seeded random.
@@ -22,8 +21,8 @@
 #ifndef SKIPIT_L2_CACHE_HH
 #define SKIPIT_L2_CACHE_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -31,7 +30,6 @@
 #include "directory.hh"
 #include "dram/dram.hh"
 #include "index.hh"
-#include "policy/state_policy.hh"
 #include "replace.hh"
 #include "sim/queues.hh"
 #include "sim/simulator.hh"
@@ -121,7 +119,7 @@ class L2Cache : public Ticked, public probe::Inspectable
     unsigned sliceIndex() const { return slice_; }
     unsigned sliceCount() const { return slice_count_; }
     const L2IndexPolicy &indexPolicy() const { return index_; }
-    const StatePolicy &statePolicy() const { return *policy_; }
+    StateKind statePolicy() const { return cfg_.policy; }
     /** Does this slice's address range contain @p line_addr? */
     bool
     homesLine(Addr line_addr) const
@@ -163,6 +161,10 @@ class L2Cache : public Ticked, public probe::Inspectable
     void injectDropHolder(Addr addr, AgentId id);
     /** Flip one byte of a resident line's BankedStore copy. */
     void injectStoreCorruption(Addr addr);
+    /** Clear a resident line's data_resident: its entry turns tag-only
+     *  with its BankedStore bytes, dirty bit and holders left as they
+     *  are. */
+    void injectTagOnly(Addr addr);
     /** Tests only: recompute the MSHR and port bitsets from the MSHRs
      *  and the ports' queues. @return the first mismatch, or "" if
      *  none. */
@@ -206,7 +208,7 @@ class L2Cache : public Ticked, public probe::Inspectable
         int victim_way = -1;
         bool victim_dirty = false;
 
-        // Store-bypassing fill (exclusive state policy): the fill's
+        // Store-bypassing fill (StateKind::Exclusive): the fill's
         // bytes are stashed here and granted directly, never entering
         // the BankedStore.
         bool grant_from_stash = false;
@@ -247,7 +249,6 @@ class L2Cache : public Ticked, public probe::Inspectable
     unsigned slice_;
     unsigned slice_count_;
     L2IndexPolicy index_;
-    std::unique_ptr<const StatePolicy> policy_;
     std::vector<TLClientPort *> ports_;
     Directory dir_;
     BankedStore store_;
@@ -284,6 +285,12 @@ class L2Cache : public Ticked, public probe::Inspectable
 
     /** Route a ProbeAck[Data] to the MSHR expecting it. */
     void handleProbeAck(const CMsg &msg);
+
+    /** Take a C-channel payload (ReleaseData, ProbeAckData,
+     *  RootReleaseData) into the store: the entry turns dirty and
+     *  resident under either state policy. */
+    void absorbData(DirEntry &e, unsigned set, unsigned way,
+                    const LineData &data);
 
     /**
      * Apply a RootRelease's permission report and dirty payload to the

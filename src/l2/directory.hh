@@ -2,16 +2,18 @@
  * @file
  * The inclusive cache's full-map directory (§3.4).
  *
- * Each resident line's metadata records its tag, dirty bit, and the exact
- * set of L1 clients holding it: a branch (read-only) bitmask plus at most
- * one trunk (read/write) owner. Inclusivity invariant: every line any L1
- * holds is resident here.
+ * Each tracked line's metadata records its tag, dirty bit, data residency
+ * and the exact set of L1 clients holding it: a branch (read-only) bitmask
+ * plus at most one trunk (read/write) owner. Holder inclusivity: every
+ * line any L1 holds has an entry here, whatever the state policy.
  */
 
 #ifndef SKIPIT_L2_DIRECTORY_HH
 #define SKIPIT_L2_DIRECTORY_HH
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "index.hh"
@@ -22,6 +24,33 @@
 
 namespace skipit {
 
+/** The L2 state policy: where a DRAM fill's bytes land. Only the fill
+ *  asks (L2Cache::drainDramResponses); the rest reads data_resident. */
+enum class StateKind
+{
+    Inclusive, //!< the paper's SiFive-style L2 (§3.4): fills write the store
+    Exclusive, //!< victim-cache LLC: clean fills stay tag-only
+};
+
+inline const char *
+toString(StateKind k)
+{
+    return k == StateKind::Exclusive ? "exclusive" : "inclusive";
+}
+
+/** @p token as a state policy ("noninclusive" also names exclusive).
+ *  @throws std::runtime_error naming the valid values */
+inline StateKind
+parseStateKind(const std::string &token)
+{
+    if (token == "inclusive")
+        return StateKind::Inclusive;
+    if (token == "exclusive" || token == "noninclusive")
+        return StateKind::Exclusive;
+    throw std::runtime_error(
+        "l2_policy must be inclusive or exclusive, got '" + token + "'");
+}
+
 /** Metadata for one L2 way. */
 struct DirEntry
 {
@@ -29,8 +58,9 @@ struct DirEntry
     Addr tag = 0;
     bool dirty = false;
     /** Does the BankedStore hold this line's bytes? Always true under
-     *  the inclusive state policy; the exclusive policy tracks holders
-     *  tag-only for clean fills (dirty implies data_resident). */
+     *  StateKind::Inclusive; an exclusive fill leaves a clean entry
+     *  tag-only. Dirty implies resident under both (the checker's
+     *  data-residency rule audits both promises). */
     bool data_resident = true;
     /** Bitmask of read-only holders; 64 bits covers the maximum hart
      *  count (SoCConfig::cores <= 64). */

@@ -30,9 +30,11 @@
 #define SKIPIT_L2_INDEX_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "sim/logging.hh"
+#include "sim/random.hh"
 #include "sim/types.hh"
 
 namespace skipit {
@@ -62,19 +64,17 @@ toString(IndexKind k)
     return k == IndexKind::Hashed ? "hashed" : "modulo";
 }
 
-/** @return false if @p token names no index kind. */
-inline bool
-indexKindFromString(const std::string &token, IndexKind &out)
+/** @p token as an index kind.
+ *  @throws std::runtime_error naming the valid values */
+inline IndexKind
+parseIndexKind(const std::string &token)
 {
-    if (token == "modulo") {
-        out = IndexKind::Modulo;
-        return true;
-    }
-    if (token == "hashed") {
-        out = IndexKind::Hashed;
-        return true;
-    }
-    return false;
+    if (token == "modulo")
+        return IndexKind::Modulo;
+    if (token == "hashed")
+        return IndexKind::Hashed;
+    throw std::runtime_error("l2_index must be modulo or hashed, got '" +
+                             token + "'");
 }
 
 /** See file comment. A plain value: copy it freely. */
@@ -135,11 +135,7 @@ struct L2IndexPolicy
     std::uint64_t
     hash(Addr line) const
     {
-        std::uint64_t x = line ^ seed;
-        x += 0x9e3779b97f4a7c15ULL;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-        return x ^ (x >> 31);
+        return mix64(line ^ seed);
     }
 };
 

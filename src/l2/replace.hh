@@ -30,6 +30,7 @@
 #define SKIPIT_L2_REPLACE_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -56,23 +57,19 @@ toString(ReplaceKind k)
     return "lru";
 }
 
-/** @return false if @p token names no replacement kind. */
-inline bool
-replaceKindFromString(const std::string &token, ReplaceKind &out)
+/** @p token as a replacement kind.
+ *  @throws std::runtime_error naming the valid values */
+inline ReplaceKind
+parseReplaceKind(const std::string &token)
 {
-    if (token == "lru") {
-        out = ReplaceKind::Lru;
-        return true;
-    }
-    if (token == "fifo") {
-        out = ReplaceKind::Fifo;
-        return true;
-    }
-    if (token == "random") {
-        out = ReplaceKind::Random;
-        return true;
-    }
-    return false;
+    if (token == "lru")
+        return ReplaceKind::Lru;
+    if (token == "fifo")
+        return ReplaceKind::Fifo;
+    if (token == "random")
+        return ReplaceKind::Random;
+    throw std::runtime_error("l2_replace must be lru, fifo or random, got '" +
+                             token + "'");
 }
 
 /** See file comment. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 namespace skipit {
 
@@ -10,15 +11,6 @@ namespace {
 
 /** Simulated virtual region holding the FliT hash table. */
 constexpr Addr flit_table_base = 0x7f0000000000ULL;
-
-/** 64-bit mixer (splitmix64 finalizer) for counter indexing. */
-std::uint64_t
-mix(std::uint64_t z)
-{
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 /** Direct-mapped functional counter array size for FliT-adjacent. */
 constexpr std::size_t adjacent_counters = std::size_t{1} << 21;
@@ -104,7 +96,7 @@ PersistCtx::counterAddr(Addr a) const
     }
     SKIPIT_ASSERT(cfg_.policy == FlushPolicy::FlitHashTable,
                   "counterAddr without a FliT policy");
-    const std::size_t idx = mix(a >> 3) % cfg_.flit_table_entries;
+    const std::size_t idx = avalanche(a >> 3) % cfg_.flit_table_entries;
     return flit_table_base + static_cast<Addr>(idx) * 8;
 }
 
@@ -112,8 +104,8 @@ std::atomic<std::int32_t> &
 PersistCtx::counter(Addr a)
 {
     if (cfg_.policy == FlushPolicy::FlitAdjacent)
-        return flit_counters_[mix(a >> 3) & flit_mask_];
-    return flit_counters_[mix(a >> 3) % cfg_.flit_table_entries];
+        return flit_counters_[avalanche(a >> 3) & flit_mask_];
+    return flit_counters_[avalanche(a >> 3) % cfg_.flit_table_entries];
 }
 
 void

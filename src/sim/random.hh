@@ -11,6 +11,30 @@
 
 namespace skipit {
 
+/** Stir @p salt into @p seed: the streams one seed derives (per core,
+ *  link lane, L2 slice or fuzz purpose) stay unrelated. */
+constexpr std::uint64_t
+stirSeed(std::uint64_t seed, std::uint64_t salt)
+{
+    return seed * 0x9e3779b97f4a7c15ULL + salt + 1;
+}
+
+/** The splitmix64 finalizer: a full-avalanche 64-bit mixer. */
+constexpr std::uint64_t
+avalanche(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+/** splitmix64's output for state @p z: one step, then avalanche(). */
+constexpr std::uint64_t
+mix64(std::uint64_t z)
+{
+    return avalanche(z + 0x9e3779b97f4a7c15ULL);
+}
+
 /**
  * splitmix64: tiny, fast, high-quality 64-bit generator. Used for workload
  * generation (keys, operation mix) and replacement tie-breaking.
@@ -24,10 +48,7 @@ class Rng
     std::uint64_t
     next()
     {
-        std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
+        return avalanche(state_ += 0x9e3779b97f4a7c15ULL);
     }
 
     /** Uniform value in [0, bound). @p bound must be non-zero. */

@@ -103,15 +103,16 @@ ReportTable::renderCsv(std::ostream &os) const
     }
 }
 
-void
+bool
 ReportTable::writeCsvFile(const std::string &path) const
 {
     std::ofstream out(path);
     if (!out) {
         warn("cannot write report CSV to ", path);
-        return;
+        return false;
     }
     renderCsv(out);
+    return out.good();
 }
 
 } // namespace skipit

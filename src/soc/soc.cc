@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
+
+#include "sim/random.hh"
 
 namespace skipit {
 
@@ -27,9 +30,7 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
     for (unsigned c = 0; c < cfg.cores; ++c) {
         const std::string cn = "core" + std::to_string(c);
         ChannelJitter jit = cfg.jitter;
-        // Stir the core index in so the per-core links draw from
-        // unrelated streams even for adjacent base seeds.
-        jit.seed = jit.seed * 0x9e3779b97f4a7c15ULL + c + 1;
+        jit.seed = stirSeed(jit.seed, c); // per-core link streams
         links_.push_back(std::make_unique<TLLink>(sim_, cfg.link_latency,
                                                   cn + ".tl", jit));
         xbar_->connectClient(static_cast<AgentId>(c), *links_.back());
@@ -182,6 +183,39 @@ SoCConfig::describe() const
     return os.str();
 }
 
+std::string
+SoCConfig::check() const
+{
+    const auto bad = [](const char *field, const char *range,
+                        std::uint64_t v) {
+        return detail::concat(field, " must be ", range, ", got ", v);
+    };
+    // Harts, MSHRs, FSHRs, LSU entries and L2 ways are each one bit of a
+    // 64-bit mask.
+    for (const auto &[field, v] :
+         {std::pair{"cores", cores}, {"l1.mshrs", l1.mshrs},
+          {"l1.fshrs", l1.fshrs}, {"lsu.window", lsu.window},
+          {"l2.ways", l2.ways}, {"l2.mshrs", l2.mshrs}}) {
+        if (v < 1 || v > 64)
+            return bad(field, "1..64", v);
+    }
+    for (const auto &[field, v] :
+         {std::pair<const char *, std::uint64_t>{"l1.flush_queue_depth",
+                                                 l1.flush_queue_depth},
+          {"dram.issue_interval", dram.issue_interval},
+          {"link_latency", link_latency}}) {
+        if (v < 1)
+            return bad(field, "at least 1", v);
+    }
+    const unsigned n = std::max(1u, l2.slices);
+    if ((n & (n - 1)) != 0 || n > l2.sets || l2.sets % n != 0) {
+        return detail::concat("l2.slices must be a power of two that "
+                              "divides l2.sets (",
+                              l2.sets, "), got ", l2.slices);
+    }
+    return {};
+}
+
 Cycle
 SoC::runToCompletion(Cycle max_cycles)
 {
@@ -202,25 +236,21 @@ Cycle
 SoC::runToQuiescence(Cycle max_cycles)
 {
     const Cycle start = sim_.now();
-    sim_.runUntil(
-        [&] {
-            for (auto &hart : harts_) {
-                if (!hart->done())
-                    return false;
-            }
-            for (auto &l1 : l1s_) {
-                if (!l1->quiesced())
-                    return false;
-            }
-            return l2Idle();
-        },
-        max_cycles);
+    sim_.runUntil([&] { return quiesced(); }, max_cycles);
     return sim_.now() - start;
 }
 
 bool
-SoC::l2Idle() const
+SoC::quiesced() const
 {
+    for (const auto &hart : harts_) {
+        if (!hart->done())
+            return false;
+    }
+    for (const auto &l1 : l1s_) {
+        if (!l1->quiesced())
+            return false;
+    }
     if (!xbar_->idle())
         return false;
     for (const auto &l2 : l2s_) {

@@ -75,6 +75,11 @@ struct SoCConfig
 
     /** One-line-per-parameter human-readable description. */
     std::string describe() const;
+
+    /** The first field outside the range its component's constructor
+     *  asserts, as "<field> must be <range>, got <value>"; "" when the
+     *  machine can be built. */
+    std::string check() const;
 };
 
 /**
@@ -102,8 +107,6 @@ class SoC
     /** Slice @p slice of the address-interleaved L2. */
     L2Cache &l2(unsigned slice) { return *l2s_.at(slice); }
     unsigned l2Slices() const { return unsigned(l2s_.size()); }
-    /** True when every L2 slice (and the crossbar) is quiesced. */
-    bool l2Idle() const;
     /** The memory-side crossbar between the L1s and the L2 slices;
      *  never null. */
     TLXbar *xbar() { return xbar_.get(); }
@@ -122,6 +125,10 @@ class SoC
 
     /** Run until the memory system is fully idle as well. */
     Cycle runToQuiescence(Cycle max_cycles = 100'000'000);
+
+    /** Every hart done, every L1 quiesced, the crossbar and every L2
+     *  slice idle: the condition runToQuiescence() runs to. */
+    bool quiesced() const;
 
     /** Set the same program on all harts (per-thread copies). */
     void setPrograms(const std::vector<Program> &programs);

@@ -196,9 +196,7 @@ class TLLink
     static ChannelJitter
     laneJitter(ChannelJitter j, std::uint64_t lane)
     {
-        // splitmix-style stir so lanes (and, upstream, per-core links)
-        // draw from unrelated streams even for adjacent seeds.
-        j.seed = j.seed * 0x9e3779b97f4a7c15ULL + lane + 1;
+        j.seed = stirSeed(j.seed, lane);
         return j;
     }
 };

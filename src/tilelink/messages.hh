@@ -22,6 +22,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 
 #include "coherence/state.hh"
 #include "sim/types.hh"
@@ -30,6 +31,26 @@ namespace skipit {
 
 /** Payload of one full cache line. */
 using LineData = std::array<std::uint8_t, line_bytes>;
+
+/** The little-endian word of @p line holding @p addr, read at its 8-byte
+ *  alignment so that it never leaves the line. */
+inline std::uint64_t
+lineWord(const LineData &line, Addr addr)
+{
+    std::uint64_t v = 0;
+    std::memcpy(&v, line.data() + lineOffset(addr & ~Addr{7}), sizeof(v));
+    return v;
+}
+
+/** lineWord() of a line image (line address -> LineData, such as a crash
+ *  image); absent lines read as zero, like the zero-filled backing store. */
+template <typename Image>
+std::uint64_t
+imageWord(const Image &image, Addr addr)
+{
+    const auto it = image.find(lineAlign(addr));
+    return it == image.end() ? 0 : lineWord(it->second, addr);
+}
 
 /**
  * FNV-1a fingerprint of a line's bytes. Used as the machine-readable

@@ -605,8 +605,7 @@ CoherenceChecker::checkL2DramSweep()
         return;
     for (const L2Cache *l2 : l2s_) {
         const Directory &dir = l2->directory();
-        const bool always_resident =
-            l2->statePolicy().dataAlwaysResident();
+        const bool inclusive = l2->statePolicy() == StateKind::Inclusive;
         for (unsigned set = 0; set < dir.sets(); ++set) {
             for (unsigned way = 0; way < dir.ways(); ++way) {
                 const DirEntry &e = dir.entry(set, way);
@@ -614,15 +613,14 @@ CoherenceChecker::checkL2DramSweep()
                     continue;
                 const Addr line = dir.addrOf(set, way);
 
-                // data-residency: the state policy's residency contract.
-                // Inclusive keeps every line's bytes; under any policy a
-                // dirty line must be backed by real store bytes.
-                if (always_resident && !e.data_resident) {
+                // data-residency: an inclusive fill writes the store, so
+                // every inclusive entry holds its line's bytes; under
+                // either policy a dirty line must be backed by them.
+                if (inclusive && !e.data_resident) {
                     fail("data-residency", detail::concat(
                              "L2 slice ", l2->sliceIndex(),
                              " entry 0x", std::hex, line,
-                             " is tag-only under an always-resident "
-                             "state policy"));
+                             " is tag-only in an inclusive L2"));
                 }
                 if (e.dirty && !e.data_resident) {
                     fail("data-residency", detail::concat(

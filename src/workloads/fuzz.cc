@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "core/asm.hh"
@@ -34,13 +34,6 @@ unsigned
 lineGroups(const FuzzSpec &spec)
 {
     return (spec.harts + 7) / 8;
-}
-
-/** Stir @p salt into @p seed so derived streams are unrelated. */
-std::uint64_t
-stir(std::uint64_t seed, std::uint64_t salt)
-{
-    return seed * 0x9e3779b97f4a7c15ULL + salt + 1;
 }
 
 /**
@@ -101,36 +94,41 @@ bool
 runOne(SoC &soc, const FuzzSpec &spec)
 {
     const Cycle deadline = soc.sim().now() + spec.max_cycles;
-    const auto settled = [&] {
-        for (unsigned c = 0; c < soc.cores(); ++c) {
-            if (!soc.hart(c).done() || !soc.l1(c).quiesced())
-                return false;
-        }
-        return soc.l2Idle();
-    };
     soc.sim().runUntil(
         [&] {
-            return settled() || !soc.checker().clean() ||
+            return soc.quiesced() || !soc.checker().clean() ||
                    soc.durability().crashed() ||
                    soc.sim().now() >= deadline;
         },
         spec.max_cycles + 1000);
-    return settled();
+    return soc.quiesced();
 }
 
-/** Little-endian word @p addr of the frozen persist-domain image
- *  (absent lines read as zero, like the zero-filled backing store). */
-std::uint64_t
-imageWord(const std::unordered_map<Addr, LineData> &image, Addr addr)
+/** fuzzConfig() without its range checks. */
+SoCConfig
+machineOf(const FuzzSpec &spec, std::uint64_t seed)
 {
-    const Addr line = addr & ~static_cast<Addr>(line_bytes - 1);
-    const auto it = image.find(line);
-    if (it == image.end())
-        return 0;
-    std::uint64_t v = 0;
-    std::memcpy(&v, it->second.data() + ((addr & ~Addr{7}) - line),
-                sizeof(v));
-    return v;
+    SoCConfig cfg;
+    cfg.cores = spec.harts;
+    cfg.verify.fatal = false; // latch violations; the harness reports
+    cfg.jitter.enabled = spec.jitter;
+    cfg.jitter.seed = stirSeed(seed, 0xfa11);
+    cfg.jitter.max_delay = spec.max_delay;
+    cfg.l1.test_break_probe_invalidate = spec.break_probe_invalidate;
+    if (spec.fshrs > 0)
+        cfg.l1.fshrs = spec.fshrs;
+    if (spec.flush_queue_depth > 0)
+        cfg.l1.flush_queue_depth = spec.flush_queue_depth;
+    cfg.l2.slices = std::max(1u, spec.l2_slices);
+    cfg.l2.policy = spec.l2_policy;
+    cfg.l2.index = spec.l2_index;
+    cfg.l2.replace = spec.l2_replace;
+    if (spec.crash_at != 0) {
+        cfg.durability.enabled = true;
+        cfg.durability.crash_at = spec.crash_at;
+        cfg.durability.fatal = false; // latch; the harness reports
+    }
+    return cfg;
 }
 
 /**
@@ -217,35 +215,25 @@ checkCrashWords(const Program &p, std::uint64_t fences,
 
 } // namespace
 
+std::string
+FuzzSpec::check() const
+{
+    if (std::string err = machineOf(*this, 0).check(); !err.empty())
+        return err;
+    if (lines < lineGroups(*this)) {
+        // One pool line per ownership group of 8 harts at least.
+        return detail::concat("lines must be at least ceil(harts / 8) = ",
+                              lineGroups(*this), ", got ", lines);
+    }
+    return {};
+}
+
 SoCConfig
 fuzzConfig(const FuzzSpec &spec, std::uint64_t seed)
 {
-    SKIPIT_ASSERT(spec.harts >= 1 && spec.harts <= 64,
-                  "fuzz: harts must be 1..64");
-    SKIPIT_ASSERT(spec.lines >= lineGroups(spec),
-                  "fuzz: need at least one pool line per ownership group "
-                  "(ceil(harts / 8))");
-    SoCConfig cfg;
-    cfg.cores = spec.harts;
-    cfg.verify.fatal = false; // latch violations; the harness reports
-    cfg.jitter.enabled = spec.jitter;
-    cfg.jitter.seed = stir(seed, 0xfa11);
-    cfg.jitter.max_delay = spec.max_delay;
-    cfg.l1.test_break_probe_invalidate = spec.break_probe_invalidate;
-    if (spec.fshrs > 0)
-        cfg.l1.fshrs = spec.fshrs;
-    if (spec.flush_queue_depth > 0)
-        cfg.l1.flush_queue_depth = spec.flush_queue_depth;
-    cfg.l2.slices = std::max(1u, spec.l2_slices);
-    cfg.l2.policy = spec.l2_policy;
-    cfg.l2.index = spec.l2_index;
-    cfg.l2.replace = spec.l2_replace;
-    if (spec.crash_at != 0) {
-        cfg.durability.enabled = true;
-        cfg.durability.crash_at = spec.crash_at;
-        cfg.durability.fatal = false; // latch; the harness reports
-    }
-    return cfg;
+    const std::string err = spec.check();
+    SKIPIT_ASSERT(err.empty(), "fuzz: ", err);
+    return machineOf(spec, seed);
 }
 
 std::vector<Program>
@@ -261,7 +249,7 @@ generateFuzzPrograms(const FuzzSpec &spec, std::uint64_t seed)
         for (unsigned l = h / 8; l < spec.lines; l += groups)
             owned.push_back(l);
         SKIPIT_ASSERT(!owned.empty(), "fuzz: hart with no owned lines");
-        Rng rng(stir(seed, h));
+        Rng rng(stirSeed(seed, h));
         Program &p = programs[h];
         for (unsigned i = 0; i < spec.ops; ++i) {
             const unsigned line = owned[static_cast<std::size_t>(
@@ -449,7 +437,7 @@ runFuzzSeed(const FuzzSpec &spec, std::uint64_t seed)
         FuzzSpec crash = spec;
         crash.crash_points = 0;
         crash.crash_at =
-            1 + stir(seed, 0xc7a5 + k) % std::max<Cycle>(total, 1);
+            1 + stirSeed(seed, 0xc7a5 + k) % std::max<Cycle>(total, 1);
         if (auto f = runFuzzPrograms(crash, seed, programs))
             return f;
     }
@@ -643,9 +631,13 @@ writeReplayBundle(const FuzzSpec &in_spec, const FuzzFailure &failure,
 std::pair<FuzzSpec, std::uint64_t>
 readReplayBundle(const std::string &dir, std::vector<Program> &programs)
 {
+    const auto fail = [&](const auto &...what) {
+        throw std::runtime_error(
+            detail::concat("fuzz bundle ", dir, ": ", what...));
+    };
     std::ifstream in(dir + "/config.txt");
     if (!in)
-        SKIPIT_FATAL("fuzz: cannot open ", dir, "/config.txt");
+        fail("cannot open config.txt");
     FuzzSpec spec;
     std::uint64_t seed = 0;
     for (std::string line; std::getline(in, line);) {
@@ -668,16 +660,12 @@ readReplayBundle(const std::string &dir, std::vector<Program> &programs)
                  key == "l2_replace") {
             std::string token;
             ls >> token;
-            const bool known =
-                key == "l2_policy"
-                    ? stateKindFromString(token, spec.l2_policy)
-                    : key == "l2_index"
-                          ? indexKindFromString(token, spec.l2_index)
-                          : replaceKindFromString(token, spec.l2_replace);
-            if (!known) {
-                SKIPIT_FATAL("fuzz: bad ", key, " value '", token,
-                             "' in ", dir, "/config.txt");
-            }
+            if (key == "l2_policy")
+                spec.l2_policy = parseStateKind(token);
+            else if (key == "l2_index")
+                spec.l2_index = parseIndexKind(token);
+            else
+                spec.l2_replace = parseReplaceKind(token);
         } else if (key == "jitter" || key == "max_delay" ||
                  key == "max_cycles" || key == "fshrs" ||
                  key == "flush_queue_depth" || key == "l2_slices" ||
@@ -701,13 +689,13 @@ readReplayBundle(const std::string &dir, std::vector<Program> &programs)
             else
                 spec.break_probe_invalidate = v != 0;
         } else {
-            SKIPIT_FATAL("fuzz: unknown key '", key, "' in ", dir,
-                         "/config.txt");
+            fail("unknown key '", key, "' in config.txt");
         }
         if (ls.fail())
-            SKIPIT_FATAL("fuzz: malformed line '", line, "' in ", dir,
-                         "/config.txt");
+            fail("malformed line '", line, "' in config.txt");
     }
+    if (const std::string err = spec.check(); !err.empty())
+        fail(err);
 
     programs.clear();
     for (unsigned h = 0; h < spec.harts; ++h) {
@@ -715,7 +703,7 @@ readReplayBundle(const std::string &dir, std::vector<Program> &programs)
             dir + "/core" + std::to_string(h) + ".s";
         std::ifstream ps(path);
         if (!ps)
-            SKIPIT_FATAL("fuzz: cannot open ", path);
+            fail("cannot open core", h, ".s");
         std::stringstream buf;
         buf << ps.rdbuf();
         programs.push_back(assembleProgram(buf.str()));

@@ -77,6 +77,10 @@ struct FuzzSpec
     /** Crash at exactly this cycle instead of sampling (replay/shrink
      *  identity of one crash run). 0 = off. */
     Cycle crash_at = 0;
+
+    /** The machine's SoCConfig::check(), then the pool size: "" when
+     *  fuzzConfig() accepts this spec, else what it would assert on. */
+    std::string check() const;
 };
 
 /** One reproducible failure. */
@@ -95,7 +99,8 @@ struct FuzzFailure
 };
 
 /** Derive the SoC configuration a fuzz run uses (checker latching,
- *  jitter seeded from @p seed when the spec enables it). */
+ *  jitter seeded from @p seed when the spec enables it). Asserts
+ *  FuzzSpec::check(). */
 SoCConfig fuzzConfig(const FuzzSpec &spec, std::uint64_t seed);
 
 /** Generate the per-hart programs for @p seed (epilogue included). */
@@ -142,8 +147,10 @@ FuzzFailure shrinkFuzzFailure(const FuzzSpec &spec,
 bool writeReplayBundle(const FuzzSpec &spec, const FuzzFailure &failure,
                        const std::string &dir);
 
-/** Parse a bundle's config.txt back into (spec, seed); fatal on
- *  malformed input. Programs are read from the bundle's core<i>.s. */
+/** Parse a bundle's config.txt back into (spec, seed). Programs are
+ *  read from the bundle's core<i>.s.
+ *  @throws std::runtime_error on a missing file, malformed input or a
+ *          spec that fails FuzzSpec::check() */
 std::pair<FuzzSpec, std::uint64_t> readReplayBundle(
     const std::string &dir, std::vector<Program> &programs);
 

@@ -149,19 +149,12 @@ applyCycleParam(CycleParams &p, const std::string &name,
         p.cfg.l2.llc_skip = parseFlag(name, token);
     else if (name == "l2_slices")
         p.cfg.l2.slices = parseUint<unsigned>(name, token);
-    else if (name == "l2_policy") {
-        if (!stateKindFromString(token, p.cfg.l2.policy))
-            fail("sweep: l2_policy must be 'inclusive' or 'exclusive', "
-                 "got '" + token + "'");
-    } else if (name == "l2_index") {
-        if (!indexKindFromString(token, p.cfg.l2.index))
-            fail("sweep: l2_index must be 'modulo' or 'hashed', got '" +
-                 token + "'");
-    } else if (name == "l2_replace") {
-        if (!replaceKindFromString(token, p.cfg.l2.replace))
-            fail("sweep: l2_replace must be 'lru', 'fifo' or 'random', "
-                 "got '" + token + "'");
-    }
+    else if (name == "l2_policy")
+        p.cfg.l2.policy = parseStateKind(token);
+    else if (name == "l2_index")
+        p.cfg.l2.index = parseIndexKind(token);
+    else if (name == "l2_replace")
+        p.cfg.l2.replace = parseReplaceKind(token);
     else if (name == "grant_data_dirty")
         p.cfg.l2.grant_data_dirty = parseFlag(name, token);
     else if (name == "dram_latency")
@@ -311,20 +304,28 @@ resultColumns(Kind kind)
     return {"cycles"};
 }
 
+/** The parameters of grid point @p pt, applied in axis order. */
+template <typename Params>
+Params
+paramsOf(const SweepPoint &pt,
+         void (*apply)(Params &, const std::string &, const std::string &))
+{
+    Params p;
+    for (const auto &[name, token] : pt.params)
+        apply(p, name, token);
+    return p;
+}
+
 /** Execute one grid point and return its result cells. */
 std::vector<ReportValue>
 runPoint(const SweepSpec &spec, Kind kind, const SweepPoint &pt)
 {
     if (kind == Kind::Platform) {
-        PlatformParams p;
-        for (const auto &[name, token] : pt.params)
-            applyPlatformParam(p, name, token);
+        const PlatformParams p = paramsOf(pt, applyPlatformParam);
         return {p.model.latency(p.bytes, p.threads, p.instr)};
     }
     if (kind == Kind::Throughput) {
-        ThroughputParams p;
-        for (const auto &[name, token] : pt.params)
-            applyThroughputParam(p, name, token);
+        ThroughputParams p = paramsOf(pt, applyThroughputParam);
         if (!p.seed_set)
             p.seed = spec.seed + pt.index;
         // Some combinations don't exist (link-and-persist needs spare
@@ -339,9 +340,7 @@ runPoint(const SweepSpec &spec, Kind kind, const SweepPoint &pt)
         return {r.mops_per_mcycle, r.ops, r.flushes, r.skipped_l1};
     }
 
-    CycleParams p;
-    for (const auto &[name, token] : pt.params)
-        applyCycleParam(p, name, token);
+    const CycleParams p = paramsOf(pt, applyCycleParam);
     Cycle cycles = 0;
     switch (kind) {
       case Kind::Cbo:
@@ -359,29 +358,42 @@ runPoint(const SweepSpec &spec, Kind kind, const SweepPoint &pt)
     return {static_cast<std::uint64_t>(cycles)};
 }
 
-/** Reject repeated or unknown axis names and unparsable values before
- *  spawning work. */
+/** Reject repeated or unknown axis names, unparsable values and points
+ *  whose machine cannot be built, before spawning work. */
 void
-validateAxes(const SweepSpec &spec, Kind kind)
+validatePoints(const SweepSpec &spec, Kind kind,
+               const std::vector<SweepPoint> &points)
 {
     std::set<std::string> seen;
     for (const SweepAxis &axis : spec.axes) {
         if (!seen.insert(axis.name).second)
             fail("sweep: axis '" + axis.name + "' is given more than once");
-        if (axis.values.empty())
-            fail("sweep: axis '" + axis.name + "' has no values");
-        for (const std::string &token : axis.values) {
-            if (kind == Kind::Platform) {
-                PlatformParams scratch;
-                applyPlatformParam(scratch, axis.name, token);
-            } else if (kind == Kind::Throughput) {
-                ThroughputParams scratch;
-                applyThroughputParam(scratch, axis.name, token);
-            } else {
-                CycleParams scratch;
-                applyCycleParam(scratch, axis.name, token);
-            }
+    }
+    for (const SweepPoint &pt : points) {
+        if (kind == Kind::Platform) {
+            paramsOf(pt, applyPlatformParam);
+            continue;
         }
+        if (kind == Kind::Throughput) {
+            paramsOf(pt, applyThroughputParam);
+            continue;
+        }
+        // The machine the measurement builds (see cboLatency's cores).
+        const CycleParams p = paramsOf(pt, applyCycleParam);
+        SoCConfig machine = p.cfg;
+        machine.cores = p.cores ? p.cores : p.threads;
+        std::string err = machine.check();
+        if (err.empty() && p.threads > machine.cores) {
+            err = detail::concat("threads must be at most cores (",
+                                 machine.cores, "), got ", p.threads);
+        }
+        if (err.empty())
+            continue;
+        std::string where;
+        for (const auto &[name, token] : pt.params)
+            where += (where.empty() ? "" : ", ") + name + "=" + token;
+        fail("sweep: run " + std::to_string(pt.index) + " (" + where +
+             "): " + err);
     }
 }
 
@@ -458,8 +470,8 @@ ReportTable
 runSweep(const SweepSpec &spec, unsigned jobs)
 {
     const Kind kind = parseKind(spec.kind);
-    validateAxes(spec, kind);
     const std::vector<SweepPoint> points = expandGrid(spec);
+    validatePoints(spec, kind, points);
 
     std::vector<std::vector<ReportValue>> rows(points.size());
     std::vector<std::string> errors(points.size());

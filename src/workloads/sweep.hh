@@ -95,7 +95,9 @@ std::vector<SweepPoint> expandGrid(const SweepSpec &spec);
  *
  * @throws std::runtime_error on an unknown kind, a repeated axis name,
  *         an unknown axis name for the kind, an unparsable or
- *         out-of-range value, or a failed run
+ *         out-of-range value, a grid point whose machine fails
+ *         SoCConfig::check() or has more threads than cores, or a
+ *         failed run; all but the last before any run starts
  */
 ReportTable runSweep(const SweepSpec &spec, unsigned jobs);
 

@@ -36,33 +36,19 @@ writebackRegion(Addr base, unsigned lines, bool flush, unsigned passes)
     return p;
 }
 
-Cycle
-cboLatency(const SoCConfig &cfg, unsigned threads, std::size_t bytes,
-           bool flush, unsigned cores)
-{
-    SoCConfig c = cfg;
-    c.cores = cores ? cores : threads;
-    SKIPIT_ASSERT(threads <= c.cores, "more threads than cores");
-    SoC soc(c);
-    const unsigned lines_total =
-        static_cast<unsigned>(bytes / line_bytes);
-    const unsigned per = std::max(1u, lines_total / threads);
+namespace {
 
-    std::vector<Program> dirty, wb;
-    for (unsigned t = 0; t < threads; ++t) {
-        const Addr base = region_base + t * thread_stride;
-        dirty.push_back(dirtyRegion(base, per));
-        wb.push_back(writebackRegion(base, per, flush));
-    }
-    soc.setPrograms(dirty);
-    soc.runToQuiescence();
-    soc.setPrograms(wb);
-    return soc.runToCompletion();
-}
-
+/**
+ * The skeleton the three cycle-model measurements share: on a machine
+ * of @p cores (0 = one per thread), each of @p threads dirties its own
+ * share of @p bytes, the memory system settles, then the programs
+ * @p measure(base, lines) builds run and are timed.
+ * @return cycles of the measured phase
+ */
+template <typename Measure>
 Cycle
-writeWbReadLatency(const SoCConfig &cfg, unsigned threads,
-                   std::size_t bytes, bool flush, unsigned cores)
+timeRegions(const SoCConfig &cfg, unsigned threads, std::size_t bytes,
+            unsigned cores, Measure measure)
 {
     SoCConfig c = cfg;
     c.cores = cores ? cores : threads;
@@ -76,8 +62,33 @@ writeWbReadLatency(const SoCConfig &cfg, unsigned threads,
     for (unsigned t = 0; t < threads; ++t) {
         const Addr base = region_base + t * thread_stride;
         warm.push_back(dirtyRegion(base, per));
+        meas.push_back(measure(base, per));
+    }
+    soc.setPrograms(warm);
+    soc.runToQuiescence();
+    soc.setPrograms(meas);
+    return soc.runToCompletion();
+}
+
+} // namespace
+
+Cycle
+cboLatency(const SoCConfig &cfg, unsigned threads, std::size_t bytes,
+           bool flush, unsigned cores)
+{
+    const auto measure = [&](Addr base, unsigned lines) {
+        return writebackRegion(base, lines, flush);
+    };
+    return timeRegions(cfg, threads, bytes, cores, measure);
+}
+
+Cycle
+writeWbReadLatency(const SoCConfig &cfg, unsigned threads,
+                   std::size_t bytes, bool flush, unsigned cores)
+{
+    const auto measure = [&](Addr base, unsigned lines) {
         Program p;
-        for (unsigned i = 0; i < per; ++i) {
+        for (unsigned i = 0; i < lines; ++i) {
             const Addr a = base + static_cast<Addr>(i) * line_bytes;
             p.push_back(MemOp::store(a, i + 7));
             for (int r = 0; r < 10; ++r)
@@ -85,39 +96,23 @@ writeWbReadLatency(const SoCConfig &cfg, unsigned threads,
             p.push_back(MemOp::fence());
             p.push_back(MemOp::load(a));
         }
-        meas.push_back(std::move(p));
-    }
-    soc.setPrograms(warm);
-    soc.runToQuiescence();
-    soc.setPrograms(meas);
-    return soc.runToCompletion();
+        return p;
+    };
+    return timeRegions(cfg, threads, bytes, cores, measure);
 }
 
 Cycle
 redundantWbLatency(const SoCConfig &cfg, unsigned threads,
                    std::size_t bytes, bool flush, unsigned cores)
 {
-    SoCConfig c = cfg;
-    c.cores = cores ? cores : threads;
-    SKIPIT_ASSERT(threads <= c.cores, "more threads than cores");
-    SoC soc(c);
-    const unsigned lines_total =
-        static_cast<unsigned>(bytes / line_bytes);
-    const unsigned per = std::max(1u, lines_total / threads);
-
-    std::vector<Program> warm, meas;
-    for (unsigned t = 0; t < threads; ++t) {
-        const Addr base = region_base + t * thread_stride;
-        warm.push_back(dirtyRegion(base, per));
-        Program p = dirtyRegion(base, per);
-        Program wb = writebackRegion(base, per, flush, 1 + 10);
+    const auto measure = [&](Addr base, unsigned lines) {
+        // One store pass, one real writeback pass, ten redundant ones.
+        Program p = dirtyRegion(base, lines);
+        const Program wb = writebackRegion(base, lines, flush, 1 + 10);
         p.insert(p.end(), wb.begin(), wb.end());
-        meas.push_back(std::move(p));
-    }
-    soc.setPrograms(warm);
-    soc.runToQuiescence();
-    soc.setPrograms(meas);
-    return soc.runToCompletion();
+        return p;
+    };
+    return timeRegions(cfg, threads, bytes, cores, measure);
 }
 
 const char *

@@ -21,16 +21,6 @@ namespace skipit::workloads {
 
 namespace {
 
-/** splitmix64 finalizer for seed derivation. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 std::uint64_t
 stir(std::uint64_t seed, std::uint64_t salt)
 {
@@ -93,8 +83,8 @@ validate(const KvSpec &spec)
     mixDef(spec.mix); // throws on an unknown mix
     if (spec.keys == 0)
         throw std::runtime_error("kv: keys must be >= 1");
-    if (spec.cores < 1 || spec.cores > 64)
-        throw std::runtime_error("kv: cores must be in 1..64");
+    if (const std::string err = kvMachineConfig(spec).check(); !err.empty())
+        throw std::runtime_error("kv: " + err);
     if (spec.distribution != "zipfian" && spec.distribution != "uniform")
         throw std::runtime_error("kv: distribution must be zipfian or "
                                  "uniform");
@@ -258,20 +248,6 @@ isUnsigned(const JsonValue &v, std::uint64_t max)
     return errno == 0 && x <= max;
 }
 
-/** Little-endian word read of a frozen persist image (absent = 0). */
-std::uint64_t
-imageWord(const std::unordered_map<Addr, LineData> &image, Addr addr)
-{
-    const auto it = image.find(lineAlign(addr));
-    if (it == image.end())
-        return 0;
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(it->second[lineOffset(addr) + i])
-             << (8 * i);
-    return v;
-}
-
 } // namespace
 
 void
@@ -288,6 +264,7 @@ auditKvRecovery(const KvSpec &spec, const kv::KvStore &store,
     const auto fail = [&](const std::string &msg) {
         out.push_back("hart" + std::to_string(hart) + ": " + msg);
     };
+    const auto word = [&](Addr addr) { return imageWord(image, addr); };
 
     // The head sentinel is the first node-arena allocation.
     Addr node = node_lo;
@@ -295,7 +272,7 @@ auditKvRecovery(const KvSpec &spec, const kv::KvStore &store,
     std::uint64_t reachable = 0;
     const std::uint64_t limit = store.keyCount() + 2;
     for (std::uint64_t steps = 0; steps <= limit; ++steps) {
-        const Addr next = imageWord(image, node + 24); // next[0]
+        const Addr next = word(node + 24); // next[0]
         if (next == 0)
             return; // end of chain: every reachable node checked out
         if (next < node_lo || next >= log_lo || next % 8 != 0) {
@@ -303,9 +280,9 @@ auditKvRecovery(const KvSpec &spec, const kv::KvStore &store,
             return;
         }
         node = next;
-        const std::uint64_t key = imageWord(image, node);
-        const std::uint64_t level = imageWord(image, node + 16);
-        const Addr vptr = imageWord(image, node + 8);
+        const std::uint64_t key = word(node);
+        const std::uint64_t level = word(node + 16);
+        const Addr vptr = word(node + 8);
         if (key <= prev_key || key > store.keyCount()) {
             fail("reachable node has a corrupt key (torn node init)");
             return;
@@ -315,13 +292,14 @@ auditKvRecovery(const KvSpec &spec, const kv::KvStore &store,
             fail("reachable node has a corrupt level word");
             return;
         }
-        if (vptr < log_lo || vptr >= region_hi) {
-            fail("reachable node's value pointer escapes the log");
+        if (vptr < log_lo || vptr >= region_hi || vptr % 8 != 0) {
+            fail("reachable node's value pointer is not a word of the "
+                 "log");
             return;
         }
         // The record the pointer exposes must be durable and consistent.
-        const std::uint64_t rkey = imageWord(image, vptr);
-        const std::uint64_t rver = imageWord(image, vptr + 8);
+        const std::uint64_t rkey = word(vptr);
+        const std::uint64_t rver = word(vptr + 8);
         if (rkey != key) {
             fail("value record key does not match its node "
                  "(pointer published before the record was durable)");
@@ -332,7 +310,7 @@ auditKvRecovery(const KvSpec &spec, const kv::KvStore &store,
             return;
         }
         for (unsigned w = 0; w < value_words; ++w) {
-            if (imageWord(image, vptr + 16 + 8 * w) !=
+            if (word(vptr + 16 + 8 * w) !=
                 kv::KvStore::valueWord(key, rver, w)) {
                 fail("torn value record exposed by the index");
                 return;
@@ -426,17 +404,10 @@ runKv(const KvSpec &spec)
     } else {
         // Crash run: stop at the power failure (or at quiescence, if
         // the machine drained first).
-        const auto settled = [&] {
-            for (unsigned c = 0; c < soc.cores(); ++c) {
-                if (!soc.hart(c).done() || !soc.l1(c).quiesced())
-                    return false;
-            }
-            return soc.l2Idle();
-        };
         const Cycle start = soc.sim().now();
         soc.sim().runUntil(
             [&] {
-                return settled() || soc.durability().crashed() ||
+                return soc.quiesced() || soc.durability().crashed() ||
                        soc.sim().now() >= start + spec.max_cycles;
             },
             spec.max_cycles + 1000);
@@ -529,28 +500,16 @@ KvBenchSpec::fromJsonText(const std::string &text)
                                      "be a string");
         spec.base.distribution = v->text;
     }
-    if (const JsonValue *v = doc.field("l2_policy")) {
-        if (v->type != JsonValue::Type::String ||
-            !stateKindFromString(v->text, spec.base.l2_policy))
-            throw std::runtime_error("kv bench spec: 'l2_policy' must be "
-                                     "\"inclusive\" or \"exclusive\"");
-    }
-    if (const JsonValue *v = doc.field("l2_index")) {
-        if (v->type != JsonValue::Type::String ||
-            !indexKindFromString(v->text, spec.base.l2_index))
-            throw std::runtime_error("kv bench spec: 'l2_index' must be "
-                                     "\"modulo\" or \"hashed\"");
-    }
-    if (const JsonValue *v = doc.field("l2_replace")) {
-        if (v->type != JsonValue::Type::String ||
-            !replaceKindFromString(v->text, spec.base.l2_replace))
-            throw std::runtime_error("kv bench spec: 'l2_replace' must be "
-                                     "\"lru\", \"fifo\" or \"random\"");
-    }
+    if (const JsonValue *v = doc.field("l2_policy"))
+        spec.base.l2_policy = parseStateKind(v->text);
+    if (const JsonValue *v = doc.field("l2_index"))
+        spec.base.l2_index = parseIndexKind(v->text);
+    if (const JsonValue *v = doc.field("l2_replace"))
+        spec.base.l2_replace = parseReplaceKind(v->text);
     if (const JsonValue *v = doc.field("mixes")) {
-        if (v->type != JsonValue::Type::Array || v->items.empty())
-            throw std::runtime_error("kv bench spec: 'mixes' must be a "
-                                     "non-empty array");
+        if (v->type != JsonValue::Type::Array)
+            throw std::runtime_error("kv bench spec: 'mixes' must be an "
+                                     "array");
         spec.mixes.clear();
         for (const JsonValue &m : v->items) {
             if (m.type != JsonValue::Type::String)
@@ -560,16 +519,26 @@ KvBenchSpec::fromJsonText(const std::string &text)
         }
     }
     if (const JsonValue *v = doc.field("cores")) {
-        if (v->type != JsonValue::Type::Array || v->items.empty())
-            throw std::runtime_error("kv bench spec: 'cores' must be a "
-                                     "non-empty array");
+        if (v->type != JsonValue::Type::Array)
+            throw std::runtime_error("kv bench spec: 'cores' must be an "
+                                     "array");
         spec.cores.clear();
         for (const JsonValue &c : v->items) {
             spec.cores.emplace_back();
             setUnsigned("cores", c, spec.cores.back());
         }
     }
+    spec.checkGrid();
     return spec;
+}
+
+void
+KvBenchSpec::checkGrid() const
+{
+    if (mixes.empty())
+        throw std::runtime_error("kv bench spec: 'mixes' must not be empty");
+    if (cores.empty())
+        throw std::runtime_error("kv bench spec: 'cores' must not be empty");
 }
 
 KvBenchResult

@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "l2/index.hh"
-#include "l2/policy/state_policy.hh"
+#include "l2/directory.hh"
 #include "l2/replace.hh"
 #include "sim/histogram.hh"
 #include "sim/random.hh"
@@ -180,6 +180,10 @@ struct KvBenchSpec
      * @throws std::runtime_error on malformed input
      */
     static KvBenchSpec fromJsonText(const std::string &text);
+
+    /** @throws std::runtime_error when mixes or cores is empty: such a
+     *  grid serves nothing and reports no runs. */
+    void checkGrid() const;
 };
 
 /** One grid point, served with the skip bit on and off. */

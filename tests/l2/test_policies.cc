@@ -15,6 +15,8 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "dram/dram.hh"
@@ -77,25 +79,33 @@ TEST(IndexPolicy, HashedIsDeterministicAndCoversAllSlices)
     EXPECT_TRUE(diverged);
 }
 
+/** The message @p parse throws for @p token, or "" if it parses. */
+template <typename Parse>
+std::string
+parseError(Parse parse, const std::string &token)
+{
+    try {
+        parse(token);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return {};
+}
+
 TEST(IndexPolicy, TokenRoundTrips)
 {
-    IndexKind ik;
-    ASSERT_TRUE(indexKindFromString("modulo", ik));
-    EXPECT_EQ(ik, IndexKind::Modulo);
-    ASSERT_TRUE(indexKindFromString("hashed", ik));
-    EXPECT_EQ(ik, IndexKind::Hashed);
-    EXPECT_FALSE(indexKindFromString("skewed", ik));
+    for (const IndexKind k : {IndexKind::Modulo, IndexKind::Hashed})
+        EXPECT_EQ(parseIndexKind(toString(k)), k);
+    EXPECT_EQ(parseError(parseIndexKind, "skewed"),
+              "l2_index must be modulo or hashed, got 'skewed'");
 
-    StateKind sk;
-    ASSERT_TRUE(stateKindFromString("inclusive", sk));
-    EXPECT_EQ(sk, StateKind::Inclusive);
-    ASSERT_TRUE(stateKindFromString("exclusive", sk));
-    EXPECT_EQ(sk, StateKind::Exclusive);
+    for (const StateKind k : {StateKind::Inclusive, StateKind::Exclusive})
+        EXPECT_EQ(parseStateKind(toString(k)), k);
     // The directory still tracks every holder, so "non-inclusive" names
     // the same data-residency policy.
-    ASSERT_TRUE(stateKindFromString("noninclusive", sk));
-    EXPECT_EQ(sk, StateKind::Exclusive);
-    EXPECT_FALSE(stateKindFromString("victim", sk));
+    EXPECT_EQ(parseStateKind("noninclusive"), StateKind::Exclusive);
+    EXPECT_EQ(parseError(parseStateKind, "victim"),
+              "l2_policy must be inclusive or exclusive, got 'victim'");
 }
 
 TEST(IndexPolicy, CrossbarAndSlicesShareOnePolicyValue)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "l2/replace.hh"
@@ -112,13 +113,15 @@ TEST(ReplacePolicy, RandomRespectsLockMask)
 
 TEST(ReplacePolicy, TokenRoundTrip)
 {
-    for (const ReplaceKind k : all_kinds) {
-        ReplaceKind parsed;
-        ASSERT_TRUE(replaceKindFromString(toString(k), parsed));
-        EXPECT_EQ(parsed, k);
+    for (const ReplaceKind k : all_kinds)
+        EXPECT_EQ(parseReplaceKind(toString(k)), k);
+    try {
+        parseReplaceKind("plru");
+        ADD_FAILURE() << "plru parsed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(),
+                     "l2_replace must be lru, fifo or random, got 'plru'");
     }
-    ReplaceKind parsed;
-    EXPECT_FALSE(replaceKindFromString("plru", parsed));
 }
 
 // ---------------------------------------------------------------------

@@ -116,7 +116,7 @@ TEST(ReportTable, WritesCsvFile)
     ReportTable t("x", {"n"});
     t.addRow({std::uint64_t{1}});
     const std::string path = "/tmp/skipit_report_test.csv";
-    t.writeCsvFile(path);
+    EXPECT_TRUE(t.writeCsvFile(path));
     std::ifstream in(path);
     ASSERT_TRUE(in.good());
     std::string line;

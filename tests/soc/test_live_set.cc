@@ -414,14 +414,7 @@ TEST(LiveSetDeathTest, ClientIdPastTheBitsetIsRejected)
 std::string
 stepChecked(SoC &soc)
 {
-    const auto settled = [&] {
-        for (unsigned c = 0; c < soc.cores(); ++c) {
-            if (!soc.hart(c).done() || !soc.l1(c).quiesced())
-                return false;
-        }
-        return soc.l2Idle();
-    };
-    while (!settled()) {
+    while (!soc.quiesced()) {
         if (soc.sim().now() >= 1'000'000)
             return "no quiescence within 1M cycles";
         soc.sim().step();

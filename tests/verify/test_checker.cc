@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "soc/soc.hh"
 #include "workloads/fuzz.hh"
@@ -317,6 +319,68 @@ TEST(CheckerNegativeControl, DramPokedUnderTagOnlyLine)
 131 [value-coherence] l1[0] clean copy of 0x90000 differs from DRAM (L2 entry is tag-only)
 147 [value-coherence] l1[0] clean copy of 0x90000 differs from DRAM (L2 entry is tag-only)
 )" + 1) << "actual:\n" << got;
+}
+
+// ---------------------------------------------------------------------
+// data-residency: every inclusive entry holds its bytes, and under either
+// state policy a dirty entry does. injectTagOnly() breaks the promise at
+// quiescence; checkNow() must name the rule exactly when it applies.
+// ---------------------------------------------------------------------
+
+/** Run @p programs to quiescence on a @p policy slice, make ctl_line
+ *  tag-only and @return the invariants checkNow() latches. */
+std::set<std::string>
+tagOnlyViolations(StateKind policy, const std::vector<Program> &programs)
+{
+    SoCConfig cfg = controlConfig();
+    cfg.l2.policy = policy;
+    SoC soc(cfg);
+    soc.setPrograms(programs);
+    soc.runToQuiescence(1'000'000);
+    EXPECT_EQ(soc.checker().checkNow(), 0u) << toString(policy);
+    const Directory &dir = soc.l2().directory();
+    EXPECT_TRUE(dir.entry(dir.setOf(ctl_line), dir.findWay(ctl_line))
+                    .data_resident)
+        << toString(policy);
+    soc.l2().injectTagOnly(ctl_line);
+    soc.checker().checkNow();
+    std::set<std::string> names;
+    for (const verify::Violation &v : soc.checker().violations())
+        names.insert(v.invariant);
+    return names;
+}
+
+/** CBO.CLEAN leaves the L2 entry resident and clean under both
+ *  policies (the RootReleaseData makes it resident, the write clean). */
+const std::vector<Program> clean_line = {
+    {MemOp::store(ctl_line + 8, 0x11), MemOp::clean(ctl_line),
+     MemOp::fence()}};
+
+/** Hart 1's load probes hart 0's dirty copy: the ProbeAckData leaves
+ *  the L2 entry resident and dirty under both policies. */
+const std::vector<Program> dirty_line = {
+    {MemOp::store(ctl_line + 8, 0x11), MemOp::fence()},
+    {MemOp::compute(200), MemOp::load(ctl_line + 8)}};
+
+TEST(CheckerNegativeControl, TagOnlyEntryInAnInclusiveL2)
+{
+    EXPECT_EQ(tagOnlyViolations(StateKind::Inclusive, clean_line),
+              std::set<std::string>{"data-residency"});
+}
+
+TEST(CheckerNegativeControl, CleanTagOnlyEntryIsFineInAnExclusiveL2)
+{
+    EXPECT_TRUE(tagOnlyViolations(StateKind::Exclusive, clean_line).empty());
+}
+
+TEST(CheckerNegativeControl, DirtyTagOnlyEntryUnderEitherPolicy)
+{
+    for (const StateKind policy :
+         {StateKind::Inclusive, StateKind::Exclusive}) {
+        EXPECT_TRUE(
+            tagOnlyViolations(policy, dirty_line).count("data-residency"))
+            << toString(policy);
+    }
 }
 
 } // namespace

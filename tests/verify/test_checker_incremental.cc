@@ -195,16 +195,6 @@ class Shadow
     }
 };
 
-bool
-finished(SoC &soc)
-{
-    for (unsigned c = 0; c < soc.cores(); ++c) {
-        if (!soc.hart(c).done() || !soc.l1(c).quiesced())
-            return false;
-    }
-    return soc.l2Idle();
-}
-
 /** cores x slices x L2 state policy. */
 using Combo = std::tuple<unsigned, unsigned, StateKind>;
 
@@ -234,7 +224,7 @@ TEST_P(ChangeLogOracle, EveryChangedSlotIsLogged)
     soc.sim().runUntil(
         [&] {
             shadow.audit();
-            return HasFatalFailure() || finished(soc);
+            return HasFatalFailure() || soc.quiesced();
         },
         spec.max_cycles);
     ASSERT_FALSE(HasFatalFailure());

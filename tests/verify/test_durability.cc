@@ -24,17 +24,6 @@
 namespace skipit {
 namespace {
 
-/** All harts done, all caches drained — the fuzzer's settle predicate. */
-bool
-settled(SoC &soc)
-{
-    for (unsigned c = 0; c < soc.cores(); ++c) {
-        if (!soc.hart(c).done() || !soc.l1(c).quiesced())
-            return false;
-    }
-    return soc.l2Idle();
-}
-
 /** Fig 9's shape: per-hart disjoint dirty regions, a CBO sweep, a
  *  fence, then a second dirty + flush round. Region stride keeps harts
  *  in different lines (and, at slices > 1, different slices). */
@@ -122,7 +111,7 @@ TEST(Durability, CrashAtEveryCyclePassesTheAudit)
                 // image can no longer change — audit it.
                 soc.sim().runUntil(
                     [&] {
-                        return soc.durability().crashed() || settled(soc);
+                        return soc.durability().crashed() || soc.quiesced();
                     },
                     total + 10'000);
                 if (!soc.durability().crashed())

@@ -167,6 +167,36 @@ TEST(SweepRun, UnknownAxisOrKindIsRejectedUpfront)
         EXPECT_THROW(workloads::runSweep(spec, 1), std::runtime_error)
             << axis << "=" << value;
     }
+
+    // A machine value outside the range its component's constructor
+    // asserts is an error naming the field, before any run (a run would
+    // abort the process).
+    for (const auto &[axes, message] :
+         std::vector<std::pair<std::vector<SweepAxis>, std::string>>{
+             {{{"l2_slices", {"3"}}},
+              "l2.slices must be a power of two that divides l2.sets "
+              "(1024), got 3"},
+             {{{"fshrs", {"0"}}}, "l1.fshrs must be 1..64, got 0"},
+             {{{"fshrs", {"65"}}}, "l1.fshrs must be 1..64, got 65"},
+             {{{"mshrs", {"0"}}}, "l1.mshrs must be 1..64, got 0"},
+             {{{"flush_queue_depth", {"0"}}},
+              "l1.flush_queue_depth must be at least 1, got 0"},
+             {{{"cores", {"65"}}}, "cores must be 1..64, got 65"},
+             {{{"link_latency", {"0"}}},
+              "link_latency must be at least 1, got 0"},
+             {{{"cores", {"1"}}, {"threads", {"1", "2"}}},
+              "run 1 (cores=1, threads=2): threads must be at most cores "
+              "(1), got 2"}}) {
+        spec.axes = axes;
+        EXPECT_NE(sweepError(spec).find(message), std::string::npos)
+            << message << "\nactual: " << sweepError(spec);
+    }
+
+    // Each L2 policy name has one parser, and so one message.
+    spec.axes = {{"l2_policy", {"victim"}}};
+    EXPECT_NE(sweepError(spec).find(
+                  "l2_policy must be inclusive or exclusive, got 'victim'"),
+              std::string::npos);
 }
 
 TEST(SweepRun, CboPointMatchesDirectMeasurement)

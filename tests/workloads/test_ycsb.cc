@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <unordered_map>
 
@@ -287,6 +288,13 @@ TEST(KvRun, RejectsInvalidSpecs)
     s = tinySpec();
     s.distribution = "gaussian";
     EXPECT_THROW(runKv(s), std::runtime_error);
+    // Machine values the SoC's components would assert on.
+    s = tinySpec();
+    s.slices = 3;
+    EXPECT_THROW(runKv(s), std::runtime_error);
+    s = tinySpec();
+    s.cores = 65;
+    EXPECT_THROW(runKv(s), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------
@@ -354,6 +362,29 @@ TEST(KvCrash, RecoveryWalkDetectsADanglingIndexPointer)
     auditKvRecovery(s, store, 0, image, violations);
     ASSERT_FALSE(violations.empty());
     EXPECT_NE(violations.front().find("record key"), std::string::npos)
+        << violations.front();
+}
+
+TEST(KvCrash, RecoveryWalkDetectsAnUnalignedValuePointer)
+{
+    KvSpec s = tinySpec();
+    kv::KvStore store({0, 64});
+    store.prefill(20);
+    std::unordered_map<Addr, LineData> image(store.image().begin(),
+                                             store.image().end());
+    // Point the first node (key 1, the head's successor) 60 bytes into
+    // its record's line: a word read there would run past the line.
+    const Addr head = kv::KvLayout::baseFor(0) + kv::KvLayout::node_off;
+    const Addr node = imageWord(image, head + 24);
+    ASSERT_EQ(imageWord(image, node), 1u);
+    const Addr bad = lineAlign(store.valueAddr(1)) + 60;
+    std::memcpy(image[lineAlign(node + 8)].data() + lineOffset(node + 8),
+                &bad, sizeof(bad));
+    std::vector<std::string> violations;
+    auditKvRecovery(s, store, 0, image, violations);
+    ASSERT_FALSE(violations.empty());
+    EXPECT_NE(violations.front().find("value pointer is not a word"),
+              std::string::npos)
         << violations.front();
 }
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Whole-token parsing for the tools' numeric flags.
+ * Whole-token parsing for the tools' flag values. A bad value prints
+ * "error: <why>" and exits with status 2.
  */
 
 #ifndef SKIPIT_TOOLS_PARSE_NUMBER_HH
@@ -10,11 +11,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "sim/parse.hh"
 
 namespace skipit {
+
+/** Print "error: @p why" and exit with status 2: a flag had a value
+ *  the tool cannot use. */
+[[noreturn]] inline void
+badValue(const std::string &why)
+{
+    std::fprintf(stderr, "error: %s\n", why.c_str());
+    std::exit(2);
+}
 
 /**
  * Parse @p token, the value of @p flag, as an unsigned integer of type
@@ -30,9 +41,8 @@ parseUnsigned(const char *flag, const std::string &token)
 {
     if (const std::optional<T> v = unsignedToken<T>(token))
         return *v;
-    std::fprintf(stderr, "error: %s expects an unsigned integer, got '%s'\n",
-                 flag, token.c_str());
-    std::exit(2);
+    badValue(std::string(flag) + " expects an unsigned integer, got '" +
+             token + "'");
 }
 
 /**
@@ -47,9 +57,23 @@ parseFinite(const char *flag, const std::string &token)
 {
     if (const std::optional<double> v = finiteToken(token))
         return *v;
-    std::fprintf(stderr, "error: %s expects a number, got '%s'\n", flag,
-                 token.c_str());
-    std::exit(2);
+    badValue(std::string(flag) + " expects a number, got '" + token + "'");
+}
+
+/**
+ * @p parse(@p token) for a parser that throws std::runtime_error on a
+ * bad token (parseStateKind, parseIndexKind, parseReplaceKind, a replay
+ * bundle reader): its message goes through badValue().
+ */
+template <typename Parse>
+auto
+parseWith(Parse parse, const std::string &token)
+{
+    try {
+        return parse(token);
+    } catch (const std::runtime_error &e) {
+        badValue(e.what());
+    }
 }
 
 } // namespace skipit

@@ -13,7 +13,8 @@
  *   skipit-fuzz --replay /tmp/bundle                 # re-run a bundle
  *
  * Exit status: 0 when every seed is clean (or the replayed bundle no
- * longer fails), 1 when a failure was found (or a replay reproduced).
+ * longer fails), 1 when a failure was found (or a replay reproduced),
+ * 2 on a bad flag value or an unreadable bundle.
  */
 
 #include <cstdio>
@@ -97,22 +98,12 @@ main(int argc, char **argv)
                 parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--slices")
             spec.l2_slices = parseUnsigned<unsigned>(arg.c_str(), next());
-        else if (arg == "--l2-policy") {
-            if (!stateKindFromString(next(), spec.l2_policy)) {
-                std::fprintf(stderr, "skipit-fuzz: bad --l2-policy\n");
-                return 2;
-            }
-        } else if (arg == "--l2-index") {
-            if (!indexKindFromString(next(), spec.l2_index)) {
-                std::fprintf(stderr, "skipit-fuzz: bad --l2-index\n");
-                return 2;
-            }
-        } else if (arg == "--l2-replace") {
-            if (!replaceKindFromString(next(), spec.l2_replace)) {
-                std::fprintf(stderr, "skipit-fuzz: bad --l2-replace\n");
-                return 2;
-            }
-        }
+        else if (arg == "--l2-policy")
+            spec.l2_policy = parseWith(parseStateKind, next());
+        else if (arg == "--l2-index")
+            spec.l2_index = parseWith(parseIndexKind, next());
+        else if (arg == "--l2-replace")
+            spec.l2_replace = parseWith(parseReplaceKind, next());
         else if (arg == "--crash")
             spec.crash_points = parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--crash-at")
@@ -140,8 +131,10 @@ main(int argc, char **argv)
 
     if (!replay_dir.empty()) {
         std::vector<Program> programs;
-        const auto [rspec, seed] =
-            workloads::readReplayBundle(replay_dir, programs);
+        const auto readBundle = [&](const std::string &dir) {
+            return workloads::readReplayBundle(dir, programs);
+        };
+        const auto [rspec, seed] = parseWith(readBundle, replay_dir);
         std::cout << "replaying " << replay_dir << " (seed " << seed
                   << ", " << rspec.harts << " harts)\n";
         if (auto f = workloads::runFuzzPrograms(rspec, seed, programs)) {
@@ -153,6 +146,8 @@ main(int argc, char **argv)
         return 0;
     }
 
+    if (const std::string err = spec.check(); !err.empty())
+        badValue(err);
     std::cout << "fuzzing " << seeds << " seeds from " << seed_base
               << " (" << spec.harts << " harts, " << spec.ops
               << " ops, " << spec.lines << " lines, jitter "

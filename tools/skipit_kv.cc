@@ -141,10 +141,9 @@ crashMode(KvSpec spec)
     return 0;
 }
 
-} // namespace
-
+/** The whole tool; a std::exception it throws is main()'s error. */
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     KvBenchSpec spec;
     std::string out_path = "BENCH_kv.json";
@@ -175,17 +174,11 @@ main(int argc, char **argv)
         } else if (arg == "--slices" && i + 1 < argc) {
             spec.base.slices = parseUnsigned<unsigned>("--slices", argv[++i]);
         } else if (arg == "--l2-policy" && i + 1 < argc) {
-            if (!stateKindFromString(argv[++i], spec.base.l2_policy))
-                SKIPIT_FATAL("--l2-policy must be inclusive or "
-                             "exclusive, got '", argv[i], "'");
+            spec.base.l2_policy = parseWith(parseStateKind, argv[++i]);
         } else if (arg == "--l2-index" && i + 1 < argc) {
-            if (!indexKindFromString(argv[++i], spec.base.l2_index))
-                SKIPIT_FATAL("--l2-index must be modulo or hashed, "
-                             "got '", argv[i], "'");
+            spec.base.l2_index = parseWith(parseIndexKind, argv[++i]);
         } else if (arg == "--l2-replace" && i + 1 < argc) {
-            if (!replaceKindFromString(argv[++i], spec.base.l2_replace))
-                SKIPIT_FATAL("--l2-replace must be lru, fifo or random, "
-                             "got '", argv[i], "'");
+            spec.base.l2_replace = parseWith(parseReplaceKind, argv[++i]);
         } else if (arg == "--distribution" && i + 1 < argc) {
             spec.base.distribution = argv[++i];
         } else if (arg == "--theta" && i + 1 < argc) {
@@ -220,72 +213,81 @@ main(int argc, char **argv)
         }
     }
 
-    try {
-        if (crash_at > 0) {
-            KvSpec s = spec.base;
-            s.mix = spec.mixes.empty() ? "A" : spec.mixes.front();
-            s.cores = spec.cores.empty() ? 2 : spec.cores.front();
-            s.crash_at = crash_at;
-            s.skipit = crash_skipit;
-            return crashMode(s);
-        }
+    spec.checkGrid();
+    if (crash_at > 0) {
+        KvSpec s = spec.base;
+        s.mix = spec.mixes.front();
+        s.cores = spec.cores.front();
+        s.crash_at = crash_at;
+        s.skipit = crash_skipit;
+        return crashMode(s);
+    }
 
-        if (stages) {
-            // Stage histograms for the first grid point, skip on.
-            KvSpec s = spec.base;
-            s.mix = spec.mixes.empty() ? "A" : spec.mixes.front();
-            s.cores = spec.cores.empty() ? 2 : spec.cores.front();
-            s.trace_stages = true;
-            const KvRunResult r = runKv(s);
-            std::printf("per-stage latency histograms (mix %s, %u "
-                        "cores):\n",
-                        s.mix.c_str(), s.cores);
-            for (const auto &[name, hist] : r.stages)
-                std::printf("  %-24s %s\n", name.c_str(),
-                            hist.summary().c_str());
-            std::printf("\n");
-        }
+    if (stages) {
+        // Stage histograms for the first grid point, skip on.
+        KvSpec s = spec.base;
+        s.mix = spec.mixes.front();
+        s.cores = spec.cores.front();
+        s.trace_stages = true;
+        const KvRunResult r = runKv(s);
+        std::printf("per-stage latency histograms (mix %s, %u "
+                    "cores):\n",
+                    s.mix.c_str(), s.cores);
+        for (const auto &[name, hist] : r.stages)
+            std::printf("  %-24s %s\n", name.c_str(),
+                        hist.summary().c_str());
+        std::printf("\n");
+    }
 
-        const KvBenchResult result = runKvBench(spec);
-        std::printf("served-KV bench: %llu keys, %llu ops/hart, "
-                    "%s(theta=%.2f), period %llu, seed %llu\n",
-                    static_cast<unsigned long long>(spec.base.keys),
-                    static_cast<unsigned long long>(spec.base.ops),
-                    spec.base.distribution.c_str(), spec.base.theta,
+    const KvBenchResult result = runKvBench(spec);
+    std::printf("served-KV bench: %llu keys, %llu ops/hart, "
+                "%s(theta=%.2f), period %llu, seed %llu\n",
+                static_cast<unsigned long long>(spec.base.keys),
+                static_cast<unsigned long long>(spec.base.ops),
+                spec.base.distribution.c_str(), spec.base.theta,
+                static_cast<unsigned long long>(
+                    spec.base.arrival_period),
+                static_cast<unsigned long long>(spec.base.seed));
+    for (const KvBenchRow &row : result.rows) {
+        printRun("on", row, row.on);
+        printRun("off", row, row.off);
+        const double delta =
+            row.off.cycles == 0
+                ? 0.0
+                : 100.0 *
+                      (static_cast<double>(row.off.cycles) -
+                       static_cast<double>(row.on.cycles)) /
+                      static_cast<double>(row.off.cycles);
+        std::printf("    -> skip bit dropped %llu/%llu cleans, "
+                    "%.2f%% fewer cycles\n",
                     static_cast<unsigned long long>(
-                        spec.base.arrival_period),
-                    static_cast<unsigned long long>(spec.base.seed));
-        for (const KvBenchRow &row : result.rows) {
-            printRun("on", row, row.on);
-            printRun("off", row, row.off);
-            const double delta =
-                row.off.cycles == 0
-                    ? 0.0
-                    : 100.0 *
-                          (static_cast<double>(row.off.cycles) -
-                           static_cast<double>(row.on.cycles)) /
-                          static_cast<double>(row.off.cycles);
-            std::printf("    -> skip bit dropped %llu/%llu cleans, "
-                        "%.2f%% fewer cycles\n",
-                        static_cast<unsigned long long>(
-                            row.on.skip_drops),
-                        static_cast<unsigned long long>(
-                            row.on.cbo_cleans),
-                        delta);
-        }
+                        row.on.skip_drops),
+                    static_cast<unsigned long long>(
+                        row.on.cbo_cleans),
+                    delta);
+    }
 
-        if (out_path == "-") {
-            writeKvBenchJson(result, std::cout);
-        } else {
-            std::ofstream out(out_path);
-            if (!out)
-                SKIPIT_FATAL("cannot write ", out_path);
-            writeKvBenchJson(result, out);
-            std::printf("wrote %s\n", out_path.c_str());
-        }
+    if (out_path == "-") {
+        writeKvBenchJson(result, std::cout);
+    } else {
+        std::ofstream out(out_path);
+        if (!out)
+            SKIPIT_FATAL("cannot write ", out_path);
+        writeKvBenchJson(result, out);
+        std::printf("wrote %s\n", out_path.c_str());
+    }
+    return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
     }
-    return 0;
 }

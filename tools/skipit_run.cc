@@ -7,7 +7,8 @@
  * Each program file runs on its own hart (core i gets file i). Options:
  *
  *   --cores N        number of cores, 1-64 (default: number of programs)
- *   --slices N       number of address-interleaved L2 slices (default 1)
+ *   --slices N       number of address-interleaved L2 slices, a power
+ *                    of two (default 1)
  *   --no-skipit      disable the Skip It skip bit and GrantDataDirty
  *   --trace P[,P]    print every probe event whose stage starts with a
  *                    listed prefix (l1.flushq, l2, dram, ...; all for
@@ -120,24 +121,11 @@ main(int argc, char **argv)
         } else if (arg == "--slices" && i + 1 < argc) {
             slices = parseUnsigned<unsigned>("--slices", argv[++i]);
         } else if (arg == "--l2-policy" && i + 1 < argc) {
-            if (!stateKindFromString(argv[++i], l2_policy)) {
-                std::fprintf(stderr, "error: --l2-policy must be "
-                             "inclusive or exclusive, got '%s'\n",
-                             argv[i]);
-                return 1;
-            }
+            l2_policy = parseWith(parseStateKind, argv[++i]);
         } else if (arg == "--l2-index" && i + 1 < argc) {
-            if (!indexKindFromString(argv[++i], l2_index)) {
-                std::fprintf(stderr, "error: --l2-index must be modulo "
-                             "or hashed, got '%s'\n", argv[i]);
-                return 1;
-            }
+            l2_index = parseWith(parseIndexKind, argv[++i]);
         } else if (arg == "--l2-replace" && i + 1 < argc) {
-            if (!replaceKindFromString(argv[++i], l2_replace)) {
-                std::fprintf(stderr, "error: --l2-replace must be lru, "
-                             "fifo or random, got '%s'\n", argv[i]);
-                return 1;
-            }
+            l2_replace = parseWith(parseReplaceKind, argv[++i]);
         } else if (arg == "--no-skipit") {
             skip_it = false;
         } else if (arg == "--trace" && i + 1 < argc) {
@@ -190,6 +178,8 @@ main(int argc, char **argv)
     cfg.l2.index = l2_index;
     cfg.l2.replace = l2_replace;
     cfg.withSkipIt(skip_it);
+    if (const std::string err = cfg.check(); !err.empty())
+        badValue(err);
     SoC soc(cfg);
     if (describe)
         std::fputs(cfg.describe().c_str(), stdout);

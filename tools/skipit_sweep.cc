@@ -18,7 +18,8 @@
  *                      "axes": {"threads": [1,2], "bytes": [64,4096]}}
  *   -j N, --jobs N    worker threads (default: 1)
  *   --seed S          base RNG seed; run i uses S+i (throughput kind)
- *   -o FILE           write CSV to FILE (default: stdout)
+ *   -o FILE           write CSV to FILE (default: stdout); exits 1 if
+ *                     FILE cannot be written
  *   --text            render an aligned table instead of CSV
  *
  * Output rows are merged in grid order regardless of worker completion
@@ -146,7 +147,8 @@ main(int argc, char **argv)
                      runs, spec.kind.c_str(), jobs);
         const ReportTable table = workloads::runSweep(spec, jobs);
         if (!out_file.empty()) {
-            table.writeCsvFile(out_file);
+            if (!table.writeCsvFile(out_file))
+                return 1;
             std::fprintf(stderr, "skipit-sweep: wrote %s\n",
                          out_file.c_str());
         } else if (text) {
