@@ -396,6 +396,7 @@ DataCache::processProbe()
             // probe_rdy drops the moment the probe arrives (§5.4.1); the
             // flush queue cannot dequeue until the probe completes.
             probe_.state = ProbeUnit::State::InvalidateQueue;
+            ++flush_version_;
             ++ctr_.probes;
         }
         return;
@@ -406,6 +407,7 @@ DataCache::processProbe()
         if (!cfg_.test_break_probe_invalidate)
             invalidateFlushEntries(probe_.line, probe_.cap == Cap::toN);
         probe_.state = ProbeUnit::State::CheckConflicts;
+        ++flush_version_;
         return;
 
       case ProbeUnit::State::CheckConflicts: {
@@ -419,6 +421,7 @@ DataCache::processProbe()
         if (wbu_.conflictsWith(probe_.line))
             return;
         probe_.state = ProbeUnit::State::Respond;
+        ++flush_version_;
         return;
       }
 
@@ -462,6 +465,7 @@ DataCache::processProbe()
                               way < 0 ? "miss ack" : "ack");
         }
         probe_.state = ProbeUnit::State::Idle;
+        ++flush_version_;
         return;
       }
     }
@@ -764,6 +768,7 @@ DataCache::handleCbo(const CpuReq &req)
     const bool pushed = flush_q_.tryPush(e);
     SKIPIT_ASSERT(pushed, "flush queue push failed");
     ++flush_counter_;
+    ++flush_version_;
     if (sim_.probes().active()) {
         sim_.probes().begin(
             sim_.now(), req.txn, "l1.flushq", name() + ".flushq",
@@ -1036,6 +1041,7 @@ DataCache::invalidateFlushEntries(Addr line, bool fully_invalidated)
         // Either way the line can no longer be dirty here: a probe with
         // data or an eviction carried the dirty bytes away.
         e.is_dirty = false;
+        ++flush_version_;
     }
 }
 
@@ -1111,6 +1117,7 @@ DataCache::flushUnitDequeue()
         f.state = Fshr::State::RootRelease;
     }
     f.wait_until = sim_.now() + 1;
+    ++flush_version_;
     ++ctr_.fshr_allocs;
 }
 
@@ -1140,6 +1147,7 @@ DataCache::tickFshrs()
                 f.req.is_dirty && f.req.kind != CboKind::Inval;
             f.state = carries_data ? Fshr::State::FillBuffer
                                    : Fshr::State::RootRelease;
+            ++flush_version_;
             f.wait_until = sim_.now() + 1;
             if (sim_.probes().active())
                 emitFshrState(f);
@@ -1151,6 +1159,7 @@ DataCache::tickFshrs()
                 f.set, static_cast<unsigned>(f.way));
             f.buffer_filled = true;
             f.state = Fshr::State::RootReleaseData;
+            ++flush_version_;
             // The widened data array serves a full line in one cycle
             // (§5.2); the unmodified array needs one word per cycle.
             f.wait_until = sim_.now() +
@@ -1176,6 +1185,7 @@ DataCache::tickFshrs()
             }
             link_.c.send(msg, TLLink::beatsFor(msg));
             f.state = Fshr::State::RootReleaseAck;
+            ++flush_version_;
             fshr_act_ &= ~bit(i); // until processChannelD() completes it
             if (sim_.probes().active()) {
                 emitFshrState(f);
@@ -1249,6 +1259,7 @@ DataCache::completeFshr(Fshr &f)
     f = Fshr{};
     SKIPIT_ASSERT(flush_counter_ > 0, "flush counter underflow");
     --flush_counter_;
+    ++flush_version_;
     ++ctr_.fshr_completions;
     // flushing() fell: a fence in the LSU, which ticks later in this
     // cycle, may release now.
@@ -1376,6 +1387,51 @@ DataCache::injectDataCorruption(Addr addr)
                   std::hex, line);
     arrays_.data(arrays_.setOf(line),
                  static_cast<unsigned>(way))[lineOffset(addr)] ^= 0xff;
+}
+
+void
+DataCache::injectFlushSnapshotFlip(Addr addr)
+{
+    const Addr line = lineAlign(addr);
+    for (FlushQueueEntry &e : flush_q_) {
+        if (e.addr == line && e.is_hit) {
+            e.is_dirty = !e.is_dirty;
+            ++flush_version_;
+            return;
+        }
+    }
+    SKIPIT_PANIC("injectFlushSnapshotFlip: no queued hit entry for 0x",
+                 std::hex, line);
+}
+
+void
+DataCache::injectDirtyFlip(Addr addr)
+{
+    const Addr line = lineAlign(addr);
+    const int way = arrays_.findWay(line);
+    SKIPIT_ASSERT(way >= 0, "injectDirtyFlip: line not resident: 0x",
+                  std::hex, line);
+    L1Meta &meta =
+        arrays_.meta(arrays_.setOf(line), static_cast<unsigned>(way));
+    meta.dirty = !meta.dirty;
+}
+
+void
+DataCache::injectFlushCounterSkew(int delta)
+{
+    SKIPIT_ASSERT(delta >= 0 || flush_counter_ >= unsigned(-delta),
+                  "injectFlushCounterSkew: counter would underflow");
+    flush_counter_ = static_cast<unsigned>(
+        static_cast<int>(flush_counter_) + delta);
+    ++flush_version_;
+}
+
+void
+DataCache::injectFshrState(unsigned fshr, Fshr::State state)
+{
+    SKIPIT_ASSERT(fshr < fshrs_.size(), "injectFshrState: no FSHR ", fshr);
+    fshrs_[fshr].state = state;
+    ++flush_version_;
 }
 
 std::string

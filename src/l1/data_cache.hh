@@ -83,6 +83,10 @@ class DataCache : public Ticked, public probe::Inspectable
     const std::vector<Fshr> &fshrs() const { return fshrs_; }
     /** Every FSHR is Invalid. */
     bool fshrsIdle() const { return fshr_busy_ == 0; }
+    /** Moves whenever state the flush-unit checks read may have changed:
+     *  flush-queue entries, FSHR states, the probe unit and the flush
+     *  counter. An unchanged version means that state is unchanged. */
+    std::uint64_t flushUnitVersion() const { return flush_version_; }
     const std::vector<L1Mshr> &mshrs() const { return mshrs_; }
     const BoundedFifo<FlushQueueEntry> &flushQueue() const
     {
@@ -118,6 +122,29 @@ class DataCache : public Ticked, public probe::Inspectable
      *  data without dirtying it, so a clean copy disagrees with the
      *  levels below (value-coherence). */
     void injectDataCorruption(Addr addr);
+
+    /** Fault injection (tests only): flip the dirty snapshot of the
+     *  queued hit entry for @p addr's line (flushq-meta). A second call
+     *  restores it; dequeuing a flipped entry trips the stale-snapshot
+     *  assert. */
+    void injectFlushSnapshotFlip(Addr addr);
+
+    /** Fault injection (tests only): flip a resident line's dirty bit
+     *  without touching the flush unit, as a store that skipped the
+     *  §5.3 dependence nack would (flushq-meta on a queued line). A
+     *  second call restores it. */
+    void injectDirtyFlip(Addr addr);
+
+    /** Fault injection (tests only): add @p delta to the flush counter
+     *  (flush-counter, flush-counter-global). A fence waits for the
+     *  skewed counter, so undo the skew before running to quiescence. */
+    void injectFlushCounterSkew(int delta);
+
+    /** Fault injection (tests only): overwrite FSHR @p fshr's state
+     *  (fshr-fsm). The live-entry bitsets are left alone, so the model
+     *  does not act on the forced state; restore it before the FSHR's
+     *  next event. */
+    void injectFshrState(unsigned fshr, Fshr::State state);
 
     /** Tests only: recompute the FSHR and MSHR bitsets from the
      *  entries. @return the first mismatch, or "" if none. */
@@ -167,6 +194,7 @@ class DataCache : public Ticked, public probe::Inspectable
     std::vector<Fshr> fshrs_;
     unsigned flush_counter_ = 0;
     unsigned fshr_rr_ = 0; //!< round-robin FSHR allocation pointer (§5.2)
+    std::uint64_t flush_version_ = 0; //!< flushUnitVersion()
 
     /// @name Live-entry bitsets (bit i = FSHR i or MSHR i)
     /// Walked in ascending order, which is the order a scan of every

@@ -1,7 +1,6 @@
 #include "report.hh"
 
 #include <cmath>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -101,18 +100,6 @@ ReportTable::renderCsv(std::ostream &os) const
             os << (c != 0 ? "," : "") << csvEscape(toString(row[c]));
         os << "\n";
     }
-}
-
-bool
-ReportTable::writeCsvFile(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out) {
-        warn("cannot write report CSV to ", path);
-        return false;
-    }
-    renderCsv(out);
-    return out.good();
 }
 
 } // namespace skipit

@@ -40,10 +40,6 @@ class ReportTable
     /** RFC-4180-ish CSV (quotes cells containing commas/quotes). */
     void renderCsv(std::ostream &os) const;
 
-    /** Write the CSV form to @p path; warns and returns false (does not
-     *  throw) on failure. */
-    bool writeCsvFile(const std::string &path) const;
-
     /** Cell accessor for tests. */
     const ReportValue &at(std::size_t row, std::size_t col) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "coherence/state.hh"
@@ -81,6 +82,8 @@ CoherenceChecker::addL1(const DataCache &l1)
     l1s_.push_back(&l1);
     prev_fshr_.emplace_back(l1.fshrs().size(), Fshr::State::Invalid);
     idle_at_last_check_ |= std::uint64_t{1} << (l1s_.size() - 1);
+    // No version equals this one, so the first tick checks the L1.
+    flush_seen_.push_back(~l1.flushUnitVersion());
     const std::size_t slots =
         std::size_t{l1.arrays().sets()} * l1.arrays().ways();
     work_.push_back({ChangeLog(slots), {}, ChangeLog(slots)});
@@ -93,19 +96,35 @@ CoherenceChecker::tick()
         return;
     ++checks_run_;
     drainChanges();
+    bool flush_moved = false;
     for (std::size_t i = 0; i < l1s_.size(); ++i) {
         L1Work &w = work_[i];
-        for (const std::size_t s : w.failing)
-            w.recheck.mark(s);
-        w.failing.clear();
-        const unsigned ways = l1s_[i]->arrays().ways();
-        for (const std::size_t s : sortedSlots(w.recheck)) {
-            if (checkLineStructural(i, static_cast<unsigned>(s / ways),
-                                    static_cast<unsigned>(s % ways))) {
-                w.failing.push_back(s);
+        if (!w.recheck.slots().empty() || !w.failing.empty()) {
+            for (const std::size_t s : w.failing)
+                w.recheck.mark(s);
+            w.failing.clear();
+            const unsigned ways = l1s_[i]->arrays().ways();
+            for (const std::size_t s : sortedSlots(w.recheck)) {
+                if (checkLineStructural(i, static_cast<unsigned>(s / ways),
+                                        static_cast<unsigned>(s % ways))) {
+                    w.failing.push_back(s);
+                }
             }
+            w.recheck.clear();
         }
-        w.recheck.clear();
+
+        // The flush-unit checks read the L1's flush-unit state, which
+        // moves its version, and the array lines of queued entries.
+        const DataCache &dc = *l1s_[i];
+        const std::uint64_t bit = std::uint64_t{1} << i;
+        const std::uint64_t version = dc.flushUnitVersion();
+        if (version == flush_seen_[i] && (flush_failing_ & bit) == 0 &&
+            ((arrays_changed_ & bit) == 0 || dc.flushQueue().empty())) {
+            continue;
+        }
+        flush_moved = flush_moved || version != flush_seen_[i];
+        flush_seen_[i] = version;
+        const std::uint64_t before = reported_;
         if (quietL1(i)) {
             checkQuietFlushCounter(i);
         } else {
@@ -113,13 +132,21 @@ CoherenceChecker::tick()
             checkFshrFsm(i);
             snapshotFshrStates(i);
         }
+        flush_failing_ = reported_ != before ? flush_failing_ | bit
+                                             : flush_failing_ & ~bit;
     }
-    checkSliceRouting(false);
-    checkGlobalFlushCounter();
+    checkSliceRouting(DirScan::None);
+    if (flush_moved || global_failing_) {
+        const std::uint64_t before = reported_;
+        checkGlobalFlushCounter();
+        global_failing_ = reported_ != before;
+    }
     if (cfg_.check_values && cfg_.value_interval > 0 &&
         checks_run_ % cfg_.value_interval == 0) {
         for (std::size_t i = 0; i < l1s_.size(); ++i) {
             ChangeLog &owing = work_[i].owing;
+            if (owing.slots().empty())
+                continue;
             const unsigned ways = l1s_[i]->arrays().ways();
             const std::vector<std::size_t> &due = sortedSlots(owing);
             owing.clear();
@@ -130,13 +157,14 @@ CoherenceChecker::tick()
                 }
             }
         }
-        checkSliceRouting(true);
+        checkSliceRouting(DirScan::Tracked);
     }
 }
 
 void
 CoherenceChecker::drainChanges()
 {
+    arrays_changed_ = 0;
     if (!primed_) {
         primed_ = true;
         for (std::size_t i = 0; i < l1s_.size(); ++i) {
@@ -144,9 +172,19 @@ CoherenceChecker::drainChanges()
             for (std::size_t s = 0; s < std::size_t{a.sets()} * a.ways(); ++s)
                 markSlot(i, s);
         }
+        foreign_.assign(l2s_.size(), {});
+        for (std::size_t k = 0; k < l2s_.size(); ++k) {
+            const Directory &dir = l2s_[k]->directory();
+            for (std::size_t s = 0; s < std::size_t{dir.sets()} * dir.ways();
+                 ++s) {
+                trackForeign(k, s);
+            }
+        }
     } else {
         for (std::size_t i = 0; i < l1s_.size(); ++i) {
             const L1Arrays &a = l1s_[i]->arrays();
+            if (!a.changes().slots().empty())
+                arrays_changed_ |= std::uint64_t{1} << i;
             for (const std::size_t s : a.changes().slots()) {
                 markSlot(i, s);
                 // Other L1s' swmr verdicts on this line read it too.
@@ -157,7 +195,8 @@ CoherenceChecker::drainChanges()
                     markLine(m.tag << line_shift);
             }
         }
-        for (const L2Cache *l2 : l2s_) {
+        for (std::size_t k = 0; k < l2s_.size(); ++k) {
+            const L2Cache *l2 = l2s_[k];
             const Directory &dir = l2->directory();
             const auto markHeld = [&](std::size_t s) {
                 const unsigned set = static_cast<unsigned>(s / dir.ways());
@@ -168,10 +207,11 @@ CoherenceChecker::drainChanges()
             // A directory entry changes the verdicts of both the line it
             // held before and the line it holds now.
             const std::vector<std::size_t> &slots = dir.changes().slots();
-            for (std::size_t k = 0; k < slots.size(); ++k) {
-                if (dir.priorLines()[k] != Directory::no_line)
-                    markLine(dir.priorLines()[k]);
-                markHeld(slots[k]);
+            for (std::size_t n = 0; n < slots.size(); ++n) {
+                if (dir.priorLines()[n] != Directory::no_line)
+                    markLine(dir.priorLines()[n]);
+                markHeld(slots[n]);
+                trackForeign(k, slots[n]);
             }
             for (const std::size_t s : l2->store().changes().slots())
                 markHeld(s);
@@ -189,6 +229,21 @@ CoherenceChecker::drainChanges()
     }
     if (dram_ != nullptr)
         dram_->clearChanges();
+}
+
+void
+CoherenceChecker::trackForeign(std::size_t slice, std::size_t slot)
+{
+    const L2Cache &l2 = *l2s_[slice];
+    if (l2.sliceCount() <= 1)
+        return;
+    const Directory &dir = l2.directory();
+    const unsigned set = static_cast<unsigned>(slot / dir.ways());
+    const unsigned way = static_cast<unsigned>(slot % dir.ways());
+    if (dir.entry(set, way).valid && !l2.homesLine(dir.addrOf(set, way)))
+        foreign_[slice].insert(slot);
+    else
+        foreign_[slice].erase(slot);
 }
 
 void
@@ -229,7 +284,7 @@ CoherenceChecker::checkNow()
         checkL1Structural(i);
         checkFshrFsm(i);
     }
-    checkSliceRouting(true);
+    checkSliceRouting(DirScan::Full);
     checkGlobalFlushCounter();
     if (cfg_.check_values) {
         for (std::size_t i = 0; i < l1s_.size(); ++i)
@@ -278,6 +333,7 @@ CoherenceChecker::report(std::ostream &os) const
 void
 CoherenceChecker::fail(const char *invariant, std::string detail)
 {
+    ++reported_;
     if (collect_ != nullptr) {
         if (collect_->size() < cfg_.max_violations)
             collect_->push_back({sim_.now(), invariant, std::move(detail)});
@@ -648,15 +704,26 @@ CoherenceChecker::checkL2DramSweep()
 }
 
 void
-CoherenceChecker::checkSliceRouting(bool deep)
+CoherenceChecker::checkSliceRouting(DirScan scan)
 {
-    for (const L2Cache *l2 : l2s_) {
-        if (const auto line = l2->firstForeignLine(deep)) {
+    for (std::size_t k = 0; k < l2s_.size(); ++k) {
+        const L2Cache *l2 = l2s_[k];
+        std::optional<Addr> line =
+            l2->firstForeignLine(scan == DirScan::Full);
+        if (!line && scan == DirScan::Tracked && !foreign_[k].empty()) {
+            // The lowest slot is the one a scan in (set, way) order
+            // would find first.
+            const Directory &dir = l2->directory();
+            const std::size_t slot = *foreign_[k].begin();
+            line = dir.addrOf(static_cast<unsigned>(slot / dir.ways()),
+                              static_cast<unsigned>(slot % dir.ways()));
+        }
+        if (line) {
             fail("slice-routing", detail::concat(
                      "L2 slice ", l2->sliceIndex(),
-                     deep ? " holds" : " is working on", " line 0x",
-                     std::hex, *line, " which homes to slice ", std::dec,
-                     l2->indexPolicy().sliceOf(lineAlign(*line))));
+                     scan != DirScan::None ? " holds" : " is working on",
+                     " line 0x", std::hex, *line, " which homes to slice ",
+                     std::dec, l2->indexPolicy().sliceOf(lineAlign(*line))));
         }
     }
 }

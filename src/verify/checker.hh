@@ -67,16 +67,34 @@
  * cycle, so the violation sequence is the one a full sweep gives. Value
  * and skip checks keep their value_interval cadence but visit only the
  * lines that still owe one: changed since their last quiet pass, still
- * busy, or failing. The first tick is a full pass; the slice-routing
- * checks and checkNow() always cover everything. The queue, FSHR and
- * flush-counter checks cover every L1 but a quiet one: an L1 whose
- * flush queue is empty and whose FSHRs are all Invalid, now and at its
- * last check. Its flushq-meta and probe-invalidate checks are vacuous,
- * its FSHRs took self loops and its snapshot is unchanged, so comparing
- * its flush counter with 0 gives the same verdict as the full checks.
+ * busy, or failing. The first tick is a full pass, and checkNow() always
+ * covers everything.
+ *
+ * The flush-unit checks (flushq-meta, probe-invalidate, flush-counter,
+ * fshr-fsm) of an L1 read its flush queue, FSHR states, probe unit and
+ * flush counter, and the array lines of its queued entries. Every write
+ * to the former bumps DataCache::flushUnitVersion(). tick() runs them
+ * for an L1 only when its version moved since its last check, when its
+ * array change log is non-empty while its queue is not, or when they
+ * reported a violation at its last check. Otherwise nothing they read
+ * changed since a check that passed, so they would pass again: the FSHR
+ * snapshot equals the current states (self loops only). A failing L1 is
+ * re-checked, and so re-reported, in every executed cycle, which keeps
+ * the violation sequence. An L1 whose queue is empty and whose FSHRs are
+ * all Invalid, now and at its last check, is checked by comparing its
+ * flush counter with 0. flush-counter-global runs when some L1's
+ * version moved or it failed last cycle.
+ *
+ * slice-routing reads the in-flight lines of every slice in every
+ * executed cycle. The deep check at value-sweep cadence also reads the
+ * directory: each slice of a multi-slice L2 keeps the set of its
+ * directory slots that hold a line homing elsewhere, updated from the
+ * directory change log, and the lowest slot is the line a scan in
+ * (set, way) order finds first. checkNow() scans every entry.
  *
  * The rule this rests on: every mutable path into L1 arrays, the
- * directory, the BankedStore or DRAM goes through a logged accessor.
+ * directory, the BankedStore or DRAM goes through a logged accessor, and
+ * every flush-unit write bumps the version.
  * tests/verify/test_checker_incremental.cc is the completeness oracle
  * that fails when one does not.
  */
@@ -85,7 +103,9 @@
 #define SKIPIT_VERIFY_CHECKER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -179,10 +199,25 @@ class CoherenceChecker : public Ticked
 
     std::vector<Violation> violations_;
     std::uint64_t checks_run_ = 0;
-    /** Previous-tick FSHR states, per L1, for transition checking. */
+    /** fail() calls so far: tick() compares it around a check to learn
+     *  whether the check reported. */
+    std::uint64_t reported_ = 0;
+    /** FSHR states at each L1's last flush-unit check, for transition
+     *  checking. */
     std::vector<std::vector<Fshr::State>> prev_fshr_;
     /** Bit i: every FSHR of L1 i was Invalid in its last snapshot. */
     std::uint64_t idle_at_last_check_ = 0;
+    /** Per L1: its flushUnitVersion() at its last flush-unit check. */
+    std::vector<std::uint64_t> flush_seen_;
+    /** Bit i: L1 i's last flush-unit check reported a violation. */
+    std::uint64_t flush_failing_ = 0;
+    /** Bit i: L1 i's array change log was non-empty this cycle. */
+    std::uint64_t arrays_changed_ = 0;
+    /** The last flush-counter-global check reported a violation. */
+    bool global_failing_ = false;
+    /** Per slice of a multi-slice L2: the directory slots (set * ways +
+     *  way) holding a line that homes to another slice. */
+    std::vector<std::set<std::size_t>> foreign_;
     /** When non-null, fail() collects here instead of panicking. */
     std::vector<Violation> *collect_ = nullptr;
 
@@ -199,8 +234,12 @@ class CoherenceChecker : public Ticked
     /** Scratch: a log's slots in the full sweep's order. */
     std::vector<std::size_t> order_;
 
-    /** Turn the components' change logs into per-L1 slot marks. */
+    /** Turn the components' change logs into per-L1 slot marks and
+     *  foreign-slot updates. */
     void drainChanges();
+    /** Re-derive whether directory @p slot of slice @p slice is in
+     *  foreign_. */
+    void trackForeign(std::size_t slice, std::size_t slot);
     /** Mark @p line in every L1 that holds it. */
     void markLine(Addr line);
     void markSlot(std::size_t idx, std::size_t slot);
@@ -218,10 +257,16 @@ class CoherenceChecker : public Ticked
     void checkL1Queues(std::size_t idx);
     void checkFshrFsm(std::size_t idx);
     void checkL2DramSweep();
-    /** slice-routing: no slice works on (or, when @p deep, holds) a
-     *  line homing to a sibling. Shallow runs every cycle; the deep
-     *  directory scan runs at value-sweep cadence and in checkNow(). */
-    void checkSliceRouting(bool deep);
+    /** What checkSliceRouting() reads of the directories. */
+    enum class DirScan
+    {
+        None,    //!< in-flight lines only (every executed cycle)
+        Tracked, //!< plus the foreign-slot sets (value-sweep cadence)
+        Full,    //!< plus every directory entry (checkNow)
+    };
+    /** slice-routing: no slice works on a line homing to a sibling,
+     *  and, unless @p scan is None, no slice holds one. */
+    void checkSliceRouting(DirScan scan);
     /** flush-counter-global: machine-wide counter conservation. */
     void checkGlobalFlushCounter();
     /** Record L1 @p idx's FSHR states for its next fshr-fsm check. */

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -431,6 +432,76 @@ TEST(PolicyEndToEnd, SliceIndexedDifferentlyFromItsRouterIsCaught)
     checker.checkNow();
     ASSERT_FALSE(checker.clean());
     EXPECT_EQ(checker.violations().front().invariant, "slice-routing");
+}
+
+TEST(PolicyEndToEnd, SliceHoldingAForeignLineIsReportedEverySweep)
+{
+    // The machine of SliceIndexedDifferentlyFromItsRouterIsCaught, run
+    // on after slice 0 has gone idle: the misrouted line then lives only
+    // in slice 0's directory, so only the deep check, at value-sweep
+    // cadence, can still report it. Pins the whole latched list.
+    Simulator sim;
+    Stats stats;
+    L2Config cfg;
+    cfg.slices = 2;
+    cfg.index = IndexKind::Hashed;
+    Dram dram("dram", sim, DramConfig{}, stats);
+    L2Cache s0("l2.s0", sim, cfg, dram, stats, 0);
+    L2Cache s1("l2.s1", sim, cfg, dram, stats, 1);
+    TLXbar xbar("xbar", sim, 2);
+
+    MockClient client(sim, 0);
+    xbar.connectClient(0, client.link);
+    s0.connectPort(0, xbar.port(0, 0));
+    s1.connectPort(0, xbar.port(1, 0));
+
+    verify::CheckerConfig vcfg;
+    vcfg.fatal = false;
+    vcfg.max_violations = 128;
+    verify::CoherenceChecker checker("checker", sim, vcfg);
+    checker.setL2(s0);
+    checker.setL2(s1);
+    checker.setDram(dram);
+
+    sim.add(dram);
+    sim.add(xbar);
+    sim.add(s0);
+    sim.add(s1);
+    sim.add(checker);
+
+    Addr line = 0x1000;
+    while (cfg.indexPolicy().sliceOf(line) != 1 ||
+           xbar.indexPolicy().sliceOf(line) != 0)
+        line += line_bytes;
+    ASSERT_EQ(line, 0x1000u);
+
+    client.acquire(line, Grow::NtoB);
+    sim.runUntil([&] { return client.dReady(); });
+    client.grantAck(line);
+    sim.runUntil([&] { return s0.idle(); });
+    for (int i = 0; i < 48; ++i)
+        sim.step();
+
+    std::ostringstream got;
+    for (const verify::Violation &v : checker.violations())
+        got << v.cycle << " [" << v.invariant << "] " << v.detail << "\n";
+    // Cycles 1-103: the shallow check sees the misrouted MSHR in every
+    // cycle, and the deep one (every 16th checked cycle) reports it too.
+    // From cycle 104 slice 0 is idle and only its directory holds the
+    // line.
+    const auto report = [](Cycle c, const char *verb) {
+        return std::to_string(c) + " [slice-routing] L2 slice 0 " + verb +
+               " line 0x1000 which homes to slice 1\n";
+    };
+    std::string want;
+    for (Cycle c = 1; c <= 103; ++c) {
+        want += report(c, "is working on");
+        if (c % 16 == 15)
+            want += report(c, "holds");
+    }
+    for (const Cycle c : {111, 127, 143})
+        want += report(c, "holds");
+    EXPECT_EQ(got.str(), want);
 }
 
 TEST(PolicyEndToEnd, FuzzSmokeAcrossThePolicyGrid)

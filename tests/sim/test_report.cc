@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
@@ -109,22 +107,6 @@ TEST(ReportTable, CellAccessor)
     EXPECT_EQ(std::get<std::uint64_t>(t.at(0, 0)), 9u);
     EXPECT_EQ(t.rows(), 1u);
     EXPECT_EQ(t.columns(), 1u);
-}
-
-TEST(ReportTable, WritesCsvFile)
-{
-    ReportTable t("x", {"n"});
-    t.addRow({std::uint64_t{1}});
-    const std::string path = "/tmp/skipit_report_test.csv";
-    EXPECT_TRUE(t.writeCsvFile(path));
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "n");
-    std::getline(in, line);
-    EXPECT_EQ(line, "1");
-    std::remove(path.c_str());
 }
 
 TEST(ReportTableDeathTest, RowWidthMismatchPanics)

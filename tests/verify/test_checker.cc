@@ -322,6 +322,164 @@ TEST(CheckerNegativeControl, DramPokedUnderTagOnlyLine)
 }
 
 // ---------------------------------------------------------------------
+// Negative controls for the flush unit (flushq-meta, flush-counter,
+// flush-counter-global, fshr-fsm). One FSHR keeps hart 0's flush of
+// ctl_line queued behind its flush of the next line; each test breaks
+// one piece of flush-unit or array state through an injector, steps
+// every cycle while it is broken, undoes the fault before the model
+// trips over it and pins the whole latched list. The lists were
+// captured with the checker that ran every flush-unit check in every
+// executed cycle.
+// ---------------------------------------------------------------------
+
+constexpr Addr ctl_next = ctl_line + line_bytes;
+
+SoCConfig
+flushUnitConfig()
+{
+    SoCConfig cfg = controlConfig();
+    cfg.l1.fshrs = 1;
+    cfg.l1.flush_queue_depth = 8;
+    return cfg;
+}
+
+const std::vector<Program> queued_flush = {
+    {MemOp::store(ctl_line + 8, 0x11), MemOp::store(ctl_next + 8, 0x22),
+     MemOp::flush(ctl_next), MemOp::flush(ctl_line), MemOp::fence()},
+    {}};
+
+bool
+flushQueued(SoC &soc)
+{
+    for (const FlushQueueEntry &e : soc.l1(0).flushQueue()) {
+        if (e.addr == ctl_line)
+            return true;
+    }
+    return false;
+}
+
+/** Run @p programs until @p ready holds, @p inject, step @p stepped
+ *  cycles, @p undo, run to quiescence and render. */
+std::string
+runFlushUnitControl(const SoCConfig &cfg, const std::vector<Program> &programs,
+                    const std::function<bool(SoC &)> &ready,
+                    const std::function<void(SoC &)> &inject,
+                    int stepped, const std::function<void(SoC &)> &undo)
+{
+    SoC soc(cfg);
+    soc.setPrograms(programs);
+    soc.sim().runUntil([&] { return ready(soc); }, 100'000);
+    inject(soc);
+    for (int i = 0; i < stepped; ++i)
+        soc.sim().step();
+    undo(soc);
+    soc.runToQuiescence(1'000'000);
+    return render(soc.checker());
+}
+
+TEST(CheckerNegativeControl, QueuedDirtySnapshotFlipped)
+{
+    // flushq-meta, re-reported in every cycle it stays broken although
+    // nothing in the flush unit moves in most of them.
+    const auto flip = [](SoC &soc) {
+        soc.l1(0).injectFlushSnapshotFlip(ctl_line);
+    };
+    const std::string got = runFlushUnitControl(
+        flushUnitConfig(), queued_flush, flushQueued, flip, 12, flip);
+    EXPECT_EQ(got, R"(
+123 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+124 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+125 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+126 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+127 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+128 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+129 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+130 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+131 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+132 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+133 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+134 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+)" + 1) << "actual:\n" << got;
+}
+
+TEST(CheckerNegativeControl, QueuedLineDirtiedBehindTheQueue)
+{
+    // flushq-meta through the array alone: the queued clean hit entry's
+    // line turns dirty while nothing in the flush unit moves. Skip It
+    // off, or the flush of the clean line would be dropped, not queued.
+    const auto flip = [](SoC &soc) { soc.l1(0).injectDirtyFlip(ctl_line); };
+    const std::string got = runFlushUnitControl(
+        flushUnitConfig().withSkipIt(false),
+        {{MemOp::load(ctl_line), MemOp::store(ctl_next + 8, 0x22),
+          MemOp::flush(ctl_next), MemOp::flush(ctl_line), MemOp::fence()},
+         {}},
+        flushQueued, flip, 6, flip);
+    EXPECT_EQ(got, R"(
+232 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+233 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+234 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+235 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+236 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+237 [flushq-meta] l1[0] flush-queue entry 0x90000 snapshotted dirty=0 but the array says dirty=1
+)" + 1) << "actual:\n" << got;
+}
+
+TEST(CheckerNegativeControl, FlushCounterSkewed)
+{
+    // flush-counter on a busy L1 and on a quiet one, and the global sum.
+    const auto skew = [](int delta) {
+        return [delta](SoC &soc) {
+            soc.l1(0).injectFlushCounterSkew(delta);
+            soc.l1(1).injectFlushCounterSkew(delta);
+        };
+    };
+    const std::string got = runFlushUnitControl(
+        flushUnitConfig(), queued_flush, flushQueued, skew(1), 6, skew(-1));
+    EXPECT_EQ(got, R"(
+123 [flush-counter] l1[0] flush counter 3 != 1 queued + 1 in FSHRs
+123 [flush-counter] l1[1] flush counter 1 != 0 queued + 0 in FSHRs
+123 [flush-counter-global] summed flush counters 4 != 2 total queued + in-FSHR CBO.X across all L1s
+124 [flush-counter] l1[0] flush counter 3 != 1 queued + 1 in FSHRs
+124 [flush-counter] l1[1] flush counter 1 != 0 queued + 0 in FSHRs
+124 [flush-counter-global] summed flush counters 4 != 2 total queued + in-FSHR CBO.X across all L1s
+125 [flush-counter] l1[0] flush counter 3 != 1 queued + 1 in FSHRs
+125 [flush-counter] l1[1] flush counter 1 != 0 queued + 0 in FSHRs
+125 [flush-counter-global] summed flush counters 4 != 2 total queued + in-FSHR CBO.X across all L1s
+126 [flush-counter] l1[0] flush counter 3 != 1 queued + 1 in FSHRs
+126 [flush-counter] l1[1] flush counter 1 != 0 queued + 0 in FSHRs
+126 [flush-counter-global] summed flush counters 4 != 2 total queued + in-FSHR CBO.X across all L1s
+127 [flush-counter] l1[0] flush counter 3 != 1 queued + 1 in FSHRs
+127 [flush-counter] l1[1] flush counter 1 != 0 queued + 0 in FSHRs
+127 [flush-counter-global] summed flush counters 4 != 2 total queued + in-FSHR CBO.X across all L1s
+128 [flush-counter] l1[0] flush counter 3 != 1 queued + 1 in FSHRs
+128 [flush-counter] l1[1] flush counter 1 != 0 queued + 0 in FSHRs
+128 [flush-counter-global] summed flush counters 4 != 2 total queued + in-FSHR CBO.X across all L1s
+)" + 1) << "actual:\n" << got;
+}
+
+TEST(CheckerNegativeControl, FshrForcedThroughIllegalTransitions)
+{
+    // fshr-fsm: RootReleaseAck -> FillBuffer and back are both illegal.
+    const std::string got = runFlushUnitControl(
+        flushUnitConfig(), queued_flush,
+        [](SoC &soc) {
+            return soc.l1(0).fshrs()[0].state ==
+                   Fshr::State::RootReleaseAck;
+        },
+        [](SoC &soc) {
+            soc.l1(0).injectFshrState(0, Fshr::State::FillBuffer);
+        },
+        3,
+        [](SoC &soc) {
+            soc.l1(0).injectFshrState(0, Fshr::State::RootReleaseAck);
+        });
+    EXPECT_EQ(got, R"(
+118 [fshr-fsm] l1[0] fshr0 took illegal transition root_release_ack -> fill_buffer (line 0x90040)
+121 [fshr-fsm] l1[0] fshr0 took illegal transition fill_buffer -> root_release_ack (line 0x90040)
+)" + 1) << "actual:\n" << got;
+}
+
+// ---------------------------------------------------------------------
 // data-residency: every inclusive entry holds its bytes, and under either
 // state policy a dirty entry does. injectTagOnly() breaks the promise at
 // quiescence; checkNow() must name the rule exactly when it applies.

@@ -3,16 +3,22 @@
  * Change-log completeness oracle for the incremental coherence checker.
  *
  * The checker re-checks only the lines whose state went through a logged
- * mutable accessor (src/sim/change_log.hh). This test keeps a shadow copy
- * of every L1 meta/data slot, directory entry, BankedStore line and DRAM
- * line, steps seeded fuzz programs one executed cycle at a time with the
- * checker off (so the test drains the logs itself), and requires every
- * slot that differs from its shadow to appear in its log. A new mutable
- * path that bypasses the logged accessors fails here.
+ * mutable accessor (src/sim/change_log.hh), and re-runs an L1's
+ * flush-unit checks only when its flushUnitVersion() moved. This test
+ * keeps a shadow copy of every L1 meta/data slot, directory entry,
+ * BankedStore line and DRAM line, and of each L1's flush-unit state
+ * (queue entries, FSHR states, probe unit, flush counter). It steps
+ * seeded fuzz programs one executed cycle at a time with the checker
+ * off (so the test drains the logs itself), and requires every slot
+ * that differs from its shadow to appear in its log, and every L1 whose
+ * flush-unit state differs to have moved its version. A new mutable
+ * path that bypasses the logged accessors or the version bump fails
+ * here.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -44,6 +50,43 @@ lineOf(const DirEntry &e)
     return e.valid ? e.tag << line_shift : Directory::no_line;
 }
 
+bool
+sameQueued(const FlushQueueEntry &a, const FlushQueueEntry &b)
+{
+    return a.addr == b.addr && a.is_hit == b.is_hit &&
+           a.is_dirty == b.is_dirty && a.kind == b.kind && a.txn == b.txn;
+}
+
+/** Everything the checker's flush-unit checks read of one L1 but its
+ *  array lines. */
+struct FlushUnit
+{
+    std::vector<FlushQueueEntry> queue;
+    std::vector<Fshr::State> fshrs;
+    ProbeUnit probe;
+    unsigned counter = 0;
+    std::uint64_t version = 0;
+
+    explicit FlushUnit(const DataCache &dc)
+        : queue(dc.flushQueue().begin(), dc.flushQueue().end()),
+          probe(dc.probeUnit()), counter(dc.flushCounter()),
+          version(dc.flushUnitVersion())
+    {
+        for (const Fshr &f : dc.fshrs())
+            fshrs.push_back(f.state);
+    }
+
+    bool
+    sameState(const FlushUnit &o) const
+    {
+        return std::equal(queue.begin(), queue.end(), o.queue.begin(),
+                          o.queue.end(), sameQueued) &&
+               fshrs == o.fshrs && probe.state == o.probe.state &&
+               probe.line == o.probe.line && probe.cap == o.probe.cap &&
+               counter == o.counter;
+    }
+};
+
 /** Shadow copies of everything the checker reads, and the audit. */
 class Shadow
 {
@@ -54,6 +97,7 @@ class Shadow
             const L1Arrays &a = soc.l1(c).arrays();
             meta_.emplace_back();
             l1_data_.emplace_back();
+            flush_.emplace_back(soc.l1(c));
             for (unsigned s = 0; s < a.sets(); ++s) {
                 for (unsigned w = 0; w < a.ways(); ++w) {
                     meta_.back().push_back(a.meta(s, w));
@@ -96,9 +140,18 @@ class Shadow
     std::uint64_t dirChanges() const { return dir_changes_; }
     std::uint64_t storeChanges() const { return store_changes_; }
     std::uint64_t dramChanges() const { return dram_changes_; }
+    std::uint64_t flushChanges() const { return flush_changes_; }
+    /** Queued entries a probe's invalidate-queue stage rewrote. */
+    std::uint64_t probeRewrites() const { return probe_rewrites_; }
+    /** Queued entries rewritten with no probe in that stage: evictions. */
+    std::uint64_t evictionRewrites() const { return eviction_rewrites_; }
 
   private:
     SoC &soc_;
+    std::vector<FlushUnit> flush_;
+    std::uint64_t flush_changes_ = 0;
+    std::uint64_t probe_rewrites_ = 0;
+    std::uint64_t eviction_rewrites_ = 0;
     std::vector<std::vector<L1Meta>> meta_;
     std::vector<std::vector<LineData>> l1_data_;
     std::vector<std::vector<DirEntry>> dir_;
@@ -136,7 +189,34 @@ class Shadow
                 ++l1_changes_;
             }
             a.clearChanges();
+            auditFlushUnit(c);
         }
+    }
+
+    void
+    auditFlushUnit(unsigned c)
+    {
+        FlushUnit now(soc_.l1(c));
+        FlushUnit &was = flush_[c];
+        if (now.sameState(was))
+            return;
+        ASSERT_NE(now.version, was.version)
+            << "l1[" << c << "] flush unit changed at cycle "
+            << soc_.sim().now() << " without a flushUnitVersion() bump";
+        // An entry still queued (same txn) with new flags was rewritten
+        // by invalidateFlushEntries.
+        for (const FlushQueueEntry &e : now.queue) {
+            for (const FlushQueueEntry &o : was.queue) {
+                if (o.txn != e.txn || sameQueued(o, e))
+                    continue;
+                const bool probed =
+                    was.probe.state == ProbeUnit::State::InvalidateQueue &&
+                    was.probe.line == e.addr;
+                ++(probed ? probe_rewrites_ : eviction_rewrites_);
+            }
+        }
+        was = std::move(now);
+        ++flush_changes_;
     }
 
     void
@@ -195,8 +275,8 @@ class Shadow
     }
 };
 
-/** cores x slices x L2 state policy. */
-using Combo = std::tuple<unsigned, unsigned, StateKind>;
+/** cores x slices x L2 state policy x L1 FSHRs (0 = default). */
+using Combo = std::tuple<unsigned, unsigned, StateKind, unsigned>;
 
 class ChangeLogOracle : public ::testing::TestWithParam<Combo>
 {
@@ -204,12 +284,15 @@ class ChangeLogOracle : public ::testing::TestWithParam<Combo>
 
 TEST_P(ChangeLogOracle, EveryChangedSlotIsLogged)
 {
-    const auto [cores, slices, policy] = GetParam();
+    const auto [cores, slices, policy, fshrs] = GetParam();
     workloads::FuzzSpec spec;
     spec.harts = cores;
     spec.ops = 40;
     spec.l2_slices = slices;
     spec.l2_policy = policy;
+    spec.fshrs = fshrs;
+    if (fshrs != 0)
+        spec.flush_queue_depth = 8;
     const std::uint64_t seed = 7 + cores + slices;
     SoCConfig cfg = workloads::fuzzConfig(spec, seed);
     cfg.verify.enabled = false; // the test drains the logs itself
@@ -217,6 +300,12 @@ TEST_P(ChangeLogOracle, EveryChangedSlotIsLogged)
     // the fuzz pool collide in sets.
     cfg.l1.sets = 16;
     cfg.l2.sets = 64;
+    if (fshrs == 1) {
+        // One 2-way set for the six pool lines: queued lines are
+        // evicted as well as probed.
+        cfg.l1.sets = 1;
+        cfg.l1.ways = 2;
+    }
 
     SoC soc(cfg);
     soc.setPrograms(workloads::generateFuzzPrograms(spec, seed));
@@ -233,23 +322,43 @@ TEST_P(ChangeLogOracle, EveryChangedSlotIsLogged)
     EXPECT_GT(shadow.dirChanges(), 0u);
     EXPECT_GT(shadow.storeChanges(), 0u);
     EXPECT_GT(shadow.dramChanges(), 0u);
+    EXPECT_GT(shadow.flushChanges(), 0u);
+    // One FSHR keeps entries queued long enough for probes and
+    // evictions to rewrite them (§5.4), so the rule for
+    // invalidateFlushEntries is exercised.
+    if (fshrs == 1) {
+        EXPECT_GT(shadow.probeRewrites(), 0u);
+        EXPECT_GT(shadow.evictionRewrites(), 0u);
+    }
+}
+
+std::string
+comboName(const ::testing::TestParamInfo<Combo> &info)
+{
+    // The "_serial" suffix is part of each row's recorded test id.
+    std::ostringstream os;
+    os << "c" << std::get<0>(info.param) << "_s" << std::get<1>(info.param)
+       << "_"
+       << (std::get<2>(info.param) == StateKind::Inclusive ? "incl"
+                                                           : "excl");
+    if (std::get<3>(info.param) != 0)
+        os << "_f" << std::get<3>(info.param) << "q8";
+    os << "_serial";
+    return os.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, ChangeLogOracle,
     ::testing::Combine(::testing::Values(2u, 16u), ::testing::Values(1u, 4u),
                        ::testing::Values(StateKind::Inclusive,
-                                         StateKind::Exclusive)),
-    [](const ::testing::TestParamInfo<Combo> &info) {
-        // The "_serial" suffix is part of each row's recorded test id.
-        std::ostringstream os;
-        os << "c" << std::get<0>(info.param) << "_s"
-           << std::get<1>(info.param) << "_"
-           << (std::get<2>(info.param) == StateKind::Inclusive ? "incl"
-                                                               : "excl")
-           << "_serial";
-        return os.str();
-    });
+                                         StateKind::Exclusive),
+                       ::testing::Values(0u)),
+    comboName);
+
+/** The §5.4 corner: one FSHR and a queue of 8. */
+INSTANTIATE_TEST_SUITE_P(
+    OneFshr, ChangeLogOracle,
+    ::testing::Values(Combo{4u, 1u, StateKind::Inclusive, 1u}), comboName);
 
 } // namespace
 } // namespace skipit

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <sstream>
 
 #include "workloads/fuzz.hh"
 
@@ -125,6 +126,28 @@ TEST(Fuzz, InjectedFaultIsCaughtAndReplaysDeterministically)
     EXPECT_EQ(a->kind, b->kind);
     EXPECT_EQ(a->cycle, b->cycle);
     EXPECT_EQ(a->detail, b->detail);
+}
+
+TEST(Fuzz, InjectedFaultIsPinnedAtOneAndTwoSlices)
+{
+    // The first failing seed, its cycle and its detail, through a
+    // monolithic L2 and through the crossbar into two slices (where
+    // the slice-routing checks run too).
+    std::ostringstream got;
+    for (const unsigned slices : {1u, 2u}) {
+        FuzzSpec spec = faultySpec();
+        spec.l2_slices = slices;
+        const auto f = workloads::runFuzz(spec, 0, 50, 1);
+        ASSERT_TRUE(f.has_value()) << slices << " slice(s)";
+        got << slices << " slice(s): seed " << f->seed << " cycle "
+            << f->cycle << " " << f->kind << ": " << f->detail << "\n";
+    }
+    const std::string detail =
+        " cycle 803 invariant: invariant 'probe-invalidate' violated: "
+        "l1[1] toN probe on 0x90080 passed invalidate-queue but a queued "
+        "entry still claims a hit\n";
+    EXPECT_EQ(got.str(), "1 slice(s): seed 0" + detail +
+                             "2 slice(s): seed 0" + detail);
 }
 
 TEST(Fuzz, ShrinkKeepsFailureAndNeverGrows)

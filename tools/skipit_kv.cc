@@ -33,7 +33,8 @@
  *   --spec FILE      read the grid from a JSON spec (see
  *                    bench/sweeps/kv.json); CLI flags override it
  *   -o FILE          write BENCH_kv.json here (default BENCH_kv.json;
- *                    "-" = stdout only)
+ *                    "-" = stdout only); exits 1, before any run, if
+ *                    FILE cannot be opened
  *   --crash N        crash-audit mode: power fails at cycle N
  *   --no-skipit      (crash mode) audit with the skip bit off
  *   --stages         attach the transaction tracer and print per-stage
@@ -50,11 +51,11 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "parse_number.hh"
-#include "sim/logging.hh"
 #include "workloads/ycsb.hh"
 
 using namespace skipit;
@@ -95,7 +96,7 @@ readFile(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
-        SKIPIT_FATAL("cannot open spec file: ", path);
+        throw std::runtime_error("cannot open " + path);
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
@@ -223,6 +224,14 @@ run(int argc, char **argv)
         return crashMode(s);
     }
 
+    // Open the report before anything runs: a bad path costs no run.
+    std::ofstream out;
+    if (out_path != "-") {
+        out.open(out_path);
+        if (!out)
+            throw std::runtime_error("cannot write " + out_path);
+    }
+
     if (stages) {
         // Stage histograms for the first grid point, skip on.
         KvSpec s = spec.base;
@@ -270,10 +279,9 @@ run(int argc, char **argv)
     if (out_path == "-") {
         writeKvBenchJson(result, std::cout);
     } else {
-        std::ofstream out(out_path);
-        if (!out)
-            SKIPIT_FATAL("cannot write ", out_path);
         writeKvBenchJson(result, out);
+        if (!out.flush())
+            throw std::runtime_error("cannot write " + out_path);
         std::printf("wrote %s\n", out_path.c_str());
     }
     return 0;

@@ -68,7 +68,7 @@ readFile(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
-        SKIPIT_FATAL("cannot open program file: ", path);
+        badValue("cannot open " + path);
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
@@ -163,6 +163,9 @@ main(int argc, char **argv)
         usage();
         return 1;
     }
+    std::vector<std::string> sources;
+    for (const std::string &f : files)
+        sources.push_back(readFile(f));
 
     SoCConfig cfg;
     cfg.cores = cores != 0 ? cores
@@ -192,9 +195,9 @@ main(int argc, char **argv)
         soc.watchdog().setTracer(&tracer);
     }
 
-    for (std::size_t i = 0; i < files.size(); ++i)
+    for (std::size_t i = 0; i < sources.size(); ++i)
         soc.hart(static_cast<unsigned>(i))
-            .setProgram(assembleProgram(readFile(files[i])));
+            .setProgram(assembleProgram(sources[i]));
 
     const Cycle cycles = soc.runToQuiescence();
     std::printf("completed in %llu cycles (%u cores, skip-it %s)\n",

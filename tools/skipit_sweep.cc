@@ -18,8 +18,8 @@
  *                      "axes": {"threads": [1,2], "bytes": [64,4096]}}
  *   -j N, --jobs N    worker threads (default: 1)
  *   --seed S          base RNG seed; run i uses S+i (throughput kind)
- *   -o FILE           write CSV to FILE (default: stdout); exits 1 if
- *                     FILE cannot be written
+ *   -o FILE           write CSV to FILE (default: stdout); exits 1,
+ *                     before any run, if FILE cannot be opened
  *   --text            render an aligned table instead of CSV
  *
  * Output rows are merged in grid order regardless of worker completion
@@ -35,6 +35,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "parse_number.hh"
@@ -143,12 +144,20 @@ main(int argc, char **argv)
 
     try {
         const std::size_t runs = workloads::expandGrid(spec).size();
+        // Open the report before anything runs: a bad path costs no run.
+        std::ofstream out;
+        if (!out_file.empty()) {
+            out.open(out_file);
+            if (!out)
+                throw std::runtime_error("cannot write " + out_file);
+        }
         std::fprintf(stderr, "skipit-sweep: %zu run(s), kind %s, -j%u\n",
                      runs, spec.kind.c_str(), jobs);
         const ReportTable table = workloads::runSweep(spec, jobs);
         if (!out_file.empty()) {
-            if (!table.writeCsvFile(out_file))
-                return 1;
+            table.renderCsv(out);
+            if (!out.flush())
+                throw std::runtime_error("cannot write " + out_file);
             std::fprintf(stderr, "skipit-sweep: wrote %s\n",
                          out_file.c_str());
         } else if (text) {
