@@ -1,22 +1,45 @@
 #include "asm.hh"
 
+#include <map>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace skipit {
 
 namespace {
 
+[[noreturn]] void
+bad(const std::string &why, const std::string &line)
+{
+    throw std::runtime_error(why + " in line: " + line);
+}
+
+/** @p tok, the whole token, as a decimal, 0x-hex or 0-octal number. */
 std::uint64_t
 parseNumber(const std::string &tok, const std::string &line)
 {
-    try {
-        return std::stoull(tok, nullptr, 0); // handles 0x..., decimal
-    } catch (const std::exception &) {
-        SKIPIT_FATAL("bad number '", tok, "' in line: ", line);
-    }
+    if (const std::optional<std::uint64_t> v = unsignedToken(tok))
+        return *v;
+    bad("bad number '" + tok + "'", line);
 }
+
+/** The one-operand mnemonics: what the operand is, and the op. */
+const std::map<std::string,
+               std::pair<const char *, MemOp (*)(std::uint64_t)>>
+    unary = {
+        {"load", {"an address", [](Addr a) { return MemOp::load(a); }}},
+        {"cbo.clean", {"an address", MemOp::clean}},
+        {"cbo.flush", {"an address", MemOp::flush}},
+        {"cbo.inval", {"an address", MemOp::inval}},
+        {"cbo.zero", {"an address", MemOp::zero}},
+        {"delay", {"a cycle count", MemOp::compute}},
+        {"rdcycle", {"a marker id", MemOp::marker}},
+        {"waituntil", {"an absolute cycle", MemOp::waitUntil}},
+};
 
 } // namespace
 
@@ -38,47 +61,19 @@ assembleProgram(const std::string &listing)
 
         std::string a, b;
         ls >> a >> b;
-        if (op == "store") {
+        if (op == "fence") {
+            program.push_back(MemOp::fence());
+        } else if (op == "store") {
             if (a.empty() || b.empty())
-                SKIPIT_FATAL("store needs address and value: ", raw);
+                bad("store needs address and value", raw);
             program.push_back(MemOp::store(parseNumber(a, raw),
                                            parseNumber(b, raw)));
-        } else if (op == "load") {
+        } else if (const auto it = unary.find(op); it != unary.end()) {
             if (a.empty())
-                SKIPIT_FATAL("load needs an address: ", raw);
-            program.push_back(MemOp::load(parseNumber(a, raw)));
-        } else if (op == "cbo.clean") {
-            if (a.empty())
-                SKIPIT_FATAL("cbo.clean needs an address: ", raw);
-            program.push_back(MemOp::clean(parseNumber(a, raw)));
-        } else if (op == "cbo.flush") {
-            if (a.empty())
-                SKIPIT_FATAL("cbo.flush needs an address: ", raw);
-            program.push_back(MemOp::flush(parseNumber(a, raw)));
-        } else if (op == "cbo.inval") {
-            if (a.empty())
-                SKIPIT_FATAL("cbo.inval needs an address: ", raw);
-            program.push_back(MemOp::inval(parseNumber(a, raw)));
-        } else if (op == "cbo.zero") {
-            if (a.empty())
-                SKIPIT_FATAL("cbo.zero needs an address: ", raw);
-            program.push_back(MemOp::zero(parseNumber(a, raw)));
-        } else if (op == "fence") {
-            program.push_back(MemOp::fence());
-        } else if (op == "delay") {
-            if (a.empty())
-                SKIPIT_FATAL("delay needs a cycle count: ", raw);
-            program.push_back(MemOp::compute(parseNumber(a, raw)));
-        } else if (op == "rdcycle") {
-            if (a.empty())
-                SKIPIT_FATAL("rdcycle needs a marker id: ", raw);
-            program.push_back(MemOp::marker(parseNumber(a, raw)));
-        } else if (op == "waituntil") {
-            if (a.empty())
-                SKIPIT_FATAL("waituntil needs an absolute cycle: ", raw);
-            program.push_back(MemOp::waitUntil(parseNumber(a, raw)));
+                bad(op + " needs " + it->second.first, raw);
+            program.push_back(it->second.second(parseNumber(a, raw)));
         } else {
-            SKIPIT_FATAL("unknown mnemonic '", op, "' in line: ", raw);
+            bad("unknown mnemonic '" + op + "'", raw);
         }
     }
     return program;

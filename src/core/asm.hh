@@ -27,8 +27,9 @@
 namespace skipit {
 
 /**
- * Parse an assembly listing into a Program.
- * Calls SKIPIT_FATAL on malformed input (user error).
+ * Parse an assembly listing into a Program. Each number is one whole
+ * token: decimal, 0x-hex or 0-octal.
+ * @throws std::runtime_error naming the line on malformed input
  */
 Program assembleProgram(const std::string &listing);
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Whole-token number parsing, shared by the tools' flags and the sweep
- * axes.
+ * Whole-token number parsing, shared by the tools' flags, the sweep
+ * axes, the machine-field table and the fuzz replay bundle.
  */
 
 #ifndef SKIPIT_SIM_PARSE_HH
@@ -14,7 +14,9 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace skipit {
 
@@ -36,6 +38,24 @@ unsignedToken(const std::string &token)
     if (errno != 0 || *end != '\0' || v > std::numeric_limits<T>::max())
         return std::nullopt;
     return static_cast<T>(v);
+}
+
+/**
+ * @p token, a value of the field or key @p name, as a T: 0 or 1 for a
+ * bool, else an unsigned integer that fits T (see unsignedToken()).
+ * @throws std::runtime_error "<name> must be ..., got '<token>'"
+ */
+template <typename T = std::uint64_t>
+T
+parseField(const std::string &name, const std::string &token)
+{
+    if (const std::optional<T> v = unsignedToken<T>(token))
+        return *v;
+    throw std::runtime_error(
+        name + (std::is_same_v<T, bool> ? " must be 0 or 1"
+                                        : " must be an unsigned integer "
+                                          "that fits the field") +
+        ", got '" + token + "'");
 }
 
 /**

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 
 #include "logging.hh"
 
@@ -209,18 +208,6 @@ TxnTracer::writeChromeTrace(std::ostream &os) const
     }
 
     os << "\n]}\n";
-}
-
-bool
-TxnTracer::writeChromeTraceFile(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out) {
-        warn("cannot write Chrome trace to ", path);
-        return false;
-    }
-    writeChromeTrace(out);
-    return out.good();
 }
 
 } // namespace skipit

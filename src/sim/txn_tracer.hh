@@ -71,9 +71,6 @@ class TxnTracer : public probe::Sink
     /// @name Chrome trace-event export
     /// @{
     void writeChromeTrace(std::ostream &os) const;
-    /** Write to @p path; warns and returns false (does not throw) on
-     *  failure. */
-    bool writeChromeTraceFile(const std::string &path) const;
     /// @}
 
   private:

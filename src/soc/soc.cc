@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
+#include "sim/parse.hh"
 #include "sim/random.hh"
 
 namespace skipit {
@@ -214,6 +216,107 @@ SoCConfig::check() const
                               l2.sets, "), got ", l2.slices);
     }
     return {};
+}
+
+namespace {
+
+/** The machine-field table: call @p f(name, field) on each field of
+ *  @p c the front ends set by name, in table order. "skipit" is the
+ *  skip bit; SoCConfig::set() also copies it to GrantDataDirty. */
+template <typename Config, typename F>
+void
+eachField(Config &c, F &&f)
+{
+    f("skipit", c.l1.skip_it);
+    f("coalesce", c.l1.coalesce);
+    f("cross_kind_coalesce", c.l1.cross_kind_coalesce);
+    f("wide_data_array", c.l1.wide_data_array);
+    f("fshrs", c.l1.fshrs);
+    f("flush_queue_depth", c.l1.flush_queue_depth);
+    f("mshrs", c.l1.mshrs);
+    f("llc_skip", c.l2.llc_skip);
+    f("l2_slices", c.l2.slices);
+    f("l2_policy", c.l2.policy);
+    f("l2_index", c.l2.index);
+    f("l2_replace", c.l2.replace);
+    f("grant_data_dirty", c.l2.grant_data_dirty);
+    f("dram_latency", c.dram.latency);
+    f("link_latency", c.link_latency);
+    f("fast_forward", c.fast_forward);
+}
+
+/** Every table field of @p c as (name, token), in table order. */
+std::vector<std::pair<std::string, std::string>>
+fieldTokens(const SoCConfig &c)
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    eachField(c, [&](const char *name, const auto &v) {
+        if constexpr (std::is_enum_v<std::decay_t<decltype(v)>>)
+            out.emplace_back(name, toString(v));
+        else
+            out.emplace_back(name, std::to_string(v));
+    });
+    return out;
+}
+
+} // namespace
+
+bool
+SoCConfig::set(const std::string &name, const std::string &token)
+{
+    // The whole token: a policy name, or an unsigned integer that fits
+    // the field (0 or 1 for a switch).
+    bool found = false;
+    eachField(*this, [&](const char *field, auto &v) {
+        using T = std::decay_t<decltype(v)>;
+        if (field != name)
+            return;
+        found = true;
+        if constexpr (std::is_same_v<T, StateKind>)
+            v = parseStateKind(token);
+        else if constexpr (std::is_same_v<T, IndexKind>)
+            v = parseIndexKind(token);
+        else if constexpr (std::is_same_v<T, ReplaceKind>)
+            v = parseReplaceKind(token);
+        else
+            v = parseField<T>(name, token);
+    });
+    if (found && name == "skipit")
+        l2.grant_data_dirty = l1.skip_it;
+    return found;
+}
+
+std::vector<std::pair<std::string, std::string>>
+SoCConfig::changedFields() const
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    SoCConfig base;
+    const auto mine = fieldTokens(*this);
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+        if (mine[i] != fieldTokens(base)[i]) {
+            base.set(mine[i].first, mine[i].second);
+            out.push_back(mine[i]);
+        }
+    }
+    return out;
+}
+
+std::vector<std::string>
+SoCConfig::fieldNames()
+{
+    std::vector<std::string> names;
+    for (const auto &[name, token] : fieldTokens(SoCConfig{}))
+        names.push_back(name);
+    return names;
+}
+
+std::string
+SoCConfig::unknownField(const std::string &name)
+{
+    std::string fields;
+    for (const std::string &f : fieldNames())
+        fields += (fields.empty() ? "" : ", ") + f;
+    return "unknown machine field '" + name + "' (fields: " + fields + ")";
 }
 
 Cycle

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hart.hh"
@@ -72,6 +73,21 @@ struct SoCConfig
         l2.grant_data_dirty = on;
         return *this;
     }
+
+    /// @name The machine-field table (soc.cc): the knobs the front
+    /// ends set by name; each gives cores its own meaning.
+    /// @{
+    /** Set field @p name from the whole @p token ("skipit" sets the skip
+     *  bit and GrantDataDirty). @return false for a name outside the
+     *  table. @throws std::runtime_error naming the field on a bad token */
+    bool set(const std::string &name, const std::string &token);
+    /** The (name, token) pairs, in table order, that set() on a default
+     *  config to rebuild this one's table fields. */
+    std::vector<std::pair<std::string, std::string>> changedFields() const;
+    static std::vector<std::string> fieldNames();
+    /** The error for a name set() does not know, listing the fields. */
+    static std::string unknownField(const std::string &name);
+    /// @}
 
     /** One-line-per-parameter human-readable description. */
     std::string describe() const;

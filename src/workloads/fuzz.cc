@@ -6,12 +6,14 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "core/asm.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 #include "sim/random.hh"
 #include "sim/txn_tracer.hh"
 
@@ -33,7 +35,7 @@ ownedWord(const FuzzSpec &spec, unsigned h, unsigned line)
 unsigned
 lineGroups(const FuzzSpec &spec)
 {
-    return (spec.harts + 7) / 8;
+    return (spec.machine.cores + 7) / 8;
 }
 
 /**
@@ -104,31 +106,21 @@ runOne(SoC &soc, const FuzzSpec &spec)
     return soc.quiesced();
 }
 
-/** fuzzConfig() without its range checks. */
-SoCConfig
-machineOf(const FuzzSpec &spec, std::uint64_t seed)
+/** Call @p f(key, field) on each field a replay bundle records but the
+ *  machine's table fields, which go through SoCConfig::set(). */
+template <typename Spec, typename F>
+void
+eachBundleField(Spec &spec, F &&f)
 {
-    SoCConfig cfg;
-    cfg.cores = spec.harts;
-    cfg.verify.fatal = false; // latch violations; the harness reports
-    cfg.jitter.enabled = spec.jitter;
-    cfg.jitter.seed = stirSeed(seed, 0xfa11);
-    cfg.jitter.max_delay = spec.max_delay;
-    cfg.l1.test_break_probe_invalidate = spec.break_probe_invalidate;
-    if (spec.fshrs > 0)
-        cfg.l1.fshrs = spec.fshrs;
-    if (spec.flush_queue_depth > 0)
-        cfg.l1.flush_queue_depth = spec.flush_queue_depth;
-    cfg.l2.slices = std::max(1u, spec.l2_slices);
-    cfg.l2.policy = spec.l2_policy;
-    cfg.l2.index = spec.l2_index;
-    cfg.l2.replace = spec.l2_replace;
-    if (spec.crash_at != 0) {
-        cfg.durability.enabled = true;
-        cfg.durability.crash_at = spec.crash_at;
-        cfg.durability.fatal = false; // latch; the harness reports
-    }
-    return cfg;
+    f("harts", spec.machine.cores);
+    f("ops", spec.ops);
+    f("lines", spec.lines);
+    f("pool_base", spec.pool_base);
+    f("jitter", spec.jitter);
+    f("max_delay", spec.max_delay);
+    f("max_cycles", spec.max_cycles);
+    f("break_probe_invalidate", spec.break_probe_invalidate);
+    f("crash_at", spec.crash_at);
 }
 
 /**
@@ -218,7 +210,7 @@ checkCrashWords(const Program &p, std::uint64_t fences,
 std::string
 FuzzSpec::check() const
 {
-    if (std::string err = machineOf(*this, 0).check(); !err.empty())
+    if (std::string err = machine.check(); !err.empty())
         return err;
     if (lines < lineGroups(*this)) {
         // One pool line per ownership group of 8 harts at least.
@@ -233,15 +225,26 @@ fuzzConfig(const FuzzSpec &spec, std::uint64_t seed)
 {
     const std::string err = spec.check();
     SKIPIT_ASSERT(err.empty(), "fuzz: ", err);
-    return machineOf(spec, seed);
+    SoCConfig cfg = spec.machine;
+    cfg.verify.fatal = false; // latch violations; the harness reports
+    cfg.jitter.enabled = spec.jitter;
+    cfg.jitter.seed = stirSeed(seed, 0xfa11);
+    cfg.jitter.max_delay = spec.max_delay;
+    cfg.l1.test_break_probe_invalidate = spec.break_probe_invalidate;
+    if (spec.crash_at != 0) {
+        cfg.durability.enabled = true;
+        cfg.durability.crash_at = spec.crash_at;
+        cfg.durability.fatal = false; // latch; the harness reports
+    }
+    return cfg;
 }
 
 std::vector<Program>
 generateFuzzPrograms(const FuzzSpec &spec, std::uint64_t seed)
 {
-    std::vector<Program> programs(spec.harts);
+    std::vector<Program> programs(spec.machine.cores);
     const unsigned groups = lineGroups(spec);
-    for (unsigned h = 0; h < spec.harts; ++h) {
+    for (unsigned h = 0; h < spec.machine.cores; ++h) {
         // The lines hart h touches: its group's stripe of the pool.
         // (The epilogue still flushes every line — flushing another
         // group's line only writes it back, never mutates its words.)
@@ -288,7 +291,7 @@ static std::optional<FuzzFailure>
 runProgramsImpl(const FuzzSpec &spec, std::uint64_t seed,
                 const std::vector<Program> &programs, Cycle *quiesce)
 {
-    SKIPIT_ASSERT(programs.size() == spec.harts,
+    SKIPIT_ASSERT(programs.size() == spec.machine.cores,
                   "fuzz: one program per hart required");
     SoC soc(fuzzConfig(spec, seed));
     soc.setPrograms(programs);
@@ -334,7 +337,7 @@ runProgramsImpl(const FuzzSpec &spec, std::uint64_t seed,
                                        v.detail),
                         v.cycle);
         }
-        for (unsigned h = 0; h < spec.harts; ++h) {
+        for (unsigned h = 0; h < spec.machine.cores; ++h) {
             const auto m = checkCrashWords(
                 programs[h], oracle.fencesRetired(h), oracle.image());
             if (m) {
@@ -375,7 +378,7 @@ runProgramsImpl(const FuzzSpec &spec, std::uint64_t seed,
     }
 
     // 4. Load values against the per-hart program-order oracle.
-    for (unsigned h = 0; h < spec.harts; ++h) {
+    for (unsigned h = 0; h < spec.machine.cores; ++h) {
         for (const auto &[idx, expect] : expectedLoads(programs[h])) {
             const std::uint64_t got = soc.hart(h).loadValue(idx);
             if (got != expect) {
@@ -391,7 +394,7 @@ runProgramsImpl(const FuzzSpec &spec, std::uint64_t seed,
     }
 
     // 5. Persisted end state: every written-back word matches DRAM.
-    for (unsigned h = 0; h < spec.harts; ++h) {
+    for (unsigned h = 0; h < spec.machine.cores; ++h) {
         for (const auto &[addr, expect] : expectedPersists(programs[h])) {
             const std::uint64_t got = soc.dram().peekWord(addr);
             if (got != expect) {
@@ -508,7 +511,7 @@ shrinkFuzzFailure(const FuzzSpec &in_spec, const FuzzFailure &failure)
     bool improved = true;
     while (improved && trials < max_trials) {
         improved = false;
-        for (unsigned h = 0; h < spec.harts; ++h) {
+        for (unsigned h = 0; h < spec.machine.cores; ++h) {
             const std::size_t len = best.programs[h].size();
             for (std::size_t chunk = std::max<std::size_t>(len / 2, 1);
                  chunk >= 1; chunk /= 2) {
@@ -566,25 +569,13 @@ writeReplayBundle(const FuzzSpec &in_spec, const FuzzFailure &failure,
     };
 
     std::ostringstream cfg;
-    cfg << "seed " << failure.seed << "\n"
-        << "harts " << spec.harts << "\n"
-        << "ops " << spec.ops << "\n"
-        << "lines " << spec.lines << "\n"
-        << "pool_base 0x" << std::hex << spec.pool_base << std::dec
-        << "\n"
-        << "jitter " << (spec.jitter ? 1 : 0) << "\n"
-        << "max_delay " << spec.max_delay << "\n"
-        << "max_cycles " << spec.max_cycles << "\n"
-        << "fshrs " << spec.fshrs << "\n"
-        << "flush_queue_depth " << spec.flush_queue_depth << "\n"
-        << "l2_slices " << spec.l2_slices << "\n"
-        << "l2_policy " << toString(spec.l2_policy) << "\n"
-        << "l2_index " << toString(spec.l2_index) << "\n"
-        << "l2_replace " << toString(spec.l2_replace) << "\n"
-        << "break_probe_invalidate "
-        << (spec.break_probe_invalidate ? 1 : 0) << "\n"
-        << "crash_at " << spec.crash_at << "\n"
-        << "# resolved configuration:\n";
+    cfg << "seed " << failure.seed << "\n";
+    eachBundleField(spec, [&](const char *key, const auto &v) {
+        cfg << key << " " << v << "\n";
+    });
+    for (const auto &[name, token] : spec.machine.changedFields())
+        cfg << name << " " << token << "\n";
+    cfg << "# resolved configuration:\n";
     std::istringstream desc(fuzzConfig(spec, failure.seed).describe());
     for (std::string line; std::getline(desc, line);)
         cfg << "# " << line << "\n";
@@ -603,7 +594,9 @@ writeReplayBundle(const FuzzSpec &in_spec, const FuzzFailure &failure,
     soc.sim().probes().attach(tracer);
     soc.setPrograms(failure.programs);
     runOne(soc, spec);
-    ok = tracer.writeChromeTraceFile(dir + "/trace.json") && ok;
+    std::ostringstream trace;
+    tracer.writeChromeTrace(trace);
+    ok = write("trace.json", trace.str()) && ok;
 
     std::ostringstream failtxt;
     failtxt << "kind " << failure.kind << "\n"
@@ -630,75 +623,46 @@ writeReplayBundle(const FuzzSpec &in_spec, const FuzzFailure &failure,
 
 std::pair<FuzzSpec, std::uint64_t>
 readReplayBundle(const std::string &dir, std::vector<Program> &programs)
-{
-    const auto fail = [&](const auto &...what) {
-        throw std::runtime_error(
-            detail::concat("fuzz bundle ", dir, ": ", what...));
+try {
+    const auto fail = [](const auto &...what) {
+        throw std::runtime_error(detail::concat(what...));
     };
     std::ifstream in(dir + "/config.txt");
     if (!in)
         fail("cannot open config.txt");
     FuzzSpec spec;
     std::uint64_t seed = 0;
+    std::set<std::string> seen;
     for (std::string line; std::getline(in, line);) {
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream ls(line);
-        std::string key;
-        ls >> key;
-        if (key == "seed")
-            ls >> seed;
-        else if (key == "harts")
-            ls >> spec.harts;
-        else if (key == "ops")
-            ls >> spec.ops;
-        else if (key == "lines")
-            ls >> spec.lines;
-        else if (key == "pool_base")
-            ls >> std::hex >> spec.pool_base >> std::dec;
-        else if (key == "l2_policy" || key == "l2_index" ||
-                 key == "l2_replace") {
-            std::string token;
-            ls >> token;
-            if (key == "l2_policy")
-                spec.l2_policy = parseStateKind(token);
-            else if (key == "l2_index")
-                spec.l2_index = parseIndexKind(token);
-            else
-                spec.l2_replace = parseReplaceKind(token);
-        } else if (key == "jitter" || key == "max_delay" ||
-                 key == "max_cycles" || key == "fshrs" ||
-                 key == "flush_queue_depth" || key == "l2_slices" ||
-                 key == "break_probe_invalidate" || key == "crash_at") {
-            std::uint64_t v = 0;
-            ls >> v;
-            if (key == "jitter")
-                spec.jitter = v != 0;
-            else if (key == "max_delay")
-                spec.max_delay = static_cast<unsigned>(v);
-            else if (key == "max_cycles")
-                spec.max_cycles = v;
-            else if (key == "fshrs")
-                spec.fshrs = static_cast<unsigned>(v);
-            else if (key == "flush_queue_depth")
-                spec.flush_queue_depth = static_cast<unsigned>(v);
-            else if (key == "l2_slices")
-                spec.l2_slices = static_cast<unsigned>(v);
-            else if (key == "crash_at")
-                spec.crash_at = v;
-            else
-                spec.break_probe_invalidate = v != 0;
-        } else {
-            fail("unknown key '", key, "' in config.txt");
-        }
-        if (ls.fail())
+        std::string key, token, extra;
+        if (!(ls >> key >> token) || ls >> extra)
             fail("malformed line '", line, "' in config.txt");
+        if (!seen.insert(key).second)
+            fail("key '", key, "' is given more than once in config.txt");
+        const auto number = [&](auto &out) {
+            using T = std::remove_reference_t<decltype(out)>;
+            out = parseField<T>(key, token);
+        };
+        bool known = key == "seed";
+        if (known)
+            number(seed);
+        eachBundleField(spec, [&](const char *field, auto &v) {
+            if (key == field) {
+                number(v);
+                known = true;
+            }
+        });
+        if (!known && !spec.machine.set(key, token))
+            fail("unknown key '", key, "' in config.txt");
     }
     if (const std::string err = spec.check(); !err.empty())
         fail(err);
 
     programs.clear();
-    for (unsigned h = 0; h < spec.harts; ++h) {
+    for (unsigned h = 0; h < spec.machine.cores; ++h) {
         const std::string path =
             dir + "/core" + std::to_string(h) + ".s";
         std::ifstream ps(path);
@@ -706,9 +670,15 @@ readReplayBundle(const std::string &dir, std::vector<Program> &programs)
             fail("cannot open core", h, ".s");
         std::stringstream buf;
         buf << ps.rdbuf();
-        programs.push_back(assembleProgram(buf.str()));
+        try {
+            programs.push_back(assembleProgram(buf.str()));
+        } catch (const std::runtime_error &e) {
+            fail("core", h, ".s: ", e.what());
+        }
     }
     return {spec, seed};
+} catch (const std::runtime_error &e) {
+    throw std::runtime_error("fuzz bundle " + dir + ": " + e.what());
 }
 
 } // namespace skipit::workloads

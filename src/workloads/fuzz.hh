@@ -54,22 +54,16 @@ namespace skipit::workloads {
 /** Shape of one fuzz run; every field is part of the replay identity. */
 struct FuzzSpec
 {
-    unsigned harts = 2;   //!< cores (1-64; >8 stripes the pool into
-                          //!< ceil(harts/8) line-ownership groups)
+    /** cores is the hart count (>8 stripes the pool into ceil(cores/8)
+     *  line-ownership groups); fuzzConfig() adds the checker, jitter,
+     *  fault and crash settings. */
+    SoCConfig machine{};
     unsigned ops = 120;   //!< random ops per hart (epilogue excluded)
     unsigned lines = 6;   //!< pool size; small = aliasing-prone
     Addr pool_base = 0x90000; //!< line-aligned pool base
     bool jitter = true;       //!< enable TileLink schedule perturbation
     unsigned max_delay = 12;  //!< jitter: max extra cycles per message
     Cycle max_cycles = 2'000'000; //!< hang deadline per run
-    unsigned fshrs = 0;       //!< override L1 FSHR count (0 = default);
-                              //!< 1 keeps entries queued, the §5.4 corner
-    unsigned flush_queue_depth = 0; //!< override queue depth (0 = default)
-    unsigned l2_slices = 1;   //!< address-interleaved L2 slice count
-    /// L2 policy layers (see src/l2/): part of the replay identity.
-    StateKind l2_policy = StateKind::Inclusive;
-    IndexKind l2_index = IndexKind::Modulo;
-    ReplaceKind l2_replace = ReplaceKind::Lru;
     bool break_probe_invalidate = false; //!< negative-control fault
     /** Crash (power-fail) cycles to sample per seed, after one clean
      *  run establishes the seed's natural length. 0 = no crash axis. */
@@ -147,7 +141,8 @@ FuzzFailure shrinkFuzzFailure(const FuzzSpec &spec,
 bool writeReplayBundle(const FuzzSpec &spec, const FuzzFailure &failure,
                        const std::string &dir);
 
-/** Parse a bundle's config.txt back into (spec, seed). Programs are
+/** Parse a bundle's config.txt (one `key value` line per key, machine
+ *  keys through SoCConfig::set()) back into (spec, seed). Programs are
  *  read from the bundle's core<i>.s.
  *  @throws std::runtime_error on a missing file, malformed input or a
  *          spec that fails FuzzSpec::check() */

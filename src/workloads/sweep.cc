@@ -41,23 +41,11 @@ scalarToken(const JsonValue &v)
 // Value parsing.
 // ---------------------------------------------------------------------
 
-/** @p token, a value of axis @p name, as an unsigned integer of type T
- *  (see unsignedToken()). */
-template <typename T = std::uint64_t>
-T
-parseUint(const std::string &name, const std::string &token)
-{
-    if (const std::optional<T> v = unsignedToken<T>(token))
-        return *v;
-    fail("sweep: axis '" + name + "': '" + token +
-         "' is not an unsigned integer that fits the axis");
-}
-
 /** @p token, a value of axis @p name, as a thread count (>= 1). */
 unsigned
 parseThreads(const std::string &name, const std::string &token)
 {
-    const unsigned v = parseUint<unsigned>(name, token);
+    const unsigned v = parseField<unsigned>(name, token);
     if (v == 0)
         fail("sweep: axis '" + name + "': needs at least one thread");
     return v;
@@ -75,17 +63,6 @@ parsePercent(const std::string &name, const std::string &token)
         fail("sweep: axis '" + name + "': '" + token +
              "' is outside [0, 100]");
     return *v;
-}
-
-bool
-parseFlag(const std::string &name, const std::string &token)
-{
-    if (token == "1" || token == "true" || token == "on")
-        return true;
-    if (token == "0" || token == "false" || token == "off")
-        return false;
-    fail("sweep: axis '" + name + "': '" + token +
-         "' is not a boolean (use 0/1)");
 }
 
 // ---------------------------------------------------------------------
@@ -128,45 +105,13 @@ applyCycleParam(CycleParams &p, const std::string &name,
     if (name == "threads")
         p.threads = parseThreads(name, token);
     else if (name == "bytes")
-        p.bytes = parseUint<std::size_t>(name, token);
+        p.bytes = parseField<std::size_t>(name, token);
     else if (name == "flush")
-        p.flush = parseFlag(name, token);
-    else if (name == "skipit")
-        p.cfg.withSkipIt(parseFlag(name, token));
-    else if (name == "coalesce")
-        p.cfg.l1.coalesce = parseFlag(name, token);
-    else if (name == "cross_kind_coalesce")
-        p.cfg.l1.cross_kind_coalesce = parseFlag(name, token);
-    else if (name == "wide_data_array")
-        p.cfg.l1.wide_data_array = parseFlag(name, token);
-    else if (name == "fshrs")
-        p.cfg.l1.fshrs = parseUint<unsigned>(name, token);
-    else if (name == "flush_queue_depth")
-        p.cfg.l1.flush_queue_depth = parseUint<unsigned>(name, token);
-    else if (name == "mshrs")
-        p.cfg.l1.mshrs = parseUint<unsigned>(name, token);
-    else if (name == "llc_skip")
-        p.cfg.l2.llc_skip = parseFlag(name, token);
-    else if (name == "l2_slices")
-        p.cfg.l2.slices = parseUint<unsigned>(name, token);
-    else if (name == "l2_policy")
-        p.cfg.l2.policy = parseStateKind(token);
-    else if (name == "l2_index")
-        p.cfg.l2.index = parseIndexKind(token);
-    else if (name == "l2_replace")
-        p.cfg.l2.replace = parseReplaceKind(token);
-    else if (name == "grant_data_dirty")
-        p.cfg.l2.grant_data_dirty = parseFlag(name, token);
-    else if (name == "dram_latency")
-        p.cfg.dram.latency = parseUint(name, token);
-    else if (name == "link_latency")
-        p.cfg.link_latency = parseUint(name, token);
-    else if (name == "fast_forward")
-        p.cfg.fast_forward = parseFlag(name, token);
+        p.flush = parseField<bool>(name, token);
     else if (name == "cores")
-        p.cores = parseUint<unsigned>(name, token);
-    else
-        fail("sweep: unknown axis '" + name + "' for a cycle-model kind");
+        p.cores = parseField<unsigned>(name, token);
+    else if (!p.cfg.set(name, token))
+        fail("sweep: " + SoCConfig::unknownField(name));
 }
 
 /** Parameters of the throughput kind. */
@@ -243,11 +188,11 @@ applyThroughputParam(ThroughputParams &p, const std::string &name,
     else if (name == "threads")
         p.threads = parseThreads(name, token);
     else if (name == "budget")
-        p.budget = parseUint(name, token);
+        p.budget = parseField(name, token);
     else if (name == "flit_entries")
-        p.flit_entries = parseUint<std::size_t>(name, token);
+        p.flit_entries = parseField<std::size_t>(name, token);
     else if (name == "seed") {
-        p.seed = parseUint(name, token);
+        p.seed = parseField(name, token);
         p.seed_set = true;
     } else {
         fail("sweep: unknown axis '" + name + "' for kind throughput");
@@ -290,7 +235,7 @@ applyPlatformParam(PlatformParams &p, const std::string &name,
     } else if (name == "threads") {
         p.threads = parseThreads(name, token);
     } else if (name == "bytes") {
-        p.bytes = parseUint<std::size_t>(name, token);
+        p.bytes = parseField<std::size_t>(name, token);
     } else {
         fail("sweep: unknown axis '" + name + "' for kind platform");
     }
@@ -415,7 +360,7 @@ SweepSpec::fromJsonText(const std::string &text)
         } else if (key == "seed") {
             if (value.type != JsonValue::Type::Number)
                 fail("sweep spec: \"seed\" must be a number");
-            spec.seed = parseUint("seed", value.text);
+            spec.seed = parseField("seed", value.text);
         } else if (key == "axes") {
             if (value.type != JsonValue::Type::Object)
                 fail("sweep spec: \"axes\" must be an object");

@@ -41,11 +41,10 @@ struct SweepAxis
  *  - "cbo"        cboLatency          — Fig 9 style
  *  - "wwr"        writeWbReadLatency  — Fig 10 style
  *  - "redundant"  redundantWbLatency  — Fig 13 style
- *      threads(1) bytes(4096) flush(1) skipit(1) coalesce(1)
- *      cross_kind_coalesce(0) wide_data_array(1) fshrs(8)
- *      flush_queue_depth(8) mshrs(4) llc_skip(1) grant_data_dirty(1)
- *      dram_latency(80) link_latency(3) fast_forward(1)
- *      cores(threads) l2_slices(1)
+ *      threads(1) bytes(4096) flush(1) cores(threads), plus every
+ *      machine field in SoCConfig::fieldNames() (skipit, fshrs,
+ *      l2_policy, ...), parsed by SoCConfig::set() with SoCConfig's
+ *      defaults
  *  - "throughput" runThroughput       — Figs 14-16 style
  *      ds(bst) policy(skip-it) mode(automatic) update_pct(5)
  *      threads(2) budget(400000) flit_entries(65536) seed(base+index)

@@ -8,12 +8,14 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "json.hh"
 #include "kv/store.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 #include "sim/txn_tracer.hh"
 #include "soc/soc.hh"
 
@@ -364,12 +366,9 @@ ZipfianGen::probability(std::uint64_t rank) const
 SoCConfig
 kvMachineConfig(const KvSpec &spec)
 {
-    SoCConfig cfg;
+    SoCConfig cfg = spec.machine;
     cfg.cores = spec.cores;
     cfg.l2.slices = std::max(1u, spec.slices);
-    cfg.l2.policy = spec.l2_policy;
-    cfg.l2.index = spec.l2_index;
-    cfg.l2.replace = spec.l2_replace;
     cfg.withSkipIt(spec.skipit);
     if (spec.crash_at > 0) {
         cfg.durability.enabled = true;
@@ -462,6 +461,11 @@ KvBenchSpec::fromJsonText(const std::string &text)
         throw std::runtime_error("kv bench spec: top level must be an "
                                  "object");
     KvBenchSpec spec;
+    std::set<std::string> kv_keys; // the keys read below
+    const auto find = [&](const char *name) {
+        kv_keys.insert(name);
+        return doc.field(name);
+    };
     // Integer fields take plain unsigned integers that fit the field.
     const auto setUnsigned = [](const char *name, const JsonValue &v,
                                 auto &out) {
@@ -474,7 +478,7 @@ KvBenchSpec::fromJsonText(const std::string &text)
         out = static_cast<T>(std::strtoull(v.text.c_str(), nullptr, 10));
     };
     const auto field = [&](const char *name, auto &out) {
-        if (const JsonValue *v = doc.field(name))
+        if (const JsonValue *v = find(name))
             setUnsigned(name, *v, out);
     };
     field("keys", spec.base.keys);
@@ -485,7 +489,7 @@ KvBenchSpec::fromJsonText(const std::string &text)
     field("slices", spec.base.slices);
     field("scan_len", spec.base.scan_len);
     field("checkpoint_every", spec.base.checkpoint_every);
-    if (const JsonValue *v = doc.field("theta")) {
+    if (const JsonValue *v = find("theta")) {
         char *end = nullptr;
         const double theta = std::strtod(v->text.c_str(), &end);
         if (v->type != JsonValue::Type::Number || *end != '\0' ||
@@ -494,19 +498,13 @@ KvBenchSpec::fromJsonText(const std::string &text)
                                      "number");
         spec.base.theta = theta;
     }
-    if (const JsonValue *v = doc.field("distribution")) {
+    if (const JsonValue *v = find("distribution")) {
         if (v->type != JsonValue::Type::String)
             throw std::runtime_error("kv bench spec: 'distribution' must "
                                      "be a string");
         spec.base.distribution = v->text;
     }
-    if (const JsonValue *v = doc.field("l2_policy"))
-        spec.base.l2_policy = parseStateKind(v->text);
-    if (const JsonValue *v = doc.field("l2_index"))
-        spec.base.l2_index = parseIndexKind(v->text);
-    if (const JsonValue *v = doc.field("l2_replace"))
-        spec.base.l2_replace = parseReplaceKind(v->text);
-    if (const JsonValue *v = doc.field("mixes")) {
+    if (const JsonValue *v = find("mixes")) {
         if (v->type != JsonValue::Type::Array)
             throw std::runtime_error("kv bench spec: 'mixes' must be an "
                                      "array");
@@ -518,7 +516,7 @@ KvBenchSpec::fromJsonText(const std::string &text)
             spec.mixes.push_back(m.text);
         }
     }
-    if (const JsonValue *v = doc.field("cores")) {
+    if (const JsonValue *v = find("cores")) {
         if (v->type != JsonValue::Type::Array)
             throw std::runtime_error("kv bench spec: 'cores' must be an "
                                      "array");
@@ -528,8 +526,32 @@ KvBenchSpec::fromJsonText(const std::string &text)
             setUnsigned("cores", c, spec.cores.back());
         }
     }
+    // Every other key is a machine field (a bool is 0 or 1).
+    std::set<std::string> seen;
+    for (const auto &[key, v] : doc.fields) {
+        if (!seen.insert(key).second)
+            throw std::runtime_error("kv bench spec: key '" + key +
+                                     "' is given more than once");
+        const std::string token = v.type == JsonValue::Type::Bool
+                                      ? (v.boolean ? "1" : "0")
+                                      : v.text;
+        if (!kv_keys.count(key) && !spec.base.setMachine(key, token))
+            throw std::runtime_error("kv bench spec: " +
+                                     SoCConfig::unknownField(key));
+    }
     spec.checkGrid();
     return spec;
+}
+
+bool
+KvSpec::setMachine(const std::string &name, const std::string &token)
+{
+    if (name == "l2_slices" || name == "skipit" || name == "grant_data_dirty")
+        throw std::runtime_error(
+            "kv: " + name + " is the grid's to set: the slice count is "
+            "--slices (spec key \"slices\"), and every point is served "
+            "with the skip bit on and off");
+    return machine.set(name, token);
 }
 
 void
@@ -639,16 +661,12 @@ writeKvBenchJson(const KvBenchResult &result, std::ostream &os)
        << "    \"distribution\": \"" << b.distribution << "\",\n"
        << "    \"theta\": " << jnum(b.theta) << ",\n"
        << "    \"slices\": " << b.slices << ",\n";
-    // Policy keys appear only when non-default, keeping the default
-    // config's output byte-identical to the pre-policy format (the
-    // golden bench files pin those bytes).
-    if (b.l2_policy != StateKind::Inclusive)
-        os << "    \"l2_policy\": \"" << toString(b.l2_policy) << "\",\n";
-    if (b.l2_index != IndexKind::Modulo)
-        os << "    \"l2_index\": \"" << toString(b.l2_index) << "\",\n";
-    if (b.l2_replace != ReplaceKind::Lru) {
-        os << "    \"l2_replace\": \"" << toString(b.l2_replace)
-           << "\",\n";
+    // Machine fields print only when non-default, so the default config
+    // keeps the golden bytes; numbers stay numbers, so the block parses
+    // back as a spec.
+    for (const auto &[name, token] : b.machine.changedFields()) {
+        const char *quote = unsignedToken(token) ? "" : "\"";
+        os << "    \"" << name << "\": " << quote << token << quote << ",\n";
     }
     os << "    \"scan_len\": " << b.scan_len << ",\n"
        << "    \"checkpoint_every\": " << b.checkpoint_every << "\n"

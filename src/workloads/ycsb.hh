@@ -34,17 +34,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "l2/index.hh"
-#include "l2/directory.hh"
-#include "l2/replace.hh"
 #include "sim/histogram.hh"
 #include "sim/random.hh"
 #include "sim/types.hh"
+#include "soc/soc.hh"
 #include "tilelink/messages.hh"
 
 namespace skipit {
-class SoC;
-struct SoCConfig;
 namespace kv {
 class KvStore;
 }
@@ -88,11 +84,10 @@ struct KvSpec
     std::uint64_t ops = 4096;   //!< operations per hart
     unsigned cores = 2;
     unsigned slices = 1;        //!< L2 slices
-    /// L2 policy layers (see src/l2/); defaults match the paper's L2.
-    StateKind l2_policy = StateKind::Inclusive;
-    IndexKind l2_index = IndexKind::Modulo;
-    ReplaceKind l2_replace = ReplaceKind::Lru;
-    bool skipit = true;
+    bool skipit = true;         //!< skip bit and GrantDataDirty
+    /** The rest of the machine; kvMachineConfig() overrides its cores,
+     *  L2 slices and skip bit with the three fields above. */
+    SoCConfig machine{};
     std::string distribution = "zipfian"; //!< zipfian|uniform
     double theta = 0.99;
     unsigned value_bytes = 64;
@@ -105,6 +100,10 @@ struct KvSpec
     Cycle crash_at = 0;         //!< >0: power-fail at this cycle + audit
     Cycle max_cycles = 100'000'000;
     bool trace_stages = false;  //!< attach a TxnTracer, keep stage hists
+
+    /** machine.set(), but l2_slices, skipit and grant_data_dirty throw:
+     *  slices and the grid's skip on/off set those. */
+    bool setMachine(const std::string &name, const std::string &token);
 };
 
 /** Everything one run produced. */
@@ -175,9 +174,10 @@ struct KvBenchSpec
      *   { "mixes": ["A", "B", "C"], "cores": [1, 2],
      *     "keys": 1024, "ops": 4096, "seed": 1, "theta": 0.99,
      *     "distribution": "zipfian", "value_bytes": 64,
-     *     "arrival_period": 0, "slices": 1, "scan_len": 16 }
+     *     "arrival_period": 0, "slices": 1, "scan_len": 16,
+     *     "l2_policy": "exclusive" }   <- any other key: setMachine()
      *
-     * @throws std::runtime_error on malformed input
+     * @throws std::runtime_error on malformed input or an unknown key
      */
     static KvBenchSpec fromJsonText(const std::string &text);
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/asm.hh"
 #include "soc/soc.hh"
 
@@ -95,14 +98,42 @@ TEST(Assembler, AssembledProgramRunsOnTheSoC)
     EXPECT_EQ(soc.dram().peekWord(0x3000), 123u);
 }
 
-TEST(AssemblerDeathTest, RejectsUnknownMnemonic)
+/** The message assembleProgram() throws for @p listing, or "" if it
+ *  assembles. */
+std::string
+assembleError(const std::string &listing)
 {
-    EXPECT_DEATH({ assembleProgram("frobnicate 0x10\n"); }, "unknown");
+    try {
+        assembleProgram(listing);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return {};
 }
 
-TEST(AssemblerDeathTest, RejectsMissingOperand)
+TEST(Assembler, RejectsUnknownMnemonic)
 {
-    EXPECT_DEATH({ assembleProgram("store 0x10\n"); }, "store needs");
+    EXPECT_NE(assembleError("frobnicate 0x10\n").find("unknown"),
+              std::string::npos);
+}
+
+TEST(Assembler, RejectsMissingOperand)
+{
+    EXPECT_NE(assembleError("store 0x10\n").find("store needs"),
+              std::string::npos);
+}
+
+TEST(Assembler, RejectsANumberWithATail)
+{
+    // The whole token is the number: "42x" is not a store of 42.
+    for (const char *line : {"store 0x1000 42x\n", "load 0x1000z\n",
+                             "delay -5\n", "store 0x1000 +1\n"}) {
+        EXPECT_NE(assembleError(line).find("bad number"), std::string::npos)
+            << line;
+    }
+    EXPECT_NE(assembleError("store 0x1000 42x\n")
+                  .find("bad number '42x' in line: store 0x1000 42x"),
+              std::string::npos);
 }
 
 TEST(RiscvEncoding, CboCleanMatchesCmoSpec)

@@ -27,5 +27,5 @@ endfunction()
 check_run(stats_writeback ${PROGRAMS}/writeback.s)
 check_run(stats_dual_core ${PROGRAMS}/dual_core_a.s
           ${PROGRAMS}/dual_core_b.s)
-check_run(stats_cores16 --cores 16 --slices 4 ${PROGRAMS}/writeback.s
+check_run(stats_cores16 --cores 16 --set l2_slices=4 ${PROGRAMS}/writeback.s
           ${PROGRAMS}/dual_core_a.s ${PROGRAMS}/dual_core_b.s)

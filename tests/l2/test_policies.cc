@@ -521,13 +521,13 @@ TEST(PolicyEndToEnd, FuzzSmokeAcrossThePolicyGrid)
     };
     for (const Point &pt : points) {
         workloads::FuzzSpec spec;
-        spec.harts = 2;
+        spec.machine.cores = 2;
         spec.ops = 60;
         spec.lines = 4;
         spec.max_cycles = 500'000;
-        spec.l2_policy = pt.policy;
-        spec.l2_index = pt.index;
-        spec.l2_slices = pt.slices;
+        spec.machine.l2.policy = pt.policy;
+        spec.machine.l2.index = pt.index;
+        spec.machine.l2.slices = pt.slices;
         const auto failure = workloads::runFuzz(spec, 0, 10, 2);
         EXPECT_FALSE(failure.has_value())
             << toString(pt.policy) << "/" << toString(pt.index) << "/"
@@ -545,8 +545,8 @@ TEST(PolicyEndToEnd, ExclusiveHashedKvCrashAuditIsDurable)
     s.cores = 2;
     s.seed = 3;
     s.slices = 2;
-    s.l2_policy = StateKind::Exclusive;
-    s.l2_index = IndexKind::Hashed;
+    s.machine.l2.policy = StateKind::Exclusive;
+    s.machine.l2.index = IndexKind::Hashed;
     s.crash_at = 6000;
     const workloads::KvRunResult r = workloads::runKv(s);
     EXPECT_TRUE(r.crashed);

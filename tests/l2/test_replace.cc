@@ -218,13 +218,13 @@ TEST(VictimSelection, PendingFlushEvictionFuzzSmokeUnderEveryPolicy)
     // CI fuzz job covers depth.
     for (const ReplaceKind k : all_kinds) {
         workloads::FuzzSpec spec;
-        spec.harts = 2;
+        spec.machine.cores = 2;
         spec.ops = 60;
         spec.lines = 4;
-        spec.fshrs = 1;
-        spec.flush_queue_depth = 8;
+        spec.machine.l1.fshrs = 1;
+        spec.machine.l1.flush_queue_depth = 8;
         spec.max_cycles = 500'000;
-        spec.l2_replace = k;
+        spec.machine.l2.replace = k;
         const auto failure = workloads::runFuzz(spec, 0, 10, 2);
         EXPECT_FALSE(failure.has_value())
             << toString(k) << ": seed " << failure->seed << " "

@@ -162,8 +162,8 @@ TEST(FastForward, SixteenHartFourSliceStormIsBitIdentical)
     // into four slices: endpoint arrivals wake the slices, and every
     // slice wakes on each DRAM response.
     workloads::FuzzSpec spec;
-    spec.harts = 16;
-    spec.l2_slices = 4;
+    spec.machine.cores = 16;
+    spec.machine.l2.slices = 4;
     spec.lines = 32;
     spec.ops = 100;
     spec.jitter = false;
@@ -181,7 +181,7 @@ TEST(FastForward, JitteredFourHartRunIsBitIdentical)
     // ChannelJitter delays and bursts every TileLink send, so each
     // channel wakes its receiver at a jittered arrival.
     workloads::FuzzSpec spec;
-    spec.harts = 4;
+    spec.machine.cores = 4;
     spec.lines = 8;
     spec.jitter = true;
     const SoCConfig cfg = workloads::fuzzConfig(spec, 11);

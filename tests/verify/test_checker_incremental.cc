@@ -286,13 +286,14 @@ TEST_P(ChangeLogOracle, EveryChangedSlotIsLogged)
 {
     const auto [cores, slices, policy, fshrs] = GetParam();
     workloads::FuzzSpec spec;
-    spec.harts = cores;
+    spec.machine.cores = cores;
     spec.ops = 40;
-    spec.l2_slices = slices;
-    spec.l2_policy = policy;
-    spec.fshrs = fshrs;
-    if (fshrs != 0)
-        spec.flush_queue_depth = 8;
+    spec.machine.l2.slices = slices;
+    spec.machine.l2.policy = policy;
+    if (fshrs != 0) {
+        spec.machine.l1.fshrs = fshrs;
+        spec.machine.l1.flush_queue_depth = 8;
+    }
     const std::uint64_t seed = 7 + cores + slices;
     SoCConfig cfg = workloads::fuzzConfig(spec, seed);
     cfg.verify.enabled = false; // the test drains the logs itself

@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "workloads/fuzz.hh"
 
@@ -22,7 +27,7 @@ FuzzSpec
 smallSpec()
 {
     FuzzSpec spec;
-    spec.harts = 2;
+    spec.machine.cores = 2;
     spec.ops = 60;
     spec.lines = 4;
     spec.max_cycles = 500'000;
@@ -35,8 +40,8 @@ FuzzSpec
 faultySpec()
 {
     FuzzSpec spec = smallSpec();
-    spec.fshrs = 1;
-    spec.flush_queue_depth = 8;
+    spec.machine.l1.fshrs = 1;
+    spec.machine.l1.flush_queue_depth = 8;
     spec.break_probe_invalidate = true;
     return spec;
 }
@@ -86,14 +91,14 @@ TEST(Fuzz, CleanSeedsStayCleanAtTwoSlicesUnderJitter)
     // Same property through the crossbar with an interleaved L2: the
     // slice-routing and global flush-counter invariants run too.
     FuzzSpec spec = smallSpec();
-    spec.l2_slices = 2;
+    spec.machine.l2.slices = 2;
     EXPECT_FALSE(workloads::runFuzz(spec, 0, 25, 2).has_value());
 }
 
 TEST(Fuzz, CleanSeedsStayCleanAtFourSlicesUnderJitter)
 {
     FuzzSpec spec = smallSpec();
-    spec.l2_slices = 4;
+    spec.machine.l2.slices = 4;
     spec.lines = 8; // cover every slice
     EXPECT_FALSE(workloads::runFuzz(spec, 0, 25, 2).has_value());
 }
@@ -103,7 +108,7 @@ TEST(WakeAudit, JitteredFuzzSeed)
     // Jittered arrivals and backpressure bursts on every channel, through
     // the crossbar into two slices.
     FuzzSpec spec = smallSpec();
-    spec.l2_slices = 2;
+    spec.machine.l2.slices = 2;
     SoC soc(workloads::fuzzConfig(spec, 7));
     soc.setPrograms(workloads::generateFuzzPrograms(spec, 7));
     soc.sim().auditWakes();
@@ -136,7 +141,7 @@ TEST(Fuzz, InjectedFaultIsPinnedAtOneAndTwoSlices)
     std::ostringstream got;
     for (const unsigned slices : {1u, 2u}) {
         FuzzSpec spec = faultySpec();
-        spec.l2_slices = slices;
+        spec.machine.l2.slices = slices;
         const auto f = workloads::runFuzz(spec, 0, 50, 1);
         ASSERT_TRUE(f.has_value()) << slices << " slice(s)";
         got << slices << " slice(s): seed " << f->seed << " cycle "
@@ -191,8 +196,9 @@ TEST(Fuzz, ReplayBundleRoundTrips)
     const auto [rspec, rseed] =
         workloads::readReplayBundle(dir, programs);
     EXPECT_EQ(rseed, f->seed);
-    EXPECT_EQ(rspec.harts, spec.harts);
-    EXPECT_EQ(rspec.fshrs, spec.fshrs);
+    EXPECT_EQ(rspec.machine.cores, spec.machine.cores);
+    EXPECT_EQ(rspec.machine.changedFields(), spec.machine.changedFields());
+    EXPECT_EQ(rspec.machine.l1.fshrs, spec.machine.l1.fshrs);
     EXPECT_TRUE(rspec.break_probe_invalidate);
 
     const auto replayed =
@@ -201,6 +207,86 @@ TEST(Fuzz, ReplayBundleRoundTrips)
     EXPECT_EQ(replayed->kind, f->kind);
     EXPECT_EQ(replayed->cycle, f->cycle);
     EXPECT_EQ(replayed->detail, f->detail);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Fuzz, ReplayBundleRefusesTruncatedAndJunkValues)
+{
+    const FuzzSpec spec = faultySpec();
+    FuzzFailure failure;
+    failure.kind = "invariant";
+    failure.programs = workloads::generateFuzzPrograms(spec, 0);
+    const std::string dir = ::testing::TempDir() + "/skipit_fuzz_junk";
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(workloads::writeReplayBundle(spec, failure, dir));
+    const auto slurp = [&](const std::string &name) {
+        std::ifstream in(dir + "/" + name);
+        std::stringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
+    };
+    const auto put = [&](const std::string &name, const std::string &text) {
+        std::ofstream(dir + "/" + name) << text;
+    };
+    const std::string config = slurp("config.txt");
+    const std::string core0 = slurp("core0.s");
+    const auto error = [&] {
+        std::vector<Program> programs;
+        try {
+            workloads::readReplayBundle(dir, programs);
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    ASSERT_EQ(error(), "");
+    ASSERT_NE(config.find("\nfshrs 1\n"), std::string::npos) << config;
+
+    // Each row: config.txt with its key's line replaced (or added), and
+    // the message it must draw.
+    for (const auto &[line, message] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"fshrs 4294967297",
+              "fshrs must be an unsigned integer that fits the field, got "
+              "'4294967297'"},
+             {"fshrs -4294967295", "fshrs must be an unsigned integer"},
+             {"fshrs 1 junk", "malformed line 'fshrs 1 junk'"},
+             {"l2_slices 4294967297", "l2_slices must be an unsigned"},
+             {"max_delay 4294967308", "max_delay must be an unsigned"},
+             {"jitter 1x", "jitter must be 0 or 1, got '1x'"},
+             {"break_probe_invalidate 2", "must be 0 or 1, got '2'"},
+             {"harts 0x", "harts must be an unsigned"},
+             {"fshrs 0", "l1.fshrs must be 1..64, got 0"},
+             {"flush_queue_depth 0",
+              "l1.flush_queue_depth must be at least 1, got 0"},
+             {"frobs 1", "unknown key 'frobs'"}}) {
+        const std::string key = line.substr(0, line.find(' '));
+        std::string text = config;
+        const std::size_t at = text.find("\n" + key + " ");
+        if (at == std::string::npos) {
+            text += line + "\n";
+        } else {
+            text.replace(at + 1, text.find('\n', at + 1) - at - 1, line);
+        }
+        put("config.txt", text);
+        EXPECT_EQ(error().rfind("fuzz bundle " + dir + ": ", 0), 0u)
+            << line;
+        EXPECT_NE(error().find(message), std::string::npos)
+            << line << "\nactual: " << error();
+    }
+    put("config.txt", config + "seed 5\n");
+    EXPECT_NE(error().find("key 'seed' is given more than once"),
+              std::string::npos)
+        << error();
+
+    // A program the assembler rejects is a bad bundle, named by file.
+    put("config.txt", config);
+    put("core0.s", core0 + "frobnicate 0x10\n");
+    EXPECT_EQ(error().rfind("fuzz bundle " + dir +
+                                ": core0.s: unknown mnemonic 'frobnicate'",
+                            0),
+              0u)
+        << error();
     std::filesystem::remove_all(dir);
 }
 

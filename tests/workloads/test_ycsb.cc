@@ -474,6 +474,53 @@ TEST(KvBench, SpecParsesFromJson)
               18446744073709551615u);
 }
 
+TEST(KvBench, SpecRefusesUnknownKeysAndGridOwnedFields)
+{
+    const auto error = [](const std::string &text) {
+        try {
+            KvBenchSpec::fromJsonText(text);
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    // Misspelt keys must not serve the default machine in a closed loop.
+    const std::string misspelt = error(
+        R"({"mixes":["A"],"cores":[1],"keys":64,"ops":100,)"
+        R"("arival_period":400,"fshrs":1,"l2_polciy":"exclusive"})");
+    EXPECT_NE(misspelt.find("'arival_period'"), std::string::npos)
+        << misspelt;
+    EXPECT_NE(error(R"({"l2_polciy": "exclusive"})").find("'l2_polciy'"),
+              std::string::npos);
+
+    // A key names one value.
+    EXPECT_NE(error(R"({"keys": 64, "keys": 32})")
+                  .find("key 'keys' is given more than once"),
+              std::string::npos);
+    EXPECT_NE(error(R"({"fshrs": 1, "fshrs": 2})").find("'fshrs'"),
+              std::string::npos);
+
+    // Machine fields are top-level keys.
+    const KvBenchSpec spec = KvBenchSpec::fromJsonText(
+        R"({"fshrs": 1, "l2_policy": "exclusive", "llc_skip": false})");
+    const SoCConfig cfg = kvMachineConfig(spec.base);
+    EXPECT_EQ(cfg.l1.fshrs, 1u);
+    EXPECT_EQ(cfg.l2.policy, StateKind::Exclusive);
+    EXPECT_FALSE(cfg.l2.llc_skip);
+    EXPECT_NE(error(R"({"fshrs": [1]})").find("fshrs must be"),
+              std::string::npos);
+
+    // The grid sets the slice count and turns the skip bit on and off.
+    EXPECT_NE(error(R"({"l2_slices": 2})").find("\"slices\""),
+              std::string::npos);
+    for (const char *key : {"skipit", "grant_data_dirty"}) {
+        EXPECT_NE(error(std::string("{\"") + key + "\": 0}")
+                      .find("skip bit on and off"),
+                  std::string::npos)
+            << key;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Wake audit
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Whole-token parsing for the tools' flag values. A bad value prints
- * "error: <why>" and exits with status 2.
+ * Whole-token parsing for the tools' flag values (a bad value prints
+ * "error: <why>" and exits with status 2), and reading their input files.
  */
 
 #ifndef SKIPIT_TOOLS_PARSE_NUMBER_HH
@@ -10,11 +10,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "sim/parse.hh"
+#include "soc/soc.hh"
 
 namespace skipit {
 
@@ -62,8 +65,8 @@ parseFinite(const char *flag, const std::string &token)
 
 /**
  * @p parse(@p token) for a parser that throws std::runtime_error on a
- * bad token (parseStateKind, parseIndexKind, parseReplaceKind, a replay
- * bundle reader): its message goes through badValue().
+ * bad token (SoCConfig::set, a replay bundle reader): its message goes
+ * through badValue().
  */
 template <typename Parse>
 auto
@@ -74,6 +77,50 @@ parseWith(Parse parse, const std::string &token)
     } catch (const std::runtime_error &e) {
         badValue(e.what());
     }
+}
+
+/** The contents of file @p path.
+ *  @throws std::runtime_error "cannot open <path>" */
+inline std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    if (!in)
+        throw std::runtime_error("cannot open " + path);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+/** Apply one `--set NAME=VALUE` through @p set on @p target
+ *  (SoCConfig::set, KvSpec::setMachine): a missing '=', an unknown NAME
+ *  or a bad VALUE goes through badValue(). */
+template <typename Target>
+void
+applySet(const std::string &assignment, Target &target,
+         bool (Target::*set)(const std::string &, const std::string &))
+{
+    const std::size_t eq = assignment.find('=');
+    if (eq == std::string::npos)
+        badValue("--set expects NAME=VALUE, got '" + assignment + "'");
+    const std::string name = assignment.substr(0, eq);
+    const auto setValue = [&](const std::string &value) {
+        return (target.*set)(name, value);
+    };
+    if (!parseWith(setValue, assignment.substr(eq + 1)))
+        badValue(SoCConfig::unknownField(name));
+}
+
+/** The usage lines of `--set`, listing SoCConfig::fieldNames(). */
+inline std::string
+setUsage()
+{
+    std::string text =
+        "\n  --set NAME=VALUE  set a machine field (repeatable), one of:";
+    std::size_t i = 0;
+    for (const std::string &name : SoCConfig::fieldNames())
+        text += (i++ % 5 == 0 ? "\n    " : " ") + name;
+    return text + "\n";
 }
 
 } // namespace skipit

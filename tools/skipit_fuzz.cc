@@ -9,6 +9,7 @@
  *
  *   skipit-fuzz --seeds 200 -j8                      # smoke sweep
  *   skipit-fuzz --seeds 500 --harts 4 --no-jitter
+ *   skipit-fuzz --seeds 100 --set fshrs=1 --set llc_skip=0
  *   skipit-fuzz --seeds 50 --break-probe-invalidate  # must fail
  *   skipit-fuzz --replay /tmp/bundle                 # re-run a bundle
  *
@@ -38,18 +39,16 @@ usage()
         "usage: skipit-fuzz [--seeds N] [--seed-base S] [--harts H]\n"
         "                   [--ops N] [--lines N] [--max-cycles C]\n"
         "                   [--no-jitter] [--max-delay D] [-j N]\n"
-        "                   [--fshrs N] [--queue N] [--slices N]\n"
+        "                   [--set NAME=VALUE]...\n"
         "                   [--crash N] [--crash-at C] [--bundle-dir DIR]\n"
-        "                   [--l2-policy inclusive|exclusive]\n"
-        "                   [--l2-index modulo|hashed]\n"
-        "                   [--l2-replace lru|fifo|random]\n"
         "                   [--no-shrink] [--break-probe-invalidate]\n"
         "       skipit-fuzz --replay DIR\n"
         "\n"
         "  --crash N     per seed, after one clean run, re-run with the\n"
         "                power failing at N sampled cycles and audit\n"
         "                the frozen persist-domain image\n"
-        "  --crash-at C  crash every run at exactly cycle C\n");
+        "  --crash-at C  crash every run at exactly cycle C\n%s",
+        setUsage().c_str());
 }
 
 } // namespace
@@ -80,7 +79,7 @@ main(int argc, char **argv)
         else if (arg == "--seed-base")
             seed_base = parseUnsigned(arg.c_str(), next());
         else if (arg == "--harts")
-            spec.harts = parseUnsigned<unsigned>(arg.c_str(), next());
+            spec.machine.cores = parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--ops")
             spec.ops = parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--lines")
@@ -91,19 +90,8 @@ main(int argc, char **argv)
             spec.jitter = false;
         else if (arg == "--max-delay")
             spec.max_delay = parseUnsigned<unsigned>(arg.c_str(), next());
-        else if (arg == "--fshrs")
-            spec.fshrs = parseUnsigned<unsigned>(arg.c_str(), next());
-        else if (arg == "--queue")
-            spec.flush_queue_depth =
-                parseUnsigned<unsigned>(arg.c_str(), next());
-        else if (arg == "--slices")
-            spec.l2_slices = parseUnsigned<unsigned>(arg.c_str(), next());
-        else if (arg == "--l2-policy")
-            spec.l2_policy = parseWith(parseStateKind, next());
-        else if (arg == "--l2-index")
-            spec.l2_index = parseWith(parseIndexKind, next());
-        else if (arg == "--l2-replace")
-            spec.l2_replace = parseWith(parseReplaceKind, next());
+        else if (arg == "--set")
+            applySet(next(), spec.machine, &SoCConfig::set);
         else if (arg == "--crash")
             spec.crash_points = parseUnsigned<unsigned>(arg.c_str(), next());
         else if (arg == "--crash-at")
@@ -136,7 +124,7 @@ main(int argc, char **argv)
         };
         const auto [rspec, seed] = parseWith(readBundle, replay_dir);
         std::cout << "replaying " << replay_dir << " (seed " << seed
-                  << ", " << rspec.harts << " harts)\n";
+                  << ", " << rspec.machine.cores << " harts)\n";
         if (auto f = workloads::runFuzzPrograms(rspec, seed, programs)) {
             std::cout << "reproduced: " << f->kind << " @ cycle "
                       << f->cycle << ": " << f->detail << "\n";
@@ -149,7 +137,7 @@ main(int argc, char **argv)
     if (const std::string err = spec.check(); !err.empty())
         badValue(err);
     std::cout << "fuzzing " << seeds << " seeds from " << seed_base
-              << " (" << spec.harts << " harts, " << spec.ops
+              << " (" << spec.machine.cores << " harts, " << spec.ops
               << " ops, " << spec.lines << " lines, jitter "
               << (spec.jitter ? "on" : "off") << ", " << jobs
               << " jobs";

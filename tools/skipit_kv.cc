@@ -21,6 +21,8 @@
  *   --keys N         prefilled keys per hart (default 1024)
  *   --ops N          operations per hart (default 4096)
  *   --slices N       L2 slices (default 1)
+ *   --set NAME=VALUE set a machine field (repeatable; not l2_slices,
+ *                    skipit or grant_data_dirty, which the grid sets)
  *   --distribution D zipfian (default) or uniform
  *   --theta T        zipfian skew in (0,1) (default 0.99)
  *   --value-bytes N  payload size (default 64)
@@ -70,14 +72,12 @@ usage()
         stderr,
         "usage: skipit-kv [--mixes A,B,C] [--cores 1,2] [--keys N] "
         "[--ops N]\n"
-        "                 [--slices N]\n"
-        "                 [--l2-policy inclusive|exclusive] "
-        "[--l2-index modulo|hashed]\n"
-        "                 [--l2-replace lru|fifo|random]\n"
+        "                 [--slices N] [--set NAME=VALUE]...\n"
         "                 [--distribution zipfian|uniform] [--theta T]\n"
         "                 [--value-bytes N] [--period N] [--scan-len N]\n"
         "                 [--seed N] [--spec FILE] [-o FILE]\n"
-        "                 [--crash N [--no-skipit]] [--stages]\n");
+        "                 [--crash N [--no-skipit]] [--stages]\n%s",
+        setUsage().c_str());
 }
 
 std::vector<std::string>
@@ -89,17 +89,6 @@ splitList(const std::string &s)
     while (std::getline(ss, tok, ','))
         out.push_back(tok);
     return out;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        throw std::runtime_error("cannot open " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
 }
 
 void
@@ -174,12 +163,8 @@ run(int argc, char **argv)
             spec.base.ops = parseUnsigned("--ops", argv[++i]);
         } else if (arg == "--slices" && i + 1 < argc) {
             spec.base.slices = parseUnsigned<unsigned>("--slices", argv[++i]);
-        } else if (arg == "--l2-policy" && i + 1 < argc) {
-            spec.base.l2_policy = parseWith(parseStateKind, argv[++i]);
-        } else if (arg == "--l2-index" && i + 1 < argc) {
-            spec.base.l2_index = parseWith(parseIndexKind, argv[++i]);
-        } else if (arg == "--l2-replace" && i + 1 < argc) {
-            spec.base.l2_replace = parseWith(parseReplaceKind, argv[++i]);
+        } else if (arg == "--set" && i + 1 < argc) {
+            applySet(argv[++i], spec.base, &KvSpec::setMachine);
         } else if (arg == "--distribution" && i + 1 < argc) {
             spec.base.distribution = argv[++i];
         } else if (arg == "--theta" && i + 1 < argc) {

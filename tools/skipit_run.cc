@@ -7,16 +7,14 @@
  * Each program file runs on its own hart (core i gets file i). Options:
  *
  *   --cores N        number of cores, 1-64 (default: number of programs)
- *   --slices N       number of address-interleaved L2 slices, a power
- *                    of two (default 1)
- *   --no-skipit      disable the Skip It skip bit and GrantDataDirty
+ *   --set NAME=VALUE set a machine field, e.g. l2_slices=4 (repeatable)
  *   --trace P[,P]    print every probe event whose stage starts with a
  *                    listed prefix (l1.flushq, l2, dram, ...; all for
  *                    every event) to stderr, one line per event
  *   --trace-out FILE write a Chrome trace-event JSON of every memory
  *                    transaction (open in chrome://tracing / Perfetto);
  *                    also prints per-stage latency histograms with --stats;
- *                    exits 1 if FILE cannot be written
+ *                    exits 1, before the run, if FILE cannot be written
  *   --stats          dump every counter at the end
  *   --stats-prefix P restrict --stats output to counters starting with P
  *   --peek ADDR      print the DRAM word at ADDR after the run
@@ -36,6 +34,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,25 +52,12 @@ void
 usage()
 {
     std::fprintf(stderr,
-                 "usage: skipit-run [--cores N] [--slices N] "
-                 "[--no-skipit] [--trace P[,P]] [--stats]\n"
+                 "usage: skipit-run [--cores N] [--set NAME=VALUE]... "
+                 "[--trace P[,P]] [--stats]\n"
                  "                  [--stats-prefix P] "
                  "[--trace-out FILE] [--describe]\n"
-                 "                  [--l2-policy inclusive|exclusive] "
-                 "[--l2-index modulo|hashed]\n"
-                 "                  [--l2-replace lru|fifo|random] "
-                 "[--peek ADDR]... <program.s>...\n");
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        badValue("cannot open " + path);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+                 "                  [--peek ADDR]... <program.s>...\n%s",
+                 setUsage().c_str());
 }
 
 /** The --trace sink: prints each event whose stage starts with one of
@@ -100,12 +86,8 @@ class StageTrace : public probe::Sink
 int
 main(int argc, char **argv)
 {
+    SoCConfig cfg;
     unsigned cores = 0;
-    unsigned slices = 0;
-    StateKind l2_policy = StateKind::Inclusive;
-    IndexKind l2_index = IndexKind::Modulo;
-    ReplaceKind l2_replace = ReplaceKind::Lru;
-    bool skip_it = true;
     bool dump_stats = false;
     bool describe = false;
     std::string trace_out;
@@ -118,16 +100,8 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg == "--cores" && i + 1 < argc) {
             cores = parseUnsigned<unsigned>("--cores", argv[++i]);
-        } else if (arg == "--slices" && i + 1 < argc) {
-            slices = parseUnsigned<unsigned>("--slices", argv[++i]);
-        } else if (arg == "--l2-policy" && i + 1 < argc) {
-            l2_policy = parseWith(parseStateKind, argv[++i]);
-        } else if (arg == "--l2-index" && i + 1 < argc) {
-            l2_index = parseWith(parseIndexKind, argv[++i]);
-        } else if (arg == "--l2-replace" && i + 1 < argc) {
-            l2_replace = parseWith(parseReplaceKind, argv[++i]);
-        } else if (arg == "--no-skipit") {
-            skip_it = false;
+        } else if (arg == "--set" && i + 1 < argc) {
+            applySet(argv[++i], cfg, &SoCConfig::set);
         } else if (arg == "--trace" && i + 1 < argc) {
             std::stringstream ss(argv[++i]);
             std::string prefix;
@@ -163,11 +137,16 @@ main(int argc, char **argv)
         usage();
         return 1;
     }
-    std::vector<std::string> sources;
-    for (const std::string &f : files)
-        sources.push_back(readFile(f));
+    std::vector<Program> programs;
+    for (const std::string &f : files) {
+        const std::string text = parseWith(readFile, f);
+        try {
+            programs.push_back(assembleProgram(text));
+        } catch (const std::runtime_error &e) {
+            badValue(f + ": " + e.what());
+        }
+    }
 
-    SoCConfig cfg;
     cfg.cores = cores != 0 ? cores
                            : static_cast<unsigned>(files.size());
     if (cfg.cores < files.size()) {
@@ -175,14 +154,19 @@ main(int argc, char **argv)
                      files.size(), cfg.cores);
         return 1;
     }
-    if (slices != 0)
-        cfg.l2.slices = slices;
-    cfg.l2.policy = l2_policy;
-    cfg.l2.index = l2_index;
-    cfg.l2.replace = l2_replace;
-    cfg.withSkipIt(skip_it);
     if (const std::string err = cfg.check(); !err.empty())
         badValue(err);
+    // Open the trace file before anything runs: a bad path costs no run.
+    const auto cannotWrite = [&] {
+        std::fprintf(stderr, "error: cannot write %s\n", trace_out.c_str());
+        return 1;
+    };
+    std::ofstream trace_file;
+    if (!trace_out.empty()) {
+        trace_file.open(trace_out);
+        if (!trace_file)
+            return cannotWrite();
+    }
     SoC soc(cfg);
     if (describe)
         std::fputs(cfg.describe().c_str(), stdout);
@@ -195,14 +179,12 @@ main(int argc, char **argv)
         soc.watchdog().setTracer(&tracer);
     }
 
-    for (std::size_t i = 0; i < sources.size(); ++i)
-        soc.hart(static_cast<unsigned>(i))
-            .setProgram(assembleProgram(sources[i]));
+    soc.setPrograms(programs);
 
     const Cycle cycles = soc.runToQuiescence();
     std::printf("completed in %llu cycles (%u cores, skip-it %s)\n",
                 static_cast<unsigned long long>(cycles), cfg.cores,
-                skip_it ? "on" : "off");
+                cfg.l1.skip_it ? "on" : "off");
 
     for (const Addr a : peeks) {
         std::printf("dram[0x%llx] = 0x%llx\n",
@@ -211,8 +193,9 @@ main(int argc, char **argv)
                         soc.dram().peekWord(a)));
     }
     if (!trace_out.empty()) {
-        if (!tracer.writeChromeTraceFile(trace_out))
-            return 1;
+        tracer.writeChromeTrace(trace_file);
+        if (!trace_file.flush())
+            return cannotWrite();
         std::printf("wrote %zu trace events to %s\n",
                     tracer.eventCount(), trace_out.c_str());
     }

@@ -126,16 +126,8 @@ main(int argc, char **argv)
                          "error: --spec excludes --kind/--axis/--seed\n");
             return 1;
         }
-        std::ifstream in(spec_file);
-        if (!in) {
-            std::fprintf(stderr, "error: cannot open %s\n",
-                         spec_file.c_str());
-            return 1;
-        }
-        std::ostringstream ss;
-        ss << in.rdbuf();
         try {
-            spec = workloads::SweepSpec::fromJsonText(ss.str());
+            spec = workloads::SweepSpec::fromJsonText(readFile(spec_file));
         } catch (const std::exception &e) {
             std::fprintf(stderr, "error: %s\n", e.what());
             return 1;
