@@ -330,7 +330,7 @@ DataCache::fillFromGrant(const DMsg &grant)
                                             : "filled");
     }
     replay(m, set, static_cast<unsigned>(way));
-    m = L1Mshr{};
+    m.release();
     mshr_live_ &= ~bit(static_cast<unsigned>(idx));
     ++ctr_.fills;
 }
@@ -1280,6 +1280,12 @@ DataCache::emitFshrState(const Fshr &f) const
 // Watchdog interface.
 // ---------------------------------------------------------------------
 
+const std::string &
+DataCache::resourcePrefix() const
+{
+    return name();
+}
+
 void
 DataCache::snapshotResources(
     std::vector<probe::ResourceSnapshot> &out) const
@@ -1289,50 +1295,52 @@ DataCache::snapshotResources(
         if (!f.busy())
             continue;
         probe::ResourceSnapshot snap;
-        snap.name = name() + ".fshr" + std::to_string(i);
+        snap.kind = "fshr";
+        snap.index = i;
         snap.fingerprint = probe::fingerprint(
             0, static_cast<std::uint64_t>(f.state), f.req.addr, f.req.txn,
             f.buffer_filled);
         snap.txn = f.req.txn;
-        snap.describe = std::string("state=") + fshrStateName(f.state);
-        out.push_back(std::move(snap));
+        snap.describe = {"state=", fshrStateName(f.state)};
+        out.push_back(snap);
     }
     for (unsigned i = 0; i < mshrs_.size(); ++i) {
         const L1Mshr &m = mshrs_[i];
         if (!m.valid)
             continue;
         probe::ResourceSnapshot snap;
-        snap.name = name() + ".mshr" + std::to_string(i);
+        snap.kind = "mshr";
+        snap.index = i;
         snap.fingerprint = probe::fingerprint(
             0, static_cast<std::uint64_t>(m.state), m.line, m.txn,
             m.rpq.size());
         snap.txn = m.txn;
-        snap.describe = m.state == L1Mshr::State::AwaitGrant
-                            ? "awaiting grant"
-                            : "awaiting issue";
-        out.push_back(std::move(snap));
+        snap.describe = {m.state == L1Mshr::State::AwaitGrant
+                             ? "awaiting grant"
+                             : "awaiting issue"};
+        out.push_back(snap);
     }
     if (wbu_.busy()) {
         probe::ResourceSnapshot snap;
-        snap.name = name() + ".wbu";
+        snap.kind = "wbu";
         snap.fingerprint = probe::fingerprint(
             0, static_cast<std::uint64_t>(wbu_.state), wbu_.line,
             wbu_.txn);
         snap.txn = wbu_.txn;
-        snap.describe = wbu_.state == WritebackUnit::State::AwaitAck
-                            ? "awaiting ReleaseAck"
-                            : "sending Release";
-        out.push_back(std::move(snap));
+        snap.describe = {wbu_.state == WritebackUnit::State::AwaitAck
+                             ? "awaiting ReleaseAck"
+                             : "sending Release"};
+        out.push_back(snap);
     }
     if (probe_.busy()) {
         probe::ResourceSnapshot snap;
-        snap.name = name() + ".probe";
+        snap.kind = "probe";
         snap.fingerprint = probe::fingerprint(
             0, static_cast<std::uint64_t>(probe_.state), probe_.line,
             probe_.txn);
         snap.txn = probe_.txn;
-        snap.describe = "probe unit busy";
-        out.push_back(std::move(snap));
+        snap.describe = {"probe unit busy"};
+        out.push_back(snap);
     }
     // The queue entries themselves never change state while queued; their
     // position does, so a draining queue shows progress and a blocked one
@@ -1340,11 +1348,13 @@ DataCache::snapshotResources(
     std::size_t pos = 0;
     for (const FlushQueueEntry &e : flush_q_) {
         probe::ResourceSnapshot snap;
-        snap.name = name() + ".flushq.txn" + std::to_string(e.txn);
+        snap.kind = "flushq.txn";
+        snap.index = e.txn;
         snap.fingerprint = probe::fingerprint(0, e.addr, e.txn, pos);
         snap.txn = e.txn;
-        snap.describe = "queued at position " + std::to_string(pos);
-        out.push_back(std::move(snap));
+        snap.describe = {"queued at position "};
+        snap.position = pos;
+        out.push_back(snap);
         ++pos;
     }
 }

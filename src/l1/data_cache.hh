@@ -102,6 +102,7 @@ class DataCache : public Ticked, public probe::Inspectable
 
     /** Watchdog interface: fingerprint every busy FSHR / MSHR / WBU /
      *  probe-unit / flush-queue entry (see sim/watchdog.hh). */
+    const std::string &resourcePrefix() const override;
     void snapshotResources(
         std::vector<probe::ResourceSnapshot> &out) const override;
 

@@ -8,6 +8,8 @@
 #ifndef SKIPIT_L1_STRUCTURES_HH
 #define SKIPIT_L1_STRUCTURES_HH
 
+#include <bit>
+#include <utility>
 #include <vector>
 
 #include "coherence/state.hh"
@@ -34,15 +36,19 @@ struct L1Meta
     bool valid() const { return state != ClientState::Nothing; }
 };
 
-/** The L1's SRAM arrays: per-(set,way) metadata and line data. */
+/** The L1's SRAM arrays: per-(set,way) metadata and line data. The set
+ *  count is a power of two, so the set index is a mask of the line
+ *  number. */
 class L1Arrays
 {
   public:
     L1Arrays(unsigned sets, unsigned ways)
-        : sets_(sets), ways_(ways),
+        : sets_(sets), set_mask_(sets - 1), ways_(ways),
           meta_(static_cast<std::size_t>(sets) * ways),
           data_(meta_.size()), lru_(meta_.size(), 0)
     {
+        SKIPIT_ASSERT(std::has_single_bit(sets),
+                      "L1 set count must be a power of two, got ", sets);
     }
 
     unsigned sets() const { return sets_; }
@@ -51,7 +57,7 @@ class L1Arrays
     unsigned
     setOf(Addr line_addr) const
     {
-        return static_cast<unsigned>((line_addr >> line_shift) % sets_);
+        return static_cast<unsigned>(line_addr >> line_shift) & set_mask_;
     }
 
     Addr
@@ -122,6 +128,7 @@ class L1Arrays
 
   private:
     unsigned sets_;
+    unsigned set_mask_; //!< sets_ - 1
     unsigned ways_;
     std::vector<L1Meta> meta_;
     std::vector<LineData> data_;
@@ -150,6 +157,17 @@ struct L1Mshr
     unsigned fill_set = 0;   //!< way reserved at allocation for the fill
     unsigned fill_way = 0;
     TxnId txn = 0;           //!< primary request's transaction id
+
+    /** Free the MSHR. The RPQ keeps its storage, so the next miss this
+     *  MSHR takes allocates nothing. */
+    void
+    release()
+    {
+        std::vector<CpuReq> keep = std::move(rpq);
+        keep.clear();
+        *this = L1Mshr{};
+        rpq = std::move(keep);
+    }
 
     /** Can @p kind piggy-back given the primary's requested permissions?
      *  The RPQ only accepts secondaries needing perms <= the primary's

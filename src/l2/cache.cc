@@ -571,34 +571,31 @@ L2Cache::tryAllocAcquire(const AMsg &msg)
     return true;
 }
 
-std::vector<AgentId>
+std::uint64_t
 L2Cache::holdersOf(const DirEntry &e, AgentId except) const
 {
-    std::vector<AgentId> out;
-    for (AgentId id = 0; id < static_cast<AgentId>(ports_.size()); ++id) {
-        if (id == except)
-            continue;
-        if (e.heldBy(id))
-            out.push_back(id);
-    }
-    return out;
+    std::uint64_t holders = e.branches;
+    if (e.trunk != invalid_agent)
+        holders |= bit(static_cast<unsigned>(e.trunk));
+    if (except != invalid_agent)
+        holders &= ~bit(static_cast<unsigned>(except));
+    return holders;
 }
 
 void
-L2Cache::startProbes(Mshr &m, Addr line, Cap cap,
-                     const std::vector<AgentId> &targets)
+L2Cache::startProbes(Mshr &m, Addr line, Cap cap, std::uint64_t targets)
 {
-    SKIPIT_ASSERT(!targets.empty(), "startProbes with no targets");
+    SKIPIT_ASSERT(targets != 0, "startProbes with no targets");
     // Parked until the last ProbeAck arrives (handleProbeAck).
     act_ &= ~bit(static_cast<unsigned>(&m - mshrs_.data()));
-    m.pending_acks = static_cast<unsigned>(targets.size());
+    m.pending_acks = static_cast<unsigned>(std::popcount(targets));
     m.probe_cap = cap;
-    for (AgentId id : targets) {
+    for (; targets != 0; targets &= targets - 1) {
         BMsg probe;
         probe.addr = line;
         probe.param = cap;
         probe.txn = m.txn;
-        ports_[id]->sendB(probe);
+        ports_[std::countr_zero(targets)]->sendB(probe);
         ++ctr_.probes;
     }
 }
@@ -640,7 +637,7 @@ L2Cache::tickMshr(unsigned idx)
             // The requester's report and any dirty payload were already
             // applied when the message arrived (applyRootReleaseArrival).
             DirEntry &e = dir_.entry(m.set, static_cast<unsigned>(way));
-            std::vector<AgentId> targets;
+            std::uint64_t targets = 0;
             if (m.creq.cbo == CboKind::Flush ||
                 m.creq.cbo == CboKind::Inval) {
                 // Revoke every copy still recorded — including the
@@ -651,10 +648,10 @@ L2Cache::tickMshr(unsigned idx)
                 m.probe_cap = Cap::toN;
             } else if (e.trunk != invalid_agent && e.trunk != m.requester) {
                 // Clean: only a foreign writable copy must be downgraded.
-                targets.push_back(e.trunk);
+                targets = bit(static_cast<unsigned>(e.trunk));
                 m.probe_cap = Cap::toB;
             }
-            if (!targets.empty()) {
+            if (targets != 0) {
                 startProbes(m, m.line, m.probe_cap, targets);
                 m.state = Mshr::State::ProbeHolders;
             } else {
@@ -672,17 +669,17 @@ L2Cache::tickMshr(unsigned idx)
             dir_.lockWay(m.set, static_cast<unsigned>(way));
             m.way_locked = true;
             DirEntry &e = dir_.entry(m.set, static_cast<unsigned>(way));
-            std::vector<AgentId> targets;
+            std::uint64_t targets = 0;
             Cap cap = Cap::toN;
             if (capForGrow(m.areq.param) == Cap::toT) {
                 targets = holdersOf(e, m.requester);
                 cap = Cap::toN;
             } else if (e.trunk != invalid_agent &&
                        e.trunk != m.requester) {
-                targets.push_back(e.trunk);
+                targets = bit(static_cast<unsigned>(e.trunk));
                 cap = Cap::toB;
             }
-            if (!targets.empty()) {
+            if (targets != 0) {
                 startProbes(m, m.line, cap, targets);
                 m.state = Mshr::State::ProbeHolders;
             } else if (!e.data_resident) {
@@ -728,9 +725,8 @@ L2Cache::tickMshr(unsigned idx)
             m.has_victim = true;
             m.victim_way = victim;
             m.victim_line = dir_.addrOf(m.set, static_cast<unsigned>(victim));
-            const std::vector<AgentId> targets =
-                holdersOf(v, invalid_agent);
-            if (!targets.empty()) {
+            const std::uint64_t targets = holdersOf(v, invalid_agent);
+            if (targets != 0) {
                 // Back-invalidation of every L1 copy: the directory is
                 // holder-inclusive under every state policy, so an
                 // evicted entry must leave no tracked L1 copies behind.
@@ -915,7 +911,7 @@ L2Cache::tickMshr(unsigned idx)
             cap = Cap::toT;
         }
         if (cap == Cap::toT) {
-            SKIPIT_ASSERT(holdersOf(e, m.requester).empty(),
+            SKIPIT_ASSERT(holdersOf(e, m.requester) == 0,
                           "exclusive grant with other holders: line ",
                           std::hex, m.line, " req ", std::dec, m.requester,
                           " grow ", static_cast<int>(m.areq.param),
@@ -968,6 +964,12 @@ L2Cache::emitMshrState(unsigned idx) const
 // Watchdog interface.
 // ---------------------------------------------------------------------
 
+const std::string &
+L2Cache::resourcePrefix() const
+{
+    return name();
+}
+
 void
 L2Cache::snapshotResources(
     std::vector<probe::ResourceSnapshot> &out) const
@@ -976,27 +978,27 @@ L2Cache::snapshotResources(
         const unsigned i = static_cast<unsigned>(std::countr_zero(todo));
         const Mshr &m = mshrs_[i];
         probe::ResourceSnapshot snap;
-        snap.name = name() + ".mshr" + std::to_string(i);
+        snap.kind = "mshr";
+        snap.index = i;
         snap.fingerprint = probe::fingerprint(
             slice_, static_cast<std::uint64_t>(m.state), m.line, m.txn,
             m.pending_acks, m.awaiting_dram);
         snap.txn = m.txn;
-        snap.describe =
-            std::string("state=") +
-            mshrStateName(static_cast<int>(m.state)) +
-            (m.awaiting_dram ? " awaiting-dram" : "");
-        out.push_back(std::move(snap));
+        snap.describe = {"state=", mshrStateName(static_cast<int>(m.state)),
+                         m.awaiting_dram ? " awaiting-dram" : nullptr};
+        out.push_back(snap);
     }
     std::size_t pos = 0;
     for (const CMsg &msg : list_buffer_) {
         probe::ResourceSnapshot snap;
-        snap.name = name() + ".listbuffer.txn" + std::to_string(msg.txn);
+        snap.kind = "listbuffer.txn";
+        snap.index = msg.txn;
         snap.fingerprint = probe::fingerprint(slice_, msg.addr, msg.txn,
                                               pos);
         snap.txn = msg.txn;
-        snap.describe = "buffered RootRelease at position " +
-                        std::to_string(pos);
-        out.push_back(std::move(snap));
+        snap.describe = {"buffered RootRelease at position "};
+        snap.position = pos;
+        out.push_back(snap);
         ++pos;
     }
 }

@@ -151,6 +151,7 @@ class L2Cache : public Ticked, public probe::Inspectable
 
     /** Watchdog interface: fingerprint every valid MSHR and buffered
      *  RootRelease (see sim/watchdog.hh). */
+    const std::string &resourcePrefix() const override;
     void snapshotResources(
         std::vector<probe::ResourceSnapshot> &out) const override;
 
@@ -215,7 +216,6 @@ class L2Cache : public Ticked, public probe::Inspectable
         LineData fill_data{};
 
         unsigned pending_acks = 0;
-        std::vector<AgentId> to_probe;
         Cap probe_cap = Cap::toN;
         Cycle wait_until = 0;
         bool awaiting_dram = false;
@@ -313,9 +313,12 @@ class L2Cache : public Ticked, public probe::Inspectable
     /** Apply a C-channel shrink report to the directory entry. */
     static void applyReport(DirEntry &e, AgentId src, Shrink param);
 
-    void startProbes(Mshr &m, Addr line, Cap cap,
-                     const std::vector<AgentId> &targets);
-    std::vector<AgentId> holdersOf(const DirEntry &e, AgentId except) const;
+    /** Probe every client in the nonempty mask @p targets (bit i =
+     *  client i), in ascending id order, and park @p m on their acks. */
+    void startProbes(Mshr &m, Addr line, Cap cap, std::uint64_t targets);
+    /** The clients @p e records as holders, but @p except, as a client
+     *  mask. */
+    std::uint64_t holdersOf(const DirEntry &e, AgentId except) const;
 
     std::uint64_t dramTagFor(unsigned mshr_idx, bool tracked) const;
     /** Was this tracked DRAM tag issued by this slice? */

@@ -143,16 +143,31 @@ class Hub
 };
 
 /**
- * One busy resource as seen by the watchdog. The fingerprint must change
- * whenever the resource makes forward progress; equal fingerprints across
- * scans mean "no state advance".
+ * One busy resource as seen by the watchdog, identified by (component,
+ * @ref kind, @ref index). Every field is a number or a string literal,
+ * so taking a snapshot allocates nothing: the watchdog formats the
+ * resource's name ("core0.l1d.fshr2") and its description only when it
+ * reports a stall. The fingerprint must change whenever the resource
+ * makes forward progress; equal fingerprints across scans mean "no state
+ * advance".
  */
 struct ResourceSnapshot
 {
-    std::string name;             //!< stable id, e.g. "core0.l1d.fshr2"
+    /** The index of a component's only unit of its kind ("wbu"), and
+     *  the position of a resource that has none. */
+    static constexpr std::uint64_t none = ~std::uint64_t{0};
+
+    /** The name after the component's: "fshr", "flushq.txn", ... */
+    const char *kind = "";
+    /** Which one of its kind: the slot, or the queued transaction;
+     *  printed after @ref kind unless none. */
+    std::uint64_t index = none;
     std::uint64_t fingerprint = 0;
     TxnId txn = 0;                //!< transaction occupying the resource
-    std::string describe;         //!< human-readable state summary
+    /** The human-readable state summary: these literals in order (null
+     *  ones skipped), then @ref position unless none. */
+    std::array<const char *, 3> describe{};
+    std::uint64_t position = none;
 };
 
 /** A component whose busy resources the watchdog can inspect. */
@@ -160,7 +175,10 @@ class Inspectable
 {
   public:
     virtual ~Inspectable() = default;
-    /** Append one snapshot per currently-busy resource. */
+    /** The prefix of every resource name, e.g. "core0.l1d". */
+    virtual const std::string &resourcePrefix() const = 0;
+    /** Append one snapshot per currently-busy resource, in a fixed
+     *  order (stall reports from one scan come out in it). */
     virtual void snapshotResources(std::vector<ResourceSnapshot> &out)
         const = 0;
 };

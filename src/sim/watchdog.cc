@@ -1,6 +1,9 @@
 #include "watchdog.hh"
 
+#include <algorithm>
+#include <cstring>
 #include <iostream>
+#include <numeric>
 #include <utility>
 
 #include "logging.hh"
@@ -42,60 +45,97 @@ Watchdog::nextWake() const
     return std::max(sim_.now(), next_scan_);
 }
 
+bool
+Watchdog::keyLess(const Key &a, const Key &b)
+{
+    if (a.component != b.component)
+        return a.component < b.component;
+    if (a.kind != b.kind) {
+        const int k = std::strcmp(a.kind, b.kind);
+        if (k != 0)
+            return k < 0;
+    }
+    return a.index < b.index;
+}
+
 void
 Watchdog::scan()
 {
     const Cycle now = sim_.now();
 
-    for (auto &[name, t] : tracked_)
-        t.seen = false;
-
-    scratch_.clear();
-    for (const probe::Inspectable *c : components_)
-        c->snapshotResources(scratch_);
-
-    for (const probe::ResourceSnapshot &snap : scratch_) {
-        Tracked &t = tracked_[snap.name];
-        t.seen = true;
-        if (t.fingerprint != snap.fingerprint) {
-            t.fingerprint = snap.fingerprint;
-            t.since = now;
-            t.reported = false;
-            continue;
-        }
-        if (!t.reported && now - t.since >= cfg_.stall_threshold) {
-            t.reported = true;
-            report(snap, t);
-        }
+    snaps_.clear();
+    keys_.clear();
+    for (unsigned c = 0; c < components_.size(); ++c) {
+        components_[c]->snapshotResources(snaps_);
+        for (std::size_t i = keys_.size(); i < snaps_.size(); ++i)
+            keys_.push_back(Key{c, snaps_[i].kind, snaps_[i].index});
     }
+    order_.resize(snaps_.size());
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    std::sort(order_.begin(), order_.end(),
+              [this](std::size_t a, std::size_t b) {
+                  return keyLess(keys_[a], keys_[b]);
+              });
 
-    // Resources that went idle (not snapshotted this scan) are forgotten so
-    // a later reoccupation starts a fresh stall window.
-    for (auto it = tracked_.begin(); it != tracked_.end();) {
-        if (!it->second.seen)
-            it = tracked_.erase(it);
-        else
-            ++it;
+    // Merge the sorted snapshots into the sorted tracked list. A tracked
+    // resource no snapshot names went idle and is dropped, so a later
+    // reoccupation starts a fresh stall window.
+    next_.clear();
+    due_.clear();
+    auto old = tracked_.cbegin();
+    for (const std::size_t i : order_) {
+        const probe::ResourceSnapshot &snap = snaps_[i];
+        while (old != tracked_.cend() && keyLess(old->key, keys_[i]))
+            ++old;
+        Tracked t{keys_[i], snap.fingerprint, now, false};
+        if (old != tracked_.cend() && !keyLess(keys_[i], old->key)) {
+            if (old->fingerprint == snap.fingerprint) {
+                t.since = old->since;
+                t.reported = old->reported;
+                if (!t.reported && now - t.since >= cfg_.stall_threshold) {
+                    t.reported = true;
+                    due_.emplace_back(i, t.since);
+                }
+            }
+            ++old;
+        }
+        next_.push_back(t);
     }
+    tracked_.swap(next_);
+
+    // Report in snapshot order.
+    std::sort(due_.begin(), due_.end());
+    for (const auto &[i, since] : due_)
+        report(snaps_[i], keys_[i], since);
 }
 
 void
-Watchdog::report(const probe::ResourceSnapshot &snap, const Tracked &t)
+Watchdog::report(const probe::ResourceSnapshot &snap, const Key &key,
+                 Cycle since)
 {
+    using probe::ResourceSnapshot;
     const Cycle now = sim_.now();
     StallRecord rec;
-    rec.resource = snap.name;
+    rec.resource =
+        components_[key.component]->resourcePrefix() + "." + snap.kind;
+    if (snap.index != ResourceSnapshot::none)
+        rec.resource += std::to_string(snap.index);
     rec.txn = snap.txn;
-    rec.stuck_since = t.since;
+    rec.stuck_since = since;
     rec.reported_at = now;
-    rec.describe = snap.describe;
+    for (const char *part : snap.describe) {
+        if (part != nullptr)
+            rec.describe += part;
+    }
+    if (snap.position != ResourceSnapshot::none)
+        rec.describe += std::to_string(snap.position);
     stalls_.push_back(rec);
 
     std::ostream &os = os_ != nullptr ? *os_ : std::cerr;
-    os << "WATCHDOG: " << snap.name << " stalled for " << (now - t.since)
+    os << "WATCHDOG: " << rec.resource << " stalled for " << (now - since)
        << " cycles (txn " << snap.txn;
-    if (!snap.describe.empty())
-        os << ", " << snap.describe;
+    if (!rec.describe.empty())
+        os << ", " << rec.describe;
     os << ")\n";
     if (tracer_ != nullptr && snap.txn != 0) {
         os << "  transaction " << snap.txn << " history:\n";
@@ -104,8 +144,8 @@ Watchdog::report(const probe::ResourceSnapshot &snap, const Tracked &t)
     if (escalation_)
         escalation_(os);
     if (cfg_.fatal) {
-        SKIPIT_FATAL("watchdog: ", snap.name, " stalled for ",
-                     now - t.since, " cycles (txn ", snap.txn, ")");
+        SKIPIT_FATAL("watchdog: ", rec.resource, " stalled for ",
+                     now - since, " cycles (txn ", snap.txn, ")");
     }
 }
 

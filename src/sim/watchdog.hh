@@ -11,6 +11,12 @@
  * as stalled, reported once, and — when a TxnTracer is attached — its
  * occupying transaction's full event history is dumped.
  *
+ * A resource is tracked by (component, kind, index). The tracked list
+ * stays sorted by that key, and each scan merges the sorted snapshots
+ * into it, so a scan allocates nothing once its vectors have grown to
+ * the busiest scan's size. Names and descriptions are formatted only
+ * for a report.
+ *
  * The watchdog never mutates simulated state, so enabling it cannot
  * change cycle counts.
  */
@@ -19,7 +25,6 @@
 #define SKIPIT_SIM_WATCHDOG_HH
 
 #include <functional>
-#include <map>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -91,27 +96,49 @@ class Watchdog : public Ticked
     const std::vector<StallRecord> &stalls() const { return stalls_; }
 
   private:
+    /** A resource's identity across scans. */
+    struct Key
+    {
+        unsigned component = 0; //!< index into components_
+        const char *kind = "";
+        std::uint64_t index = 0;
+    };
+
     struct Tracked
     {
+        Key key;
         std::uint64_t fingerprint = 0;
         Cycle since = 0;     //!< scan cycle the fingerprint was first seen
         bool reported = false;
-        bool seen = false;   //!< mark-and-sweep flag for vanished entries
     };
+
+    /** Order by component, kind text, then index. */
+    static bool keyLess(const Key &a, const Key &b);
 
     Simulator &sim_;
     WatchdogConfig cfg_;
     std::vector<const probe::Inspectable *> components_;
-    std::map<std::string, Tracked> tracked_;
+    /** Resources busy at the last scan, sorted by key. */
+    std::vector<Tracked> tracked_;
     std::vector<StallRecord> stalls_;
     std::function<void(std::ostream &)> escalation_;
     const TxnTracer *tracer_ = nullptr;
     std::ostream *os_ = nullptr;
     Cycle next_scan_ = 0;
-    std::vector<probe::ResourceSnapshot> scratch_;
+
+    /// @name Per-scan scratch, reused
+    /// @{
+    std::vector<probe::ResourceSnapshot> snaps_;
+    std::vector<Key> keys_;         //!< keys_[i] identifies snaps_[i]
+    std::vector<std::size_t> order_; //!< snaps_ indices sorted by key
+    std::vector<Tracked> next_;     //!< the rebuilt tracked_
+    /** (snaps_ index, stuck since) of each stall to report. */
+    std::vector<std::pair<std::size_t, Cycle>> due_;
+    /// @}
 
     void scan();
-    void report(const probe::ResourceSnapshot &snap, const Tracked &t);
+    void report(const probe::ResourceSnapshot &snap, const Key &key,
+                Cycle since);
 };
 
 } // namespace skipit

@@ -1,6 +1,7 @@
 #include "soc.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -209,6 +210,9 @@ SoCConfig::check() const
         if (v < 1)
             return bad(field, "at least 1", v);
     }
+    // The L1 indexes its sets by mask.
+    if (!std::has_single_bit(l1.sets))
+        return bad("l1.sets", "a power of two", l1.sets);
     const unsigned n = std::max(1u, l2.slices);
     if ((n & (n - 1)) != 0 || n > l2.sets || l2.sets % n != 0) {
         return detail::concat("l2.slices must be a power of two that "

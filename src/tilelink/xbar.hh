@@ -36,7 +36,6 @@
 #ifndef SKIPIT_TILELINK_XBAR_HH
 #define SKIPIT_TILELINK_XBAR_HH
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -44,6 +43,7 @@
 #include "link.hh"
 #include "messages.hh"
 #include "sim/logging.hh"
+#include "sim/queues.hh"
 #include "sim/ticked.hh"
 
 namespace skipit {
@@ -75,8 +75,7 @@ class TLClientPort
     AMsg
     aPop()
     {
-        AMsg m = aq_.front();
-        aq_.pop_front();
+        AMsg m = aq_.popFront();
         settle();
         return m;
     }
@@ -86,8 +85,7 @@ class TLClientPort
     CMsg
     cPop()
     {
-        CMsg m = cq_.front();
-        cq_.pop_front();
+        CMsg m = cq_.popFront();
         settle();
         return m;
     }
@@ -97,8 +95,7 @@ class TLClientPort
     EMsg
     ePop()
     {
-        EMsg m = eq_.front();
-        eq_.pop_front();
+        EMsg m = eq_.popFront();
         settle();
         return m;
     }
@@ -149,9 +146,9 @@ class TLClientPort
 
     TLXbar &xbar_;
     AgentId client_;
-    std::deque<AMsg> aq_;
-    std::deque<CMsg> cq_;
-    std::deque<EMsg> eq_;
+    Ring<AMsg> aq_;
+    Ring<CMsg> cq_;
+    Ring<EMsg> eq_;
     /** Until a slice binds the port, it points at a spare word of its
      *  own with an empty bit, so arrivals and pops change nothing. */
     std::uint64_t unbound_ = 0;
@@ -319,7 +316,7 @@ class TLXbar final : public Ticked
             AMsg m = l->a.recv();
             const unsigned s = routeSliceOf(m.addr);
             TLClientPort &p = *ports_[s][c];
-            p.aq_.push_back(std::move(m));
+            p.aq_.pushBack(std::move(m));
             p.arrived(sim_.now());
             ++a_routed_[s];
         }
@@ -335,7 +332,7 @@ class TLXbar final : public Ticked
             CMsg m = l->c.recv();
             const unsigned s = index_.sliceOf(lineAlign(m.addr));
             TLClientPort &p = *ports_[s][c];
-            p.cq_.push_back(std::move(m));
+            p.cq_.pushBack(std::move(m));
             p.arrived(sim_.now());
             ++c_routed_[s];
         }
@@ -351,7 +348,7 @@ class TLXbar final : public Ticked
             EMsg m = l->e.recv();
             const unsigned s = index_.sliceOf(lineAlign(m.addr));
             TLClientPort &p = *ports_[s][c];
-            p.eq_.push_back(std::move(m));
+            p.eq_.pushBack(std::move(m));
             p.arrived(sim_.now());
             ++e_routed_[s];
         }

@@ -152,22 +152,80 @@ class JsonParser
         return v;
     }
 
+    /** Take @p c if it is the next character (no whitespace skip). */
+    bool
+    take(char c)
+    {
+        if (pos_ < text_.size() && text_[pos_] == c) {
+            ++pos_;
+            return true;
+        }
+        return false;
+    }
+
+    /** Take a run of digits. @return false if there was none */
+    bool
+    takeDigits()
+    {
+        const std::size_t start = pos_;
+        while (pos_ < text_.size() &&
+               std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+            ++pos_;
+        }
+        return pos_ != start;
+    }
+
+    /** Can text_[i] occur in a number? */
+    bool
+    numberChar(std::size_t i) const
+    {
+        if (i >= text_.size())
+            return false;
+        const char c = text_[i];
+        return std::isdigit(static_cast<unsigned char>(c)) || c == '.' ||
+               c == 'e' || c == 'E' || c == '+' || c == '-';
+    }
+
+    /** Take RFC 8259's number,
+     *  -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, which no number
+     *  character may follow. @return false where the text breaks it */
+    bool
+    takeNumber()
+    {
+        take('-');
+        if (!take('0') && !takeDigits())
+            return false;
+        if (take('.') && !takeDigits())
+            return false;
+        if (take('e') || take('E')) {
+            if (!take('+'))
+                take('-');
+            if (!takeDigits())
+                return false;
+        }
+        return !numberChar(pos_);
+    }
+
     JsonValue
     parseNumber()
     {
+        const std::size_t start = pos_;
+        if (!takeNumber()) {
+            std::size_t end = start;
+            while (numberChar(end) ||
+                   (end < text_.size() &&
+                    std::isalpha(static_cast<unsigned char>(text_[end])))) {
+                ++end;
+            }
+            pos_ = start;
+            if (end == start ||
+                std::isalpha(static_cast<unsigned char>(text_[start])))
+                fail("expected a value");
+            fail("malformed number '" + text_.substr(start, end - start) +
+                 "'");
+        }
         JsonValue v;
         v.type = JsonValue::Type::Number;
-        const std::size_t start = pos_;
-        consume('-');
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-')) {
-            ++pos_;
-        }
-        if (pos_ == start)
-            fail("expected a value");
         v.text = text_.substr(start, pos_ - start);
         return v;
     }

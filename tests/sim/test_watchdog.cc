@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "../l1/mock_manager.hh"
 #include "l1/data_cache.hh"
@@ -122,6 +124,43 @@ TEST_F(WatchdogRig, WedgedFshrIsReportedWithTxnHistory)
     // the flush queue and into the FSHR.
     EXPECT_NE(out.find("l1.flushq"), std::string::npos);
     EXPECT_NE(out.find("l1.fshr"), std::string::npos);
+}
+
+TEST_F(WatchdogRig, StallsFoundInOneScanAreReportedInSnapshotOrder)
+{
+    // Two FSHRs take the first two flushes and the other four wait in
+    // the queue; every one stalls. The names and descriptions are
+    // formatted at report time, and the stalls come out in the order the
+    // L1 lists them: FSHRs by index, then the queue head to tail.
+    cfg.fshrs = 2;
+    build();
+    l2->hold_rootrelease_acks = true;
+    std::vector<TxnId> flushes;
+    for (unsigned i = 0; i < 6; ++i)
+        dirtyLine(0x6000 + Addr{i} * line_bytes, i + 1);
+    for (unsigned i = 0; i < 6; ++i)
+        flushes.push_back(
+            doOp(CpuOpKind::CboFlush, 0x6000 + Addr{i} * line_bytes));
+    sim.run(3000);
+
+    std::vector<std::string> want = {"l1d.fshr0", "l1d.fshr1"};
+    for (unsigned i = 2; i < 6; ++i)
+        want.push_back("l1d.flushq.txn" + std::to_string(flushes[i]));
+    std::vector<std::string> names;
+    for (const StallRecord &s : wd->stalls())
+        names.push_back(s.resource);
+    ASSERT_EQ(names, want);
+    EXPECT_EQ(wd->stalls()[1].describe, "state=root-release-ack");
+    EXPECT_EQ(wd->stalls()[2].describe, "queued at position 0");
+    EXPECT_EQ(wd->stalls()[5].describe, "queued at position 3");
+    const StallRecord &s = wd->stalls()[2];
+    EXPECT_NE(report.str().find(
+                  "WATCHDOG: " + s.resource + " stalled for " +
+                  std::to_string(s.reported_at - s.stuck_since) +
+                  " cycles (txn " + std::to_string(s.txn) +
+                  ", queued at position 0)\n"),
+              std::string::npos)
+        << report.str();
 }
 
 TEST_F(WatchdogRig, StallReportedOncePerContinuousStall)

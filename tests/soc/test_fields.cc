@@ -248,5 +248,33 @@ TEST(MachineFields, UnknownNamesAndBadTokensReadTheSameEverywhere)
     }
 }
 
+// The L1 indexes its sets by mask, so check() refuses a set count that
+// is not a power of two (0 included) before a machine is built, and the
+// arrays' constructor asserts the same.
+TEST(MachineCheck, L1SetsMustBeAPowerOfTwo)
+{
+    for (const unsigned sets : {3u, 0u, 96u}) {
+        SoCConfig c;
+        c.l1.sets = sets;
+        EXPECT_EQ(c.check(), "l1.sets must be a power of two, got " +
+                                 std::to_string(sets));
+    }
+    for (const unsigned sets : {1u, 8u, 64u, 1024u}) {
+        SoCConfig c;
+        c.l1.sets = sets;
+        EXPECT_EQ(c.check(), "") << sets;
+    }
+}
+
+TEST(MachineCheckDeathTest, L1ArraysRefuseASetCountThatIsNotAPowerOfTwo)
+{
+    for (const unsigned sets : {3u, 0u}) {
+        EXPECT_DEATH(L1Arrays(sets, 8),
+                     "L1 set count must be a power of two, got " +
+                         std::to_string(sets))
+            << sets;
+    }
+}
+
 } // namespace
 } // namespace skipit

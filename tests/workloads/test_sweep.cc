@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,6 +18,7 @@
 #include "platform/platform.hh"
 #include "workloads/sweep.hh"
 #include "workloads/workloads.hh"
+#include "workloads/ycsb.hh"
 
 using namespace skipit;
 using workloads::SweepAxis;
@@ -108,6 +111,57 @@ TEST(SweepSpecJson, RejectsMalformedInput)
                  std::runtime_error);
     EXPECT_THROW(SweepSpec::fromJsonText("{} trailing"),
                  std::runtime_error);
+}
+
+// JSON numbers follow RFC 8259: no leading zero, sign only in front,
+// digits after a point. A token outside that grammar is an error at its
+// offset, not a number read some other way (0200 once ran 128 bytes).
+TEST(SweepSpecJson, RejectsNumbersJsonForbids)
+{
+    for (const std::string bad : {"0200", "-01", "1-2", "+1", "1.", "-"}) {
+        const std::string text =
+            R"({"kind":"cbo","axes":{"bytes":[)" + bad +
+            R"(],"threads":[1]}})";
+        try {
+            SweepSpec::fromJsonText(text);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "malformed number '" + bad + "' (at offset 31)"),
+                      std::string::npos)
+                << bad << ": " << e.what();
+        }
+    }
+    for (const std::string good : {"0", "128", "-0", "1.5", "1e3",
+                                   "2E-2", "0.25e+1"}) {
+        const SweepSpec spec = SweepSpec::fromJsonText(
+            R"({"kind":"cbo","axes":{"bytes":[)" + good + "]}}");
+        EXPECT_EQ(spec.axes.at(0).values,
+                  (std::vector<std::string>{good}));
+    }
+}
+
+// Every checked-in spec parses under the strict number grammar.
+TEST(SweepSpecJson, EveryCheckedInSpecParses)
+{
+    std::size_t specs = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             SKIPIT_SOURCE_DIR "/bench/sweeps")) {
+        if (entry.path().extension() != ".json")
+            continue;
+        std::ifstream in(entry.path());
+        std::stringstream text;
+        text << in.rdbuf();
+        if (entry.path().filename() == "kv.json") {
+            EXPECT_NO_THROW(workloads::KvBenchSpec::fromJsonText(text.str()))
+                << entry.path();
+        } else {
+            EXPECT_NO_THROW(SweepSpec::fromJsonText(text.str()))
+                << entry.path();
+        }
+        ++specs;
+    }
+    EXPECT_GE(specs, 17u);
 }
 
 TEST(SweepRun, UnknownAxisOrKindIsRejectedUpfront)

@@ -474,6 +474,25 @@ TEST(KvBench, SpecParsesFromJson)
               18446744073709551615u);
 }
 
+// The KV spec reads numbers through the same strict JSON grammar as the
+// sweep: "keys": 0100 once served 100 keys.
+TEST(KvBench, SpecRefusesNumbersJsonForbids)
+{
+    for (const std::string bad : {"0100", "-01", "1-2", "+1", "1.", "-"}) {
+        const std::string text = R"({"keys": )" + bad + "}";
+        try {
+            KvBenchSpec::fromJsonText(text);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "malformed number '" + bad + "' (at offset 9)"),
+                      std::string::npos)
+                << bad << ": " << e.what();
+        }
+    }
+    EXPECT_EQ(KvBenchSpec::fromJsonText(R"({"keys": 100})").base.keys, 100u);
+}
+
 TEST(KvBench, SpecRefusesUnknownKeysAndGridOwnedFields)
 {
     const auto error = [](const std::string &text) {
