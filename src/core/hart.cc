@@ -1,6 +1,15 @@
 #include "hart.hh"
 
+#include <algorithm>
+
 namespace skipit {
+
+namespace {
+
+/** marker_cycles_ entry of a marker that has not executed. */
+constexpr Cycle unlatched = Ticked::wake_never;
+
+} // namespace
 
 Hart::Hart(std::string name, Simulator &sim, Lsu &lsu,
            unsigned dispatch_width)
@@ -17,7 +26,15 @@ Hart::setProgram(Program program)
     pc_ = 0;
     stall_until_ = 0;
     load_tickets_.clear();
-    markers_.clear();
+    marker_ids_.clear();
+    for (const MemOp &op : program_) {
+        if (op.kind == MemOpKind::Marker)
+            marker_ids_.push_back(op.data);
+    }
+    std::sort(marker_ids_.begin(), marker_ids_.end());
+    marker_ids_.erase(std::unique(marker_ids_.begin(), marker_ids_.end()),
+                      marker_ids_.end());
+    marker_cycles_.assign(marker_ids_.size(), unlatched);
     marker_waiting_ = false;
     lsu_.clearResults();
 }
@@ -28,12 +45,24 @@ Hart::done() const
     return pc_ >= program_.size() && lsu_.empty() && !marker_waiting_;
 }
 
+std::size_t
+Hart::markerSlot(std::uint64_t id) const
+{
+    const auto it =
+        std::lower_bound(marker_ids_.begin(), marker_ids_.end(), id);
+    return it != marker_ids_.end() && *it == id
+               ? static_cast<std::size_t>(it - marker_ids_.begin())
+               : marker_ids_.size();
+}
+
 Cycle
 Hart::markerCycle(std::uint64_t id) const
 {
-    auto it = markers_.find(id);
-    SKIPIT_ASSERT(it != markers_.end(), "marker ", id, " never executed");
-    return it->second;
+    const std::size_t slot = markerSlot(id);
+    SKIPIT_ASSERT(slot < marker_ids_.size() &&
+                      marker_cycles_[slot] != unlatched,
+                  "marker ", id, " never executed");
+    return marker_cycles_[slot];
 }
 
 std::uint64_t
@@ -74,7 +103,7 @@ Hart::tick()
         // memory operation retired, then latch the cycle.
         if (!lsu_.empty())
             return;
-        markers_[pending_marker_] = sim_.now();
+        marker_cycles_[pending_marker_] = sim_.now();
         marker_waiting_ = false;
     }
     for (unsigned n = 0; n < dispatch_width_ && pc_ < program_.size(); ++n) {
@@ -94,11 +123,12 @@ Hart::tick()
         }
         if (op.kind == MemOpKind::Marker) {
             ++pc_;
+            const std::size_t slot = markerSlot(op.data);
             if (lsu_.empty()) {
-                markers_[op.data] = sim_.now();
+                marker_cycles_[slot] = sim_.now();
             } else {
                 marker_waiting_ = true;
-                pending_marker_ = op.data;
+                pending_marker_ = slot;
                 return;
             }
             continue;

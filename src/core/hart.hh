@@ -9,7 +9,6 @@
 #ifndef SKIPIT_CORE_HART_HH
 #define SKIPIT_CORE_HART_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "lsu.hh"
@@ -58,9 +57,17 @@ class Hart : public Ticked
     /** LSU ticket of the load at each op index; 0 = not a dispatched
      *  load (tickets start at 1). */
     std::vector<std::uint64_t> load_tickets_;
-    std::unordered_map<std::uint64_t, Cycle> markers_;
+    /** The program's marker ids, sorted and unique, and the cycle each
+     *  last latched (unlatched until it executes). setProgram() sizes
+     *  both, so a marker allocates nothing when it executes. */
+    std::vector<std::uint64_t> marker_ids_;
+    std::vector<Cycle> marker_cycles_;
     bool marker_waiting_ = false;
-    std::uint64_t pending_marker_ = 0;
+    /** The waiting marker's index in marker_ids_. */
+    std::size_t pending_marker_ = 0;
+
+    /** @p id's index in marker_ids_; marker_ids_.size() if absent. */
+    std::size_t markerSlot(std::uint64_t id) const;
 };
 
 } // namespace skipit

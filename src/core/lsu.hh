@@ -48,8 +48,7 @@ class Lsu : public Ticked
   public:
     /** @param source the TileLink source (agent) id of the core this LSU
      *  belongs to; stamped on every CpuReq so the data cache can assert
-     *  that requests arrive at the port matching their origin once the
-     *  memory side is a routed crossbar. */
+     *  that requests arrive at the cache owning that source id. */
     Lsu(std::string name, Simulator &sim, const LsuConfig &cfg,
         DataCache &dcache, Stats &stats, AgentId source = invalid_agent);
 

@@ -73,8 +73,8 @@ struct CpuReq
     std::uint64_t data = 0;   //!< store payload
     std::uint64_t id = 0;     //!< LSU tag echoed in the response
     TxnId txn = 0;            //!< observability transaction id
-    /** TileLink source id of the issuing core; invalid_agent from legacy
-     *  callers that predate the crossbar. The data cache asserts that a
+    /** TileLink source id of the issuing core; invalid_agent from
+     *  callers that do not stamp one. The data cache asserts that a
      *  stamped request arrived at the cache owning that source id. */
     AgentId source = invalid_agent;
 };

@@ -111,7 +111,7 @@ class DataCache : public Ticked, public probe::Inspectable
      * clean line to 1 regardless of whether the line is persisted below —
      * the exact bug class the durability oracle exists to catch (§6.1
      * soundness). Negative-control hook; precedent:
-     * TLXbar::injectAMisroute.
+     * TLChannel::injectMisroute.
      */
     void injectSkipCorruption(Addr addr);
 

@@ -83,16 +83,17 @@ L2Cache::L2Cache(std::string name, Simulator &sim, const L2Config &cfg,
 }
 
 void
-L2Cache::connectPort(AgentId id, TLClientPort &port)
+L2Cache::connectPort(AgentId id, TLLink &link)
 {
     SKIPIT_ASSERT(id >= 0 && id < 64,
                   "L2 client id must be 0..63: each client is one bit of a "
                   "64-bit bitset");
     if (static_cast<std::size_t>(id) >= ports_.size())
-        ports_.resize(id + 1, nullptr);
-    SKIPIT_ASSERT(ports_[id] == nullptr, "client ", id, " already connected");
-    ports_[id] = &port;
-    port.bindInbound(inbound_, bit(static_cast<unsigned>(id)), *this);
+        ports_.resize(id + 1);
+    SKIPIT_ASSERT(!ports_[id].connected(), "client ", id,
+                  " already connected");
+    ports_[id] = TLClientPort(link, slice_, id);
+    ports_[id].bindInbound(inbound_, bit(static_cast<unsigned>(id)), *this);
 }
 
 void
@@ -116,11 +117,16 @@ L2Cache::nextWake() const
 
     // Buffered RootReleases are retried every cycle (conservative: the
     // retry may be blocked on a free MSHR, but spinning is always safe).
-    // A message waiting in a port is consumable now.
-    if (!list_buffer_.empty() || inbound_ != 0)
+    if (!list_buffer_.empty())
         return now;
 
     Cycle wake = dram_.respWakeAt(); // drainDramResponses
+    // A message on its way here is consumable at its arrival, and one
+    // already waiting (an Acquire held back by a conflict) now.
+    for (std::uint64_t todo = inbound_.any(); todo != 0; todo &= todo - 1) {
+        const TLClientPort &port = ports_[std::countr_zero(todo)];
+        wake = std::min(wake, std::max(port.nextArrival(), now));
+    }
     // Parked MSHRs are left out: a ProbeAck or GrantAck arrival on a
     // port, or the DRAM response above, wakes them.
     for (std::uint64_t todo = act_; todo != 0; todo &= todo - 1) {
@@ -311,7 +317,7 @@ L2Cache::handleRelease(const CMsg &msg)
     ack.addr = msg.addr;
     ack.dest = msg.source;
     ack.txn = msg.txn;
-    ports_[msg.source]->sendD(ack, 1, cfg_.data_latency);
+    ports_[msg.source].sendD(ack, 1, cfg_.data_latency);
 }
 
 void
@@ -378,12 +384,12 @@ L2Cache::absorbData(DirEntry &e, unsigned set, unsigned way,
 void
 L2Cache::acceptChannelC()
 {
-    // Accepting never queues a message in a port, so a snapshot of the
-    // port mask covers every port with traffic.
-    for (std::uint64_t todo = inbound_; todo != 0; todo &= todo - 1) {
-        TLClientPort *port = ports_[std::countr_zero(todo)];
-        while (port->cReady()) {
-            const CMsg msg = port->cPop();
+    // Accepting never sends a message to this slice, so a snapshot of
+    // the port mask covers every port with traffic.
+    for (std::uint64_t todo = inbound_.c; todo != 0; todo &= todo - 1) {
+        TLClientPort &port = ports_[std::countr_zero(todo)];
+        while (port.cReady()) {
+            const CMsg msg = port.cPop();
             switch (msg.op) {
               case COp::ProbeAck:
               case COp::ProbeAckData:
@@ -416,10 +422,10 @@ L2Cache::acceptChannelC()
 void
 L2Cache::acceptChannelE()
 {
-    for (std::uint64_t todo = inbound_; todo != 0; todo &= todo - 1) {
-        TLClientPort *port = ports_[std::countr_zero(todo)];
-        while (port->eReady()) {
-            const EMsg msg = port->ePop();
+    for (std::uint64_t todo = inbound_.e; todo != 0; todo &= todo - 1) {
+        TLClientPort &port = ports_[std::countr_zero(todo)];
+        while (port.eReady()) {
+            const EMsg msg = port.ePop();
             const int idx = mshrForLine(msg.addr);
             SKIPIT_ASSERT(idx >= 0, "GrantAck with no MSHR");
             Mshr &m = mshrs_[static_cast<unsigned>(idx)];
@@ -450,14 +456,14 @@ L2Cache::retryListBuffer()
 void
 L2Cache::acceptChannelA()
 {
-    for (std::uint64_t todo = inbound_; todo != 0; todo &= todo - 1) {
-        TLClientPort *port = ports_[std::countr_zero(todo)];
+    for (std::uint64_t todo = inbound_.a; todo != 0; todo &= todo - 1) {
+        TLClientPort &port = ports_[std::countr_zero(todo)];
         // Head-of-line per client: an Acquire that conflicts with an
         // in-flight transaction back-pressures the channel.
-        while (port->aReady()) {
-            if (!tryAllocAcquire(port->aFront()))
+        while (port.aReady()) {
+            if (!tryAllocAcquire(port.aFront()))
                 break;
-            port->aPop();
+            port.aPop();
         }
     }
 }
@@ -595,7 +601,7 @@ L2Cache::startProbes(Mshr &m, Addr line, Cap cap, std::uint64_t targets)
         probe.addr = line;
         probe.param = cap;
         probe.txn = m.txn;
-        ports_[std::countr_zero(targets)]->sendB(probe);
+        ports_[std::countr_zero(targets)].sendB(probe);
         ++ctr_.probes;
     }
 }
@@ -892,8 +898,8 @@ L2Cache::tickMshr(unsigned idx)
             ack.addr = m.line;
             ack.dest = m.requester;
             ack.txn = m.txn;
-            ports_[m.requester]->sendD(ack, 1,
-                                       cfg_.rootrelease_ack_latency);
+            ports_[m.requester].sendD(ack, 1,
+                                      cfg_.rootrelease_ack_latency);
             if (sim_.probes().active()) {
                 sim_.probes().end(sim_.now(), m.txn, "l2.mshr",
                                   name() + ".mshr" + std::to_string(idx),
@@ -938,7 +944,7 @@ L2Cache::tickMshr(unsigned idx)
                          : store_.read(m.set, static_cast<unsigned>(m.way));
         grant.dest = m.requester;
         grant.txn = m.txn;
-        ports_[m.requester]->sendD(grant, TLLink::beatsFor(grant));
+        ports_[m.requester].sendD(grant, TLLink::beatsFor(grant));
         ++(grant.op == DOp::GrantDataDirty ? ctr_.grants_dirty
                                            : ctr_.grants_clean);
         m.state = Mshr::State::WaitGrantAck;
@@ -1055,11 +1061,17 @@ L2Cache::checkLiveSets() const
         if (!parked)
             act |= bit(i);
     }
-    std::uint64_t inbound = 0;
+    TLInbound inbound;
     for (unsigned id = 0; id < ports_.size(); ++id) {
-        const TLClientPort *p = ports_[id];
-        if (p != nullptr && (p->aReady() || p->cReady() || p->eReady()))
-            inbound |= bit(id);
+        const TLClientPort &p = ports_[id];
+        if (!p.connected())
+            continue;
+        if (!p.link().a.empty(slice_))
+            inbound.a |= bit(id);
+        if (!p.link().c.empty(slice_))
+            inbound.c |= bit(id);
+        if (!p.link().e.empty(slice_))
+            inbound.e |= bit(id);
     }
     const auto mismatch = [&](const char *what, std::uint64_t kept,
                               std::uint64_t want) {
@@ -1070,8 +1082,12 @@ L2Cache::checkLiveSets() const
         return mismatch("live", live_, live);
     if (act_ != act)
         return mismatch("act", act_, act);
-    if (inbound_ != inbound)
-        return mismatch("inbound", inbound_, inbound);
+    if (inbound_.a != inbound.a)
+        return mismatch("inbound A", inbound_.a, inbound.a);
+    if (inbound_.c != inbound.c)
+        return mismatch("inbound C", inbound_.c, inbound.c);
+    if (inbound_.e != inbound.e)
+        return mismatch("inbound E", inbound_.e, inbound.e);
     return {};
 }
 

@@ -8,7 +8,8 @@
  *    the default) or exclusive (clean fills bypass the BankedStore),
  *    decided at DRAM-fill time only;
  *  - indexing (src/l2/index.hh): modulo or hashed slice+set mapping,
- *    shared with the TLXbar so routing and residency cannot disagree;
+ *    shared with the client links so routing and residency cannot
+ *    disagree;
  *  - replacement (src/l2/replace.hh): lru / fifo / seeded random.
  *
  * Structure follows the original: SinkC dispatches incoming C-channel
@@ -36,7 +37,6 @@
 #include "sim/stats.hh"
 #include "sim/ticked.hh"
 #include "tilelink/link.hh"
-#include "tilelink/xbar.hh"
 
 namespace skipit {
 
@@ -77,8 +77,8 @@ struct L2Config
     std::uint64_t replace_seed = 1;
     /// @}
 
-    /** The indexing-policy value shared by the crossbar and every
-     *  slice — the single source of truth for line homing. */
+    /** The indexing-policy value shared by every client link's routing
+     *  and every slice — the single source of truth for line homing. */
     L2IndexPolicy
     indexPolicy() const
     {
@@ -104,9 +104,9 @@ class L2Cache : public Ticked, public probe::Inspectable
     L2Cache(std::string name, Simulator &sim, const L2Config &cfg,
             Dram &dram, Stats &stats, unsigned slice = 0);
 
-    /** Attach client @p id through its crossbar port; call once per
-     *  client before simulating. */
-    void connectPort(AgentId id, TLClientPort &port);
+    /** Attach client @p id's link: this slice's port is its view of
+     *  the link. Call once per client before simulating. */
+    void connectPort(AgentId id, TLLink &link);
 
     void tick() override;
     Cycle nextWake() const override;
@@ -139,6 +139,9 @@ class L2Cache : public Ticked, public probe::Inspectable
      *  eviction victim, or buffered RootRelease)? Checker value invariants
      *  only fire on lines with no transaction in flight. */
     bool lineBusy(Addr line_addr) const;
+    /** The clients with an A, C or E message in flight to or waiting at
+     *  this slice, per channel (bit i = client i). */
+    const TLInbound &inbound() const { return inbound_; }
     /// @}
 
     /**
@@ -167,7 +170,7 @@ class L2Cache : public Ticked, public probe::Inspectable
      *  are. */
     void injectTagOnly(Addr addr);
     /** Tests only: recompute the MSHR and port bitsets from the MSHRs
-     *  and the ports' queues. @return the first mismatch, or "" if
+     *  and the links' queues. @return the first mismatch, or "" if
      *  none. */
     std::string checkLiveSets() const;
     /// @}
@@ -249,7 +252,7 @@ class L2Cache : public Ticked, public probe::Inspectable
     unsigned slice_;
     unsigned slice_count_;
     L2IndexPolicy index_;
-    std::vector<TLClientPort *> ports_;
+    std::vector<TLClientPort> ports_;
     Directory dir_;
     BankedStore store_;
     std::vector<Mshr> mshrs_;
@@ -265,8 +268,9 @@ class L2Cache : public Ticked, public probe::Inspectable
      *  acks, on DRAM or for its GrantAck, and its tick is a no-op; the
      *  arrival that unparks it sets its bit again. */
     std::uint64_t act_ = 0;
-    /** Ports with a message waiting; the ports keep it. */
-    std::uint64_t inbound_ = 0;
+    /** Ports with a message in flight to or waiting at this slice, per
+     *  channel; the links keep them. */
+    TLInbound inbound_;
     /// @}
 
     void drainDramResponses();

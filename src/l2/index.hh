@@ -3,12 +3,13 @@
  * The L2 indexing policy: the single shared mapping from a line address
  * to its home slice and its set within that slice.
  *
- * Both the interconnect (TLXbar routes A/C/E by home slice) and the
- * cache (Directory looks up sets, slices assert homesLine) consume the
- * same L2IndexPolicy value, so the two can never disagree about where a
- * line lives — the checker's slice-routing invariant guards the one
- * remaining way to break that (wiring two components with *different*
- * policy values, exercised by the negative tests).
+ * Both the interconnect (each client link sends A/C/E to the home
+ * slice, src/tilelink/link.hh) and the cache (Directory looks up sets,
+ * slices assert homesLine) consume the same L2IndexPolicy value, so the
+ * two can never disagree about where a line lives — the checker's
+ * slice-routing invariant guards the one remaining way to break that
+ * (wiring two components with *different* policy values, exercised by
+ * the negative tests).
  *
  * Two kinds:
  *  - Modulo: the classic layout. Slice bits sit just above the line
@@ -140,9 +141,9 @@ struct L2IndexPolicy
 };
 
 /**
- * Home slice of a line under the default modulo layout. Legacy helper
- * for single-policy contexts (DRAM tag packing, tests); topology-aware
- * code must use the wired L2IndexPolicy instead.
+ * Home slice of a line under the default modulo layout, written out
+ * independently of L2IndexPolicy: only tests use it, as the modulo
+ * reference. The machine itself uses the wired L2IndexPolicy.
  */
 inline unsigned
 sliceOfLine(Addr line_addr, unsigned slices)

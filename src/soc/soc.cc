@@ -19,10 +19,6 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
     const unsigned slices = std::max(1u, cfg.l2.slices);
 
     dram_ = std::make_unique<Dram>("dram", sim_, cfg.dram, stats_);
-    // One L2IndexPolicy value feeds both the crossbar's routing and
-    // every slice's directory indexing — the single source of truth for
-    // where a line homes.
-    xbar_ = std::make_unique<TLXbar>("xbar", sim_, cfg.l2.indexPolicy());
     for (unsigned s = 0; s < slices; ++s) {
         const std::string sn =
             slices == 1 ? "l2" : "l2.s" + std::to_string(s);
@@ -30,13 +26,16 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
             sn, sim_, cfg.l2, *dram_, stats_, s));
     }
 
+    // One L2IndexPolicy value feeds both every link's routing and every
+    // slice's directory indexing — the single source of truth for where
+    // a line homes.
+    const L2IndexPolicy homes = cfg.l2.indexPolicy();
     for (unsigned c = 0; c < cfg.cores; ++c) {
         const std::string cn = "core" + std::to_string(c);
         ChannelJitter jit = cfg.jitter;
         jit.seed = stirSeed(jit.seed, c); // per-core link streams
-        links_.push_back(std::make_unique<TLLink>(sim_, cfg.link_latency,
-                                                  cn + ".tl", jit));
-        xbar_->connectClient(static_cast<AgentId>(c), *links_.back());
+        links_.push_back(std::make_unique<TLLink>(
+            sim_, cfg.link_latency, cn + ".tl", jit, homes));
         l1s_.push_back(std::make_unique<DataCache>(
             cn + ".l1d", sim_, cfg.l1, static_cast<AgentId>(c),
             *links_.back(), stats_));
@@ -49,25 +48,26 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
     }
     for (unsigned s = 0; s < slices; ++s) {
         for (unsigned c = 0; c < cfg.cores; ++c)
-            l2s_[s]->connectPort(static_cast<AgentId>(c), xbar_->port(s, c));
+            l2s_[s]->connectPort(static_cast<AgentId>(c), *links_[c]);
     }
 
     // Input edges (Ticked::wakeAt): whatever a component hands another
     // — a message, a response, a state change it reads — wakes the
-    // receiver, so fast-forward ticks each only when it is due. The
-    // crossbar ports wake their slices themselves (connectPort).
+    // receiver, so fast-forward ticks each only when it is due. A link
+    // wakes the home slice of each A, C and E message (connectPort)
+    // and the L1 of each B and D message.
     for (unsigned c = 0; c < cfg.cores; ++c) {
-        links_[c]->setConsumers(*l1s_[c], *xbar_);
+        links_[c]->b.setConsumer(*l1s_[c]);
+        links_[c]->d.setConsumer(*l1s_[c]);
         l1s_[c]->setRequester(*lsus_[c]);
         lsus_[c]->setDispatcher(*harts_[c]);
     }
     for (auto &l2 : l2s_)
         dram_->addReader(*l2);
 
-    // Tick order: memory side first, then the crossbar (so wire
-    // arrivals are routed the cycle they land), then caches, then
-    // cores. All cross-component traffic flows through >= 1-cycle
-    // queues, so the order affects nothing but same-cycle wakeups.
+    // Tick order: memory side first, then caches, then cores. All
+    // cross-component traffic flows through >= 1-cycle queues, so the
+    // order affects nothing but same-cycle wakeups.
     //
     // The crash freezer ticks before the DRAM controller so a crash
     // freezes the persist-domain image at the *start* of the crash
@@ -80,7 +80,6 @@ SoC::SoC(const SoCConfig &cfg) : cfg_(cfg)
                                                       *durability_);
     sim_.add(*freezer_);
     sim_.add(*dram_);
-    sim_.add(*xbar_);
     for (auto &l2 : l2s_)
         sim_.add(*l2);
     for (unsigned c = 0; c < cfg.cores; ++c)
@@ -157,7 +156,7 @@ SoCConfig::describe() const
        << "l2 policies: " << toString(l2.policy) << ", "
        << toString(l2.index) << " index, " << toString(l2.replace)
        << " replacement\n"
-       << "topology: crossbar, " << std::max(1u, l2.slices)
+       << "topology: " << std::max(1u, l2.slices)
        << " address-interleaved slice" << (l2.slices > 1 ? "s" : "")
        << "\n"
        << "dram: read " << dram.latency << ", write-ack "
@@ -358,8 +357,6 @@ SoC::quiesced() const
         if (!l1->quiesced())
             return false;
     }
-    if (!xbar_->idle())
-        return false;
     for (const auto &l2 : l2s_) {
         if (!l2->idle())
             return false;

@@ -23,7 +23,6 @@
 #include "sim/stats.hh"
 #include "sim/watchdog.hh"
 #include "tilelink/link.hh"
-#include "tilelink/xbar.hh"
 #include "verify/checker.hh"
 #include "verify/durability.hh"
 
@@ -123,9 +122,9 @@ class SoC
     /** Slice @p slice of the address-interleaved L2. */
     L2Cache &l2(unsigned slice) { return *l2s_.at(slice); }
     unsigned l2Slices() const { return unsigned(l2s_.size()); }
-    /** The memory-side crossbar between the L1s and the L2 slices;
-     *  never null. */
-    TLXbar *xbar() { return xbar_.get(); }
+    /** Core @p core's TileLink: its L1 sends on it, and it routes each
+     *  A, C and E message to the message's home slice. */
+    TLLink &link(unsigned core) { return *links_.at(core); }
     Dram &dram() { return *dram_; }
     Watchdog &watchdog() { return *watchdog_; }
     verify::CoherenceChecker &checker() { return *checker_; }
@@ -142,8 +141,9 @@ class SoC
     /** Run until the memory system is fully idle as well. */
     Cycle runToQuiescence(Cycle max_cycles = 100'000'000);
 
-    /** Every hart done, every L1 quiesced, the crossbar and every L2
-     *  slice idle: the condition runToQuiescence() runs to. */
+    /** Every hart done, every L1 quiesced and every L2 slice idle: the
+     *  condition runToQuiescence() runs to. A message on a link always
+     *  has a busy L1 unit or a live L2 MSHR behind it. */
     bool quiesced() const;
 
     /** Set the same program on all harts (per-thread copies). */
@@ -154,7 +154,6 @@ class SoC
     Simulator sim_;
     Stats stats_;
     std::unique_ptr<Dram> dram_;
-    std::unique_ptr<TLXbar> xbar_;
     std::vector<std::unique_ptr<L2Cache>> l2s_;
     std::vector<std::unique_ptr<TLLink>> links_;
     std::vector<std::unique_ptr<DataCache>> l1s_;

@@ -1,13 +1,23 @@
 /**
  * @file
- * A point-to-point TileLink between one client agent (an L1 cache) and one
- * manager agent (the inclusive L2), modelling the five unidirectional
- * channels A-E with per-channel beat serialization.
+ * The TileLink between one client agent (an L1 cache) and the manager
+ * side (the L2 slices), modelling the five unidirectional channels A-E
+ * with per-channel beat serialization.
  *
  * The SonicBOOM system bus moves 16 B per cycle (Figure 3), so a message
  * carrying a 64 B line occupies its channel for four beats — this is the
  * "takes four cycles to send the data to L2" cost of the FSHR's
  * root_release_data state (§5.2).
+ *
+ * The paper's platform has exactly one inclusive L2, which is the
+ * one-slice case. Scaled-out designs shard the shared cache instead
+ * (BlackParrot's BedRock distributes its directory across
+ * address-interleaved slices), so a link's request channels (A, C, E)
+ * end at every slice: each send picks the home slice of the line
+ * address with the same L2IndexPolicy the slices index with
+ * (src/l2/index.hh), so routing and residency cannot disagree. The
+ * responses (B, D) travel back on the client's own link. Routing is
+ * part of the send and adds no latency or clocked stage.
  *
  * For robustness testing each channel can additionally carry a seeded
  * schedule perturbation layer (ChannelJitter): per-message delay jitter
@@ -24,7 +34,9 @@
 #include <algorithm>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "l2/index.hh"
 #include "messages.hh"
 #include "sim/queues.hh"
 #include "sim/random.hh"
@@ -51,9 +63,12 @@ struct ChannelJitter
 };
 
 /**
- * One unidirectional TileLink channel: a delayed FIFO plus beat-occupancy
- * accounting. A message with data holds the channel for beats_per_line
- * cycles; messages without data take one beat.
+ * One unidirectional TileLink channel: a wire with beat-occupancy
+ * accounting and one delayed FIFO per destination. A message with data
+ * holds the wire for beats_per_line cycles; messages without data take
+ * one beat. A response channel (B, D) has one destination, the client;
+ * a request channel (A, C, E) has one per L2 slice and delivers each
+ * message to the slice its @ref homes policy homes the address to.
  */
 template <typename Msg>
 class TLChannel
@@ -64,17 +79,23 @@ class TLChannel
      * @param track probe track name, e.g. "core0.tl.a"
      * @param jitter schedule perturbation; @ref ChannelJitter::seed must
      *               already be lane-mixed by the caller (TLLink)
+     * @param homes the destinations and the line -> destination map
      */
     TLChannel(const Simulator &sim, Cycle latency,
               const char *stage = "tl", std::string track = "tl",
-              const ChannelJitter &jitter = {})
-        : sim_(sim), latency_(latency), q_(sim, latency), stage_(stage),
+              const ChannelJitter &jitter = {},
+              const L2IndexPolicy &homes = {})
+        : sim_(sim), latency_(latency), homes_(homes), stage_(stage),
           track_(std::move(track)), jit_(jitter), rng_(jitter.seed)
     {
+        dests_.reserve(homes.slices);
+        for (unsigned s = 0; s < homes.slices; ++s)
+            dests_.push_back(Dest{DelayQueue<Msg>(sim, latency)});
     }
 
     /**
-     * Send @p m, occupying the channel for @p beats cycles.
+     * Send @p m to its home destination, occupying the wire for @p beats
+     * cycles.
      * @param extra additional sender-side processing delay, e.g. a
      *              BankedStore access preceding the response
      */
@@ -91,16 +112,19 @@ class TLChannel
         Cycle arrival = start + latency_ + beats - 1;
         busy_until_ = start + beats;
         if (jit_.enabled) {
-            // Per-message delay jitter. The underlying DelayQueue requires
-            // monotone arrival order (it is a wire, not a reorder buffer),
-            // so clamp to the previous arrival: jitter can delay messages
-            // but never reorder them.
+            // Per-message delay jitter. Each DelayQueue requires monotone
+            // arrival order (it is a wire, not a reorder buffer), so
+            // clamp to the previous arrival on the wire: jitter can delay
+            // messages but never reorder them.
             arrival = std::max(arrival + rng_.range(0, jit_.max_delay),
                                last_arrival_);
         }
         last_arrival_ = arrival;
-        if (consumer_ != nullptr)
-            consumer_->wakeAt(arrival);
+        Dest &d = dests_[route(m.addr)];
+        if (d.inbound != nullptr)
+            *d.inbound |= d.bit;
+        if (d.consumer != nullptr)
+            d.consumer->wakeAt(arrival);
         if (sim_.probes().active()) {
             // One span per message covering its wire occupancy; a 4-beat
             // data message renders 4x wider than a header-only one.
@@ -108,29 +132,107 @@ class TLChannel
                                track_,
                                beats > 1 ? "data beats" : "header");
         }
-        q_.push(std::move(m), arrival - sim_.now());
+        d.q.push(std::move(m), arrival - sim_.now());
     }
 
-    bool ready() const { return q_.ready(); }
-    const Msg &front() const { return q_.front(); }
-    Msg recv() { return q_.pop(); }
-    bool empty() const { return q_.empty(); }
-    std::size_t inFlight() const { return q_.size(); }
+    /// @name Receiving end; @p dest is the slice (0 on B and D)
+    /// @{
+    bool ready(unsigned dest = 0) const { return dests_[dest].q.ready(); }
+    const Msg &front(unsigned dest = 0) const
+    {
+        return dests_[dest].q.front();
+    }
 
-    /** Arrival cycle of the in-flight head; undefined unless !empty(). */
-    Cycle nextArrival() const { return q_.frontReadyAt(); }
+    Msg
+    recv(unsigned dest = 0)
+    {
+        Dest &d = dests_[dest];
+        Msg m = d.q.pop();
+        if (d.inbound != nullptr && d.q.empty())
+            *d.inbound &= ~d.bit;
+        return m;
+    }
 
-    /** The component that receives from this channel: each send wakes
-     *  it at the message's arrival. */
-    void setConsumer(Ticked &consumer) { consumer_ = &consumer; }
+    bool empty(unsigned dest = 0) const { return dests_[dest].q.empty(); }
+
+    /** Arrival cycle of @p dest's in-flight head; undefined unless
+     *  !empty(@p dest). */
+    Cycle
+    nextArrival(unsigned dest = 0) const
+    {
+        return dests_[dest].q.frontReadyAt();
+    }
+    /// @}
+
+    /** The component that receives from the one destination of a B or
+     *  D channel: each send wakes it at the message's arrival. */
+    void
+    setConsumer(Ticked &consumer)
+    {
+        dests_.front().consumer = &consumer;
+    }
+
+    /** Slice @p dest's end of an A, C or E channel, bound before the
+     *  first send: each send to it wakes @p manager at the message's
+     *  arrival, and @p bit of @p mask stays set exactly while a message
+     *  for it is in flight or waiting. */
+    void
+    bindSlice(unsigned dest, Ticked &manager, std::uint64_t &mask,
+              std::uint64_t bit)
+    {
+        SKIPIT_ASSERT(dest < dests_.size(), track_, " routes to ",
+                      dests_.size(), " slice(s), not to slice ", dest);
+        Dest &d = dests_[dest];
+        d.consumer = &manager;
+        d.inbound = &mask;
+        d.bit = bit;
+    }
+
+    /** The line -> destination map every send applies. */
+    const L2IndexPolicy &homes() const { return homes_; }
+
+    /**
+     * Fault injection (checker negative control): deliver the next
+     * message to the wrong slice. Requires >= 2 slices. The coherence
+     * checker's slice-routing invariant must name it.
+     */
+    void
+    injectMisroute()
+    {
+        SKIPIT_ASSERT(dests_.size() > 1,
+                      "misroute injection needs >= 2 slices");
+        misroute_ = true;
+    }
 
   private:
+    /** One destination: its share of the wire's messages, who reads
+     *  them and the inbound bit that says some are queued. */
+    struct Dest
+    {
+        DelayQueue<Msg> q;
+        Ticked *consumer = nullptr;
+        std::uint64_t *inbound = nullptr;
+        std::uint64_t bit = 0;
+    };
+
+    unsigned
+    route(Addr addr)
+    {
+        unsigned s = homes_.sliceOf(addr);
+        if (misroute_) {
+            s ^= 1u; // flip the low slice bit: guaranteed wrong home
+            misroute_ = false;
+        }
+        return s;
+    }
+
     const Simulator &sim_;
-    Ticked *consumer_ = nullptr;
     Cycle latency_;
     Cycle busy_until_ = 0;
     Cycle last_arrival_ = 0;
-    DelayQueue<Msg> q_;
+    L2IndexPolicy homes_;
+    std::vector<Dest> dests_;
+    bool misroute_ = false;
     const char *stage_;
     std::string track_;
     ChannelJitter jit_;
@@ -138,8 +240,8 @@ class TLChannel
 };
 
 /**
- * The five-channel link. The client end uses sendA/sendC/sendE and
- * recvB/recvD; the manager end uses sendB/sendD and recvA/recvC/recvE.
+ * The five-channel link. The client sends on a, c and e and receives on
+ * b and d; each slice reaches the link through a TLClientPort.
  */
 class TLLink
 {
@@ -150,14 +252,20 @@ class TLLink
      * @param name    instance name used as the probe track prefix
      * @param jitter  schedule perturbation applied to all five channels,
      *                each with an independently lane-mixed RNG stream
+     * @param homes   the L2 slices A, C and E route to; pass the value
+     *                every slice indexes with (L2Config::indexPolicy())
      */
     TLLink(const Simulator &sim, Cycle latency = 1, std::string name = "tl",
-           const ChannelJitter &jitter = {})
-        : a(sim, latency, "tl.a", name + ".a", laneJitter(jitter, 0)),
+           const ChannelJitter &jitter = {},
+           const L2IndexPolicy &homes = {})
+        : a(sim, latency, "tl.a", name + ".a", laneJitter(jitter, 0),
+            homes),
           b(sim, latency, "tl.b", name + ".b", laneJitter(jitter, 1)),
-          c(sim, latency, "tl.c", name + ".c", laneJitter(jitter, 2)),
+          c(sim, latency, "tl.c", name + ".c", laneJitter(jitter, 2),
+            homes),
           d(sim, latency, "tl.d", name + ".d", laneJitter(jitter, 3)),
-          e(sim, latency, "tl.e", name + ".e", laneJitter(jitter, 4))
+          e(sim, latency, "tl.e", name + ".e", laneJitter(jitter, 4),
+            homes)
     {
     }
 
@@ -166,17 +274,6 @@ class TLLink
     TLChannel<CMsg> c;
     TLChannel<DMsg> d;
     TLChannel<EMsg> e;
-
-    /** Wake @p client on B/D sends and @p manager on A/C/E sends. */
-    void
-    setConsumers(Ticked &client, Ticked &manager)
-    {
-        b.setConsumer(client);
-        d.setConsumer(client);
-        a.setConsumer(manager);
-        c.setConsumer(manager);
-        e.setConsumer(manager);
-    }
 
     /** Beats a C message occupies: data messages move a full line. */
     static unsigned
@@ -199,6 +296,93 @@ class TLLink
         j.seed = stirSeed(j.seed, lane);
         return j;
     }
+};
+
+/** A slice's inbound masks, one per request channel: bit i is set while
+ *  client i's link holds a message for the slice on that channel. */
+struct TLInbound
+{
+    std::uint64_t a = 0;
+    std::uint64_t c = 0;
+    std::uint64_t e = 0;
+
+    std::uint64_t any() const { return a | c | e; }
+};
+
+/**
+ * A slice's view of one client's link: the A, C and E messages the link
+ * routed to this slice, and the client's own B and D for the way back.
+ * It holds no queue of its own.
+ */
+class TLClientPort
+{
+  public:
+    /** An unconnected port. */
+    TLClientPort() = default;
+    TLClientPort(TLLink &link, unsigned slice, AgentId client)
+        : link_(&link), slice_(slice), client_(client)
+    {
+    }
+
+    bool connected() const { return link_ != nullptr; }
+    const TLLink &link() const { return *link_; }
+
+    /// @name Inbound (client -> manager)
+    /// @{
+    bool aReady() const { return link_->a.ready(slice_); }
+    const AMsg &aFront() const { return link_->a.front(slice_); }
+    AMsg aPop() { return link_->a.recv(slice_); }
+    bool cReady() const { return link_->c.ready(slice_); }
+    CMsg cPop() { return link_->c.recv(slice_); }
+    bool eReady() const { return link_->e.ready(slice_); }
+    EMsg ePop() { return link_->e.recv(slice_); }
+
+    /** The earliest arrival among the A, C and E messages on their way
+     *  to or waiting at this slice; wake_never when there are none. */
+    Cycle
+    nextArrival() const
+    {
+        Cycle t = Ticked::wake_never;
+        if (!link_->a.empty(slice_))
+            t = std::min(t, link_->a.nextArrival(slice_));
+        if (!link_->c.empty(slice_))
+            t = std::min(t, link_->c.nextArrival(slice_));
+        if (!link_->e.empty(slice_))
+            t = std::min(t, link_->e.nextArrival(slice_));
+        return t;
+    }
+    /// @}
+
+    /// @name Outbound (manager -> client)
+    /// @{
+    void sendB(const BMsg &m) { link_->b.send(m); }
+
+    void
+    sendD(const DMsg &m, unsigned beats, Cycle extra = 0)
+    {
+        SKIPIT_ASSERT(m.dest == client_, "D response for agent ", m.dest,
+                      " sent through client ", client_, "'s port");
+        link_->d.send(m, beats, extra);
+    }
+    /// @}
+
+    /**
+     * Wake @p manager at each A, C and E arrival for this slice, and
+     * keep bit @p bit of each of @p inbound's masks set exactly while
+     * that channel holds a message for it.
+     */
+    void
+    bindInbound(TLInbound &inbound, std::uint64_t bit, Ticked &manager)
+    {
+        link_->a.bindSlice(slice_, manager, inbound.a, bit);
+        link_->c.bindSlice(slice_, manager, inbound.c, bit);
+        link_->e.bindSlice(slice_, manager, inbound.e, bit);
+    }
+
+  private:
+    TLLink *link_ = nullptr;
+    unsigned slice_ = 0;
+    AgentId client_ = invalid_agent;
 };
 
 } // namespace skipit

@@ -38,7 +38,7 @@
  *                       slice works on (MSHR request, eviction victim,
  *                       buffered RootRelease, or — in deep sweeps —
  *                       directory residence) homes to that slice; a hit
- *                       means the crossbar misrouted a request.
+ *                       means a link misrouted a request.
  *  - "flush-counter-global" the summed flush counters across all L1s
  *                       equal the summed queue + FSHR occupancy — the
  *                       machine-wide fence progress ledger stays

@@ -9,8 +9,8 @@
  *    into the DRAM controller queue (ADR semantics — the controller
  *    drains its accepted write queue on standby power).
  *  - VOLATILE: L1 data / dirty / skip bits, the flush queue, FSHRs,
- *    MSHRs, the L2 slices (data and directory), the crossbar, and every
- *    in-flight TileLink message.
+ *    MSHRs, the L2 slices (data and directory), and every TileLink
+ *    message in flight or waiting at a slice.
  *
  * A crash freezes the persist-domain image at the start of the first
  * executed cycle >= the trigger (SoCConfig::durability: a cycle number,

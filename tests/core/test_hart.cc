@@ -68,6 +68,24 @@ TEST(HartMarkers, AssemblerSupportsRdcycle)
     EXPECT_GT(soc.hart(0).markerCycle(20), soc.hart(0).markerCycle(10));
 }
 
+TEST(HartMarkers, RepeatedIdKeepsItsLastCycle)
+{
+    SoCConfig cfg;
+    cfg.cores = 1;
+    SoC soc(cfg);
+    soc.hart(0).setProgram({
+        MemOp::marker(5),
+        MemOp::marker(1),
+        MemOp::compute(100),
+        MemOp::marker(5),
+        MemOp::marker(3),
+    });
+    soc.runToCompletion();
+    EXPECT_LT(soc.hart(0).markerCycle(1), 100u);
+    EXPECT_GE(soc.hart(0).markerCycle(5), 100u);
+    EXPECT_EQ(soc.hart(0).markerCycle(5), soc.hart(0).markerCycle(3));
+}
+
 TEST(HartMarkers, SetProgramClearsOldMarkers)
 {
     SoCConfig cfg;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests of the inclusive L2 driven over TileLink by mock clients
- * through a one-slice crossbar: acquire/grant/ack flows, directory
+ * on one-slice links: acquire/grant/ack flows, directory
  * bookkeeping, probe generation, RootRelease execution (§5.5), the LLC
  * dirty-bit skip, the GrantDataDirty selection (§6), and inclusive
  * victim back-invalidation.
@@ -13,7 +13,6 @@
 
 #include "dram/dram.hh"
 #include "l2/cache.hh"
-#include "tilelink/xbar.hh"
 
 namespace skipit {
 namespace {
@@ -74,24 +73,19 @@ class L2Test : public ::testing::Test
     DramConfig dcfg{};
     std::unique_ptr<Dram> dram;
     std::unique_ptr<L2Cache> l2;
-    std::unique_ptr<TLXbar> xbar;
     std::vector<std::unique_ptr<MockClient>> clients;
 
-    /** The clients reach the L2 through a one-slice crossbar. */
     void
     build(unsigned nclients = 2)
     {
         dram = std::make_unique<Dram>("dram", sim, dcfg, stats);
         l2 = std::make_unique<L2Cache>("l2", sim, cfg, *dram, stats);
-        xbar = std::make_unique<TLXbar>("xbar", sim, 1);
         for (unsigned c = 0; c < nclients; ++c) {
             const auto id = static_cast<AgentId>(c);
             clients.push_back(std::make_unique<MockClient>(sim, id));
-            xbar->connectClient(id, clients.back()->link);
-            l2->connectPort(id, xbar->port(0, id));
+            l2->connectPort(id, clients.back()->link);
         }
         sim.add(*dram);
-        sim.add(*xbar);
         sim.add(*l2);
     }
 

@@ -13,7 +13,6 @@
 
 #include "dram/dram.hh"
 #include "l2/cache.hh"
-#include "tilelink/xbar.hh"
 
 namespace skipit {
 namespace {
@@ -37,23 +36,18 @@ class L2Table : public ::testing::Test
     L2Config cfg{};
     std::unique_ptr<Dram> dram;
     std::unique_ptr<L2Cache> l2;
-    std::unique_ptr<TLXbar> xbar;
     std::vector<std::unique_ptr<Client>> clients;
 
-    /** The clients reach the L2 through a one-slice crossbar. */
     void
     SetUp() override
     {
         dram = std::make_unique<Dram>("dram", sim, dcfg, stats);
         l2 = std::make_unique<L2Cache>("l2", sim, cfg, *dram, stats);
-        xbar = std::make_unique<TLXbar>("xbar", sim, 1);
         for (AgentId c = 0; c < 3; ++c) {
             clients.push_back(std::make_unique<Client>(sim, c));
-            xbar->connectClient(c, clients.back()->link);
-            l2->connectPort(c, xbar->port(0, c));
+            l2->connectPort(c, clients.back()->link);
         }
         sim.add(*dram);
-        sim.add(*xbar);
         sim.add(*l2);
     }
 

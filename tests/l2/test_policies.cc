@@ -1,7 +1,7 @@
 /**
  * @file
  * Policy-layer tests: the shared indexing policy (modulo vs hashed, and
- * its single-source-of-truth contract with the crossbar), the exclusive
+ * its single-source-of-truth contract with the links), the exclusive
  * state policy's store-bypassing fills and writeback promotion, end-to-end
  * coherence of the non-default policies under the invariant checker and
  * the jittered fuzzer, a crash-audited KV serve on the exclusive+hashed
@@ -23,7 +23,6 @@
 #include "dram/dram.hh"
 #include "l2/cache.hh"
 #include "soc/soc.hh"
-#include "tilelink/xbar.hh"
 #include "verify/checker.hh"
 #include "workloads/fuzz.hh"
 #include "workloads/workloads.hh"
@@ -116,15 +115,19 @@ TEST(IndexPolicy, CrossbarAndSlicesShareOnePolicyValue)
         cfg.l2.slices = 4;
         cfg.l2.index = kind;
         SoC soc(cfg);
-        ASSERT_NE(soc.xbar(), nullptr);
+        const L2IndexPolicy &homes = soc.link(0).a.homes();
+        for (unsigned c = 0; c < soc.cores(); ++c) {
+            EXPECT_TRUE(soc.link(c).a.homes() == homes &&
+                        soc.link(c).c.homes() == homes &&
+                        soc.link(c).e.homes() == homes)
+                << toString(kind) << " core " << c;
+        }
         for (unsigned s = 0; s < 4; ++s) {
-            EXPECT_TRUE(soc.xbar()->indexPolicy() ==
-                        soc.l2(s).indexPolicy())
+            EXPECT_TRUE(homes == soc.l2(s).indexPolicy())
                 << toString(kind) << " slice " << s;
             // homesLine is the same predicate the router applies.
             for (Addr a = 0; a < 64 * line_bytes; a += line_bytes)
-                EXPECT_EQ(soc.l2(s).homesLine(a),
-                          soc.xbar()->indexPolicy().sliceOf(a) == s);
+                EXPECT_EQ(soc.l2(s).homesLine(a), homes.sliceOf(a) == s);
         }
     }
 }
@@ -153,7 +156,11 @@ struct MockClient
     TLLink link;
     AgentId id;
 
-    MockClient(Simulator &sim, AgentId id_) : link(sim, 1), id(id_) {}
+    /** @param slices the slices the link routes to, modulo-striped */
+    MockClient(Simulator &sim, AgentId id_, unsigned slices = 1)
+        : link(sim, 1, "tl", {}, L2IndexPolicy::modulo(slices, 1)), id(id_)
+    {
+    }
 
     void
     acquire(Addr line, Grow grow)
@@ -202,25 +209,20 @@ class ExclusiveL2Test : public ::testing::Test
     L2Config cfg{};
     std::unique_ptr<Dram> dram;
     std::unique_ptr<L2Cache> l2;
-    std::unique_ptr<TLXbar> xbar;
     std::vector<std::unique_ptr<MockClient>> clients;
 
-    /** The clients reach the L2 through a one-slice crossbar. */
     void
     build(unsigned nclients = 2)
     {
         cfg.policy = StateKind::Exclusive;
         dram = std::make_unique<Dram>("dram", sim, DramConfig{}, stats);
         l2 = std::make_unique<L2Cache>("l2", sim, cfg, *dram, stats);
-        xbar = std::make_unique<TLXbar>("xbar", sim, 1);
         for (unsigned c = 0; c < nclients; ++c) {
             const auto id = static_cast<AgentId>(c);
             clients.push_back(std::make_unique<MockClient>(sim, id));
-            xbar->connectClient(id, clients.back()->link);
-            l2->connectPort(id, xbar->port(0, id));
+            l2->connectPort(id, clients.back()->link);
         }
         sim.add(*dram);
-        sim.add(*xbar);
         sim.add(*l2);
     }
 
@@ -355,7 +357,7 @@ TEST(PolicyEndToEnd, HashedIndexMultiSliceRunIsCoherent)
     for (unsigned i = 0; i < lines; ++i) {
         const Addr a = base + i * line_bytes;
         EXPECT_EQ(soc.dram().peekWord(a), 0xB0 + i) << "line " << i;
-        homes.insert(soc.xbar()->indexPolicy().sliceOf(a));
+        homes.insert(soc.link(0).a.homes().sliceOf(a));
     }
     // The hash actually stripes this contiguous range across slices.
     EXPECT_GE(homes.size(), 2u);
@@ -370,8 +372,7 @@ TEST(PolicyEndToEnd, MisrouteUnderHashedIndexTripsTheChecker)
     cfg.l2.index = IndexKind::Hashed;
     cfg.verify.fatal = false;
     SoC soc(cfg);
-    ASSERT_NE(soc.xbar(), nullptr);
-    soc.xbar()->injectAMisroute();
+    soc.link(0).a.injectMisroute();
     Program p;
     p.push_back(MemOp::store(0x4000, 1));
     p.push_back(MemOp::store(0x4040, 2));
@@ -397,12 +398,10 @@ TEST(PolicyEndToEnd, SliceIndexedDifferentlyFromItsRouterIsCaught)
     Dram dram("dram", sim, DramConfig{}, stats);
     L2Cache s0("l2.s0", sim, cfg, dram, stats, 0);
     L2Cache s1("l2.s1", sim, cfg, dram, stats, 1);
-    TLXbar xbar("xbar", sim, 2);
 
-    MockClient client(sim, 0);
-    xbar.connectClient(0, client.link);
-    s0.connectPort(0, xbar.port(0, 0));
-    s1.connectPort(0, xbar.port(1, 0));
+    MockClient client(sim, 0, 2);
+    s0.connectPort(0, client.link);
+    s1.connectPort(0, client.link);
 
     verify::CheckerConfig vcfg;
     vcfg.fatal = false;
@@ -412,7 +411,6 @@ TEST(PolicyEndToEnd, SliceIndexedDifferentlyFromItsRouterIsCaught)
     checker.setDram(dram);
 
     sim.add(dram);
-    sim.add(xbar);
     sim.add(s0);
     sim.add(s1);
     sim.add(checker);
@@ -421,7 +419,7 @@ TEST(PolicyEndToEnd, SliceIndexedDifferentlyFromItsRouterIsCaught)
     // delivers to slice 0.
     Addr line = 0x1000;
     while (cfg.indexPolicy().sliceOf(line) != 1 ||
-           xbar.indexPolicy().sliceOf(line) != 0)
+           client.link.a.homes().sliceOf(line) != 0)
         line += line_bytes;
 
     client.acquire(line, Grow::NtoB);
@@ -448,12 +446,10 @@ TEST(PolicyEndToEnd, SliceHoldingAForeignLineIsReportedEverySweep)
     Dram dram("dram", sim, DramConfig{}, stats);
     L2Cache s0("l2.s0", sim, cfg, dram, stats, 0);
     L2Cache s1("l2.s1", sim, cfg, dram, stats, 1);
-    TLXbar xbar("xbar", sim, 2);
 
-    MockClient client(sim, 0);
-    xbar.connectClient(0, client.link);
-    s0.connectPort(0, xbar.port(0, 0));
-    s1.connectPort(0, xbar.port(1, 0));
+    MockClient client(sim, 0, 2);
+    s0.connectPort(0, client.link);
+    s1.connectPort(0, client.link);
 
     verify::CheckerConfig vcfg;
     vcfg.fatal = false;
@@ -464,14 +460,13 @@ TEST(PolicyEndToEnd, SliceHoldingAForeignLineIsReportedEverySweep)
     checker.setDram(dram);
 
     sim.add(dram);
-    sim.add(xbar);
     sim.add(s0);
     sim.add(s1);
     sim.add(checker);
 
     Addr line = 0x1000;
     while (cfg.indexPolicy().sliceOf(line) != 1 ||
-           xbar.indexPolicy().sliceOf(line) != 0)
+           client.link.a.homes().sliceOf(line) != 0)
         line += line_bytes;
     ASSERT_EQ(line, 0x1000u);
 

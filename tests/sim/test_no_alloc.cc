@@ -5,9 +5,9 @@
  * This binary replaces the global operator new with a counting one. A
  * 4-hart machine with the coherence checker and the stall watchdog on
  * runs a program of stores, loads of the neighbour's lines, alternating
- * CBO.CLEAN and CBO.FLUSH and fences. Its lines share one L1 set, so
- * the L1s evict and write back through their writeback units, and the
- * L2 probes, grants dirty data and buffers RootReleases.
+ * CBO.CLEAN and CBO.FLUSH, fences and RDCYCLE markers. Its lines share
+ * one L1 set, so the L1s evict and write back through their writeback
+ * units, and the L2 probes, grants dirty data and buffers RootReleases.
  *
  * Queues grow to their high-water mark and keep it, so a run can only
  * allocate where it goes past an earlier run's peak. The first run
@@ -16,8 +16,8 @@
  * takes the same cycles). The third run, through runToCompletion() and
  * runToQuiescence(), must make no heap allocation at all: every queue
  * reuses its ring, the completion buffers their flat storage, each MSHR
- * its replay queue, the L2 its probe-target mask and the watchdog its
- * tracked slots.
+ * its replay queue, the L2 its probe-target mask, the watchdog its
+ * tracked slots and each hart the marker slots setProgram() sized.
  */
 
 #include <gtest/gtest.h>
@@ -106,7 +106,8 @@ constexpr unsigned lines = 96;
 /**
  * Per hart, over @ref lines lines 4 KiB apart (one L1 set): store to the
  * line, load the next hart's copy of it, then CBO.CLEAN (even lines) or
- * CBO.FLUSH (odd lines) it, with a fence every 8 lines.
+ * CBO.FLUSH (odd lines) it, with a fence and an RDCYCLE marker every 8
+ * lines.
  */
 std::vector<Program>
 programs()
@@ -117,14 +118,17 @@ programs()
     std::vector<Program> out(harts);
     for (unsigned h = 0; h < harts; ++h) {
         Program &p = out[h];
+        p.push_back(MemOp::marker(lines)); // latches with the LSU empty
         for (unsigned i = 0; i < lines; ++i) {
             const Addr mine = line(h, i);
             p.push_back(MemOp::store(mine, h * 1000 + i));
             p.push_back(MemOp::load(line((h + 1) % harts, i)));
             p.push_back(i % 2 == 0 ? MemOp::clean(mine)
                                    : MemOp::flush(mine));
-            if (i % 8 == 7)
+            if (i % 8 == 7) {
                 p.push_back(MemOp::fence());
+                p.push_back(MemOp::marker(i / 8));
+            }
         }
     }
     return out;

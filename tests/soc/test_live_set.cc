@@ -1,7 +1,7 @@
 /**
  * @file
- * Cycle-identity pins for the live-entry bitsets of the L2 slices, the
- * L1s and the crossbar ports.
+ * Cycle-identity pins for the live-entry bitsets of the L2 slices and
+ * the L1s.
  *
  * The L2 and the L1 walk only the MSHRs, FSHRs and client ports whose
  * bits say they are occupied or can act. Walks go in ascending index
@@ -352,8 +352,8 @@ TEST(LiveSetPin, EvictionStormExclusiveHashedRandom)
 }
 
 // The DirectWiring rows run 4 harts on one slice. They are named for
-// the point-to-point L1-to-L2 wiring the crossbar replaced, whose pin
-// the one-slice crossbar reproduces.
+// an earlier point-to-point L1-to-L2 wiring, whose pin every later
+// wiring has reproduced.
 
 TEST(LiveSetPin, DirectWiring)
 {
@@ -397,13 +397,8 @@ TEST(LiveSetDeathTest, ClientIdPastTheBitsetIsRejected)
     Stats stats;
     Dram dram("dram", sim, DramConfig{}, stats);
     L2Cache l2("l2", sim, L2Config{}, dram, stats);
-    TLXbar xbar("xbar", sim, 1);
     TLLink link(sim);
-    EXPECT_DEATH(xbar.connectClient(64, link),
-                 "xbar client id .*64-bit bitset");
-    xbar.connectClient(0, link);
-    EXPECT_DEATH(l2.connectPort(64, xbar.port(0, 0)),
-                 "L2 client id .*64-bit bitset");
+    EXPECT_DEATH(l2.connectPort(64, link), "L2 client id .*64-bit bitset");
 }
 
 /**

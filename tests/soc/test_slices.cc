@@ -23,9 +23,8 @@ TEST(SlicedL2, SliceIndexedAccessorsAndGeometry)
     cfg.l2.slices = 4;
     SoC soc(cfg);
     EXPECT_EQ(soc.l2Slices(), 4u);
-    ASSERT_NE(soc.xbar(), nullptr);
-    EXPECT_EQ(soc.xbar()->slices(), 4u);
-    EXPECT_EQ(soc.xbar()->sliceBitCount(), 2u);
+    EXPECT_EQ(soc.link(0).a.homes().slices, 4u);
+    EXPECT_EQ(sliceBits(soc.link(0).a.homes().slices), 2u);
     // The zero-arg accessor stays usable and aliases slice 0.
     EXPECT_EQ(&soc.l2(), &soc.l2(0));
     for (unsigned s = 0; s < 4; ++s) {
@@ -43,10 +42,10 @@ TEST(SlicedL2, SliceIndexedAccessorsAndGeometry)
 TEST(SlicedL2, DescribePrintsTopology)
 {
     SoCConfig cfg;
-    EXPECT_NE(cfg.describe().find("crossbar, 1 address-interleaved slice"),
+    EXPECT_NE(cfg.describe().find("topology: 1 address-interleaved slice\n"),
               std::string::npos);
     cfg.l2.slices = 4;
-    EXPECT_NE(cfg.describe().find("crossbar, 4 address-interleaved slices"),
+    EXPECT_NE(cfg.describe().find("topology: 4 address-interleaved slices"),
               std::string::npos);
 }
 
@@ -103,8 +102,7 @@ TEST(SlicedL2, MisrouteNegativeControlTripsSliceRoutingInvariant)
     cfg.l2.slices = 2;
     cfg.verify.fatal = false;
     SoC soc(cfg);
-    ASSERT_NE(soc.xbar(), nullptr);
-    soc.xbar()->injectAMisroute();
+    soc.link(0).a.injectMisroute();
     Program p;
     p.push_back(MemOp::store(0x4000, 1)); // homes to slice 0
     p.push_back(MemOp::store(0x4040, 2)); // homes to slice 1

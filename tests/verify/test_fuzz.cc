@@ -88,8 +88,8 @@ TEST(Fuzz, CleanSeedsStayCleanUnderJitter)
 
 TEST(Fuzz, CleanSeedsStayCleanAtTwoSlicesUnderJitter)
 {
-    // Same property through the crossbar with an interleaved L2: the
-    // slice-routing and global flush-counter invariants run too.
+    // Same property with an interleaved L2: the slice-routing and global
+    // flush-counter invariants run too.
     FuzzSpec spec = smallSpec();
     spec.machine.l2.slices = 2;
     EXPECT_FALSE(workloads::runFuzz(spec, 0, 25, 2).has_value());
@@ -105,14 +105,17 @@ TEST(Fuzz, CleanSeedsStayCleanAtFourSlicesUnderJitter)
 
 TEST(WakeAudit, JitteredFuzzSeed)
 {
-    // Jittered arrivals and backpressure bursts on every channel, through
-    // the crossbar into two slices.
+    // Jittered arrivals and backpressure bursts on every channel of
+    // links routed into two slices.
     FuzzSpec spec = smallSpec();
     spec.machine.l2.slices = 2;
     SoC soc(workloads::fuzzConfig(spec, 7));
     soc.setPrograms(workloads::generateFuzzPrograms(spec, 7));
     soc.sim().auditWakes();
-    soc.runToQuiescence(spec.max_cycles);
+    // The elapsed and skipped cycles are pinned: a change in which
+    // cycles execute fails here even when the audit stays clean.
+    EXPECT_EQ(soc.runToQuiescence(spec.max_cycles), 2158u);
+    EXPECT_EQ(soc.sim().skippedCycles(), 416u);
     EXPECT_TRUE(soc.checker().clean());
     EXPECT_EQ(soc.sim().wakeAudit(), "");
 }
@@ -136,7 +139,7 @@ TEST(Fuzz, InjectedFaultIsCaughtAndReplaysDeterministically)
 TEST(Fuzz, InjectedFaultIsPinnedAtOneAndTwoSlices)
 {
     // The first failing seed, its cycle and its detail, through a
-    // monolithic L2 and through the crossbar into two slices (where
+    // monolithic L2 and through links routed into two slices (where
     // the slice-routing checks run too).
     std::ostringstream got;
     for (const unsigned slices : {1u, 2u}) {
