@@ -110,6 +110,8 @@ Dram::storeLine(Addr line_addr, const LineData &data)
     if (fresh) {
         line_addrs_.push_back(line_addr);
         lines_.emplace_back();
+    } else if (lines_[it->second] == data) {
+        return; // the same bytes again: nothing changed
     }
     changes_.mark(it->second);
     lines_[it->second] = data;

@@ -109,9 +109,10 @@ class Dram : public Ticked
      *  storedLine(s). */
     std::size_t storedLines() const { return line_addrs_.size(); }
     Addr storedLine(std::size_t slot) const { return line_addrs_[slot]; }
-    /** Store slots written (by a queued write or pokeLine) since the
-     *  last clearChanges(); the checker drains this without changing
-     *  simulated state. */
+    /** Store slots created or given new bytes (by a queued write or
+     *  pokeLine) since the last clearChanges(); a write of the bytes a
+     *  slot already holds marks nothing. The checker drains this
+     *  without changing simulated state. */
     const ChangeLog &changes() const { return changes_; }
     void clearChanges() const { changes_.clear(); }
     /// @}
@@ -158,7 +159,8 @@ class Dram : public Ticked
     unsigned inflight_ = 0;
     Cycle next_issue_ = 0;
 
-    /** The one mutable path into the backing store. */
+    /** The one mutable path into the backing store; marks changes()
+     *  for a new slot or new bytes. */
     void storeLine(Addr line_addr, const LineData &data);
 };
 

@@ -301,8 +301,9 @@ DataCache::fillFromGrant(const DMsg &grant)
     // The fill way was reserved (and any victim evicted) at allocation.
     const unsigned set = m.fill_set;
     const unsigned way = m.fill_way;
-    SKIPIT_ASSERT(!arrays_.meta(set, way).valid() ||
-                  arrays_.meta(set, way).tag == arrays_.tagOf(grant.addr),
+    SKIPIT_ASSERT(!std::as_const(arrays_).meta(set, way).valid() ||
+                  std::as_const(arrays_).meta(set, way).tag ==
+                      arrays_.tagOf(grant.addr),
                   "reserved fill way holds a foreign line");
 
     L1Meta &meta = arrays_.meta(set, static_cast<unsigned>(way));
@@ -436,14 +437,17 @@ DataCache::processProbe()
             ack.param = Shrink::NtoN;
             link_.c.send(ack);
         } else {
+            // A probe always changes the copy it finds: toN invalidates
+            // it, and only the directory's trunk is probed toB.
             const unsigned set = arrays_.setOf(probe_.line);
-            L1Meta &meta = arrays_.meta(set, static_cast<unsigned>(way));
+            const unsigned w = static_cast<unsigned>(way);
+            L1Meta &meta = arrays_.meta(set, w);
             const ClientState old = meta.state;
             const ClientState next = applyCap(old, probe_.cap);
             ack.param = shrinkFor(old, next);
             if (meta.dirty) {
                 ack.op = COp::ProbeAckData;
-                ack.data = arrays_.data(set, static_cast<unsigned>(way));
+                ack.data = std::as_const(arrays_).data(set, w);
                 meta.dirty = false;
                 // Our modification is now travelling to L2; it is dirty
                 // there, so this line is not persisted. An in-flight
@@ -572,13 +576,21 @@ DataCache::handleStore(const CpuReq &req)
     const int way = arrays_.findWay(line);
     if (way >= 0) {
         const unsigned set = arrays_.setOf(line);
-        L1Meta &meta = arrays_.meta(set, static_cast<unsigned>(way));
-        if (meta.state == ClientState::Trunk) {
-            writeWord(arrays_.data(set, static_cast<unsigned>(way)),
-                      req.addr, req.size, req.data);
-            meta.dirty = true;
-            meta.skip = false; // dirtied: no longer persisted (§6.1)
-            arrays_.touch(set, static_cast<unsigned>(way));
+        const unsigned w = static_cast<unsigned>(way);
+        const L1Meta &held = std::as_const(arrays_).meta(set, w);
+        if (held.state == ClientState::Trunk) {
+            // Storing the bytes a dirty line already holds changes
+            // nothing, so it leaves the change log alone.
+            if (!held.dirty ||
+                readWord(std::as_const(arrays_).data(set, w), req.addr,
+                         req.size) != (req.data & lowBits(8 * req.size))) {
+                writeWord(arrays_.data(set, w), req.addr, req.size,
+                          req.data);
+                L1Meta &meta = arrays_.meta(set, w);
+                meta.dirty = true;
+                meta.skip = false; // dirtied: no longer persisted (§6.1)
+            }
+            arrays_.touch(set, w);
             respond(req, 0, cfg_.hit_latency);
             ++ctr_.store_hits;
             return;
@@ -800,12 +812,13 @@ DataCache::handleCboZero(const CpuReq &req)
     const int way = arrays_.findWay(line);
     if (way >= 0) {
         const unsigned set = arrays_.setOf(line);
-        L1Meta &meta = arrays_.meta(set, static_cast<unsigned>(way));
-        if (meta.state == ClientState::Trunk) {
-            arrays_.data(set, static_cast<unsigned>(way)) = LineData{};
+        const unsigned w = static_cast<unsigned>(way);
+        if (std::as_const(arrays_).meta(set, w).state == ClientState::Trunk) {
+            arrays_.data(set, w) = LineData{};
+            L1Meta &meta = arrays_.meta(set, w);
             meta.dirty = true;
             meta.skip = false; // dirtied: no longer persisted (§6.1)
-            arrays_.touch(set, static_cast<unsigned>(way));
+            arrays_.touch(set, w);
             respond(req, 0, cfg_.hit_latency);
             ++ctr_.cbo_zero;
             return;
@@ -874,16 +887,25 @@ DataCache::wayReservedByMshr(unsigned set, unsigned way) const
 }
 
 int
+DataCache::freeWay(unsigned set) const
+{
+    for (unsigned w = 0; w < arrays_.ways(); ++w) {
+        if (!arrays_.meta(set, w).valid() && !wayReservedByMshr(set, w))
+            return static_cast<int>(w);
+    }
+    return -1;
+}
+
+int
 DataCache::pickVictim(unsigned set) const
 {
+    if (const int free = freeWay(set); free >= 0)
+        return free;
     int best = -1;
     std::uint64_t best_stamp = ~std::uint64_t{0};
     for (unsigned w = 0; w < arrays_.ways(); ++w) {
-        const L1Meta &m = arrays_.meta(set, w);
-        if (wayReservedByMshr(set, w))
+        if (!arrays_.meta(set, w).valid() || wayReservedByMshr(set, w))
             continue;
-        if (!m.valid())
-            return static_cast<int>(w);
         const Addr line = arrays_.addrOf(set, w);
         // flush_rdy blocks the MSHRs from victimising a line an FSHR is
         // working on (§5.4.2).
@@ -931,23 +953,23 @@ DataCache::missToMshr(const CpuReq &req, Grow grow)
     const unsigned set = arrays_.setOf(line);
     int fill_way = arrays_.findWay(line); // resident: a BtoT upgrade
     if (fill_way < 0) {
-        // Need a way: evict a victim through the writeback unit.
-        const int victim = pickVictim(set);
+        // Need a way: evict a victim through the writeback unit. While
+        // the single WBU is busy only a free way can take the fill, so
+        // the miss nacks without choosing a victim (§3.3).
+        const int victim = wbu_.busy() ? freeWay(set) : pickVictim(set);
         if (victim < 0)
             return false;
-        L1Meta &vm = arrays_.meta(set, static_cast<unsigned>(victim));
+        const unsigned vw = static_cast<unsigned>(victim);
+        const L1Meta &vm = std::as_const(arrays_).meta(set, vw);
         if (vm.valid()) {
-            if (wbu_.busy())
-                return false; // single WBU; retry later
-            const Addr victim_line = arrays_.addrOf(
-                set, static_cast<unsigned>(victim));
+            const Addr victim_line = arrays_.addrOf(set, vw);
             wbu_.line = victim_line;
             wbu_.dirty = vm.dirty;
-            wbu_.data = arrays_.data(set, static_cast<unsigned>(victim));
+            wbu_.data = std::as_const(arrays_).data(set, vw);
             wbu_.param = shrinkFor(vm.state, ClientState::Nothing);
             wbu_.state = WritebackUnit::State::SendRelease;
             wbu_.txn = req.txn; // the miss that displaced the victim
-            vm = L1Meta{};
+            arrays_.meta(set, vw) = L1Meta{};
             if (sim_.probes().active()) {
                 sim_.probes().instant(
                     sim_.now(), req.txn, "l1.evict", name() + ".wbu",
@@ -1219,10 +1241,12 @@ DataCache::completeFshr(Fshr &f)
         // provably persisted: set the skip bit.
         const int way = arrays_.findWay(f.req.addr);
         if (way >= 0 && f.skip_ok) {
-            L1Meta &meta = arrays_.meta(arrays_.setOf(f.req.addr),
-                                        static_cast<unsigned>(way));
-            if (!meta.dirty) {
-                meta.skip = true;
+            const unsigned set = arrays_.setOf(f.req.addr);
+            const unsigned w = static_cast<unsigned>(way);
+            // A clean line with its skip bit set drops every CBO.CLEAN,
+            // so the bit is clear here.
+            if (!std::as_const(arrays_).meta(set, w).dirty) {
+                arrays_.meta(set, w).skip = true;
                 skip_set = true;
                 if (sim_.probes().active()) {
                     sim_.probes().instant(
@@ -1232,9 +1256,7 @@ DataCache::completeFshr(Fshr &f)
                         detail::concat("skip-set 0x", std::hex, f.req.addr),
                         f.req.addr,
                         lineFingerprint(
-                            std::as_const(arrays_).data(
-                                arrays_.setOf(f.req.addr),
-                                static_cast<unsigned>(way))));
+                            std::as_const(arrays_).data(set, w)));
                 }
             }
         }

@@ -240,8 +240,11 @@ class DataCache : public Ticked, public probe::Inspectable
     int mshrForLine(Addr line) const;
     void fillFromGrant(const DMsg &grant);
     void replay(L1Mshr &m, unsigned fill_set, unsigned fill_way);
+    /** The lowest invalid way of @p set no MSHR has reserved, or -1. */
+    int freeWay(unsigned set) const;
     /** Pick an eviction victim in @p set honouring flush_rdy and MSHR
-     *  reservations. @return way or -1. */
+     *  reservations: freeWay() if there is one, else the least recently
+     *  used valid way. @return way or -1. */
     int pickVictim(unsigned set) const;
     bool wayReservedByMshr(unsigned set, unsigned way) const;
     /// @}

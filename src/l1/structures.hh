@@ -86,7 +86,8 @@ class L1Arrays
         return -1;
     }
 
-    /** Mutable access marks the slot in changes(). */
+    /** Mutable access marks the slot in changes(): take it only to
+     *  store a new value, and read through std::as_const. */
     L1Meta &
     meta(unsigned set, unsigned way)
     {
@@ -100,7 +101,8 @@ class L1Arrays
         return meta_[idx(set, way)];
     }
 
-    /** Mutable access marks the slot in changes(). */
+    /** Mutable access marks the slot in changes(): take it only to
+     *  store new bytes, and read through std::as_const. */
     LineData &
     data(unsigned set, unsigned way)
     {
@@ -114,7 +116,7 @@ class L1Arrays
         return data_[idx(set, way)];
     }
 
-    /** Slots (set * ways + way) handed out for writing since the last
+    /** Slots (set * ways + way) a write changed since the last
      *  clearChanges(). The checker drains this; draining is observer
      *  bookkeeping and never changes simulated state. */
     const ChangeLog &changes() const { return changes_; }

@@ -34,17 +34,21 @@ class BankedStore
         return lines_[index(set, way)];
     }
 
-    /** Store a line; marks the slot in changes(). */
+    /** Store a line; marks the slot in changes() only when the bytes
+     *  differ from what it held. */
     void
     write(unsigned set, unsigned way, const LineData &data)
     {
         const std::size_t i = index(set, way);
+        if (lines_[i] == data)
+            return;
         changes_.mark(i);
         lines_[i] = data;
     }
 
-    /** Slots (set * ways + way) written since the last clearChanges();
-     *  the checker drains this without changing simulated state. */
+    /** Slots (set * ways + way) whose bytes a write changed since the
+     *  last clearChanges(); the checker drains this without changing
+     *  simulated state. */
     const ChangeLog &changes() const { return changes_; }
     void clearChanges() const { changes_.clear(); }
 

@@ -1,6 +1,7 @@
 #include "cache.hh"
 
 #include <bit>
+#include <utility>
 
 #include "sim/bits.hh"
 #include "sim/random.hh"
@@ -248,22 +249,24 @@ L2Cache::drainDramResponses()
         if (!resp.write) {
             SKIPIT_ASSERT(m.state == Mshr::State::Fetch, "fill outside Fetch");
             const unsigned way = static_cast<unsigned>(m.way);
-            DirEntry &e = dir_.entry(m.set, way);
-            if (e.valid) {
-                // Only an exclusive tag-only hit fetches into a valid
-                // entry; it keeps its holders.
-                SKIPIT_ASSERT(e.tag == dir_.tagOf(m.line) && !e.data_resident,
-                              "fill into a resident or mismatched entry");
-            } else {
-                e = DirEntry{.valid = true, .tag = dir_.tagOf(m.line)};
-            }
             // The state policy's one decision: an inclusive fill lands
             // in the store; an exclusive one stays tag-only and the
             // Grant reads the MSHR stash.
-            if (cfg_.policy == StateKind::Inclusive) {
+            const bool inclusive = cfg_.policy == StateKind::Inclusive;
+            const DirEntry &e = std::as_const(dir_).entry(m.set, way);
+            if (e.valid) {
+                // Only an exclusive tag-only hit fetches into a valid
+                // entry; it keeps its holders and stays tag-only.
+                SKIPIT_ASSERT(e.tag == dir_.tagOf(m.line) && !e.data_resident,
+                              "fill into a resident or mismatched entry");
+            } else {
+                dir_.entry(m.set, way) =
+                    DirEntry{.valid = true, .tag = dir_.tagOf(m.line),
+                             .data_resident = inclusive};
+            }
+            if (inclusive) {
                 store_.write(m.set, way, resp.data);
             } else {
-                e.data_resident = false;
                 m.grant_from_stash = true;
                 m.fill_data = resp.data;
             }
@@ -273,8 +276,10 @@ L2Cache::drainDramResponses()
         } else {
             SKIPIT_ASSERT(m.state == Mshr::State::MemWriteback,
                           "write ack outside MemWriteback");
-            DirEntry &e = dir_.entry(m.set, static_cast<unsigned>(m.way));
-            e.dirty = false;
+            // Without llc_skip a clean line is written back too.
+            const unsigned way = static_cast<unsigned>(m.way);
+            if (std::as_const(dir_).entry(m.set, way).dirty)
+                dir_.entry(m.set, way).dirty = false;
             m.state = Mshr::State::Respond;
             m.wait_until = sim_.now();
         }
@@ -282,21 +287,32 @@ L2Cache::drainDramResponses()
 }
 
 void
-L2Cache::applyReport(DirEntry &e, AgentId src, Shrink param)
+L2Cache::applyReport(unsigned set, unsigned way, const CMsg &msg)
 {
-    switch (param) {
+    DirEntry e = std::as_const(dir_).entry(set, way);
+    switch (msg.param) {
       case Shrink::TtoN:
       case Shrink::BtoN:
-        e.dropHolder(src);
+        e.dropHolder(msg.source);
         break;
       case Shrink::TtoB:
-        e.downgradeHolder(src);
+        e.downgradeHolder(msg.source);
         break;
       case Shrink::TtoT:
       case Shrink::BtoB:
       case Shrink::NtoN:
         break;
     }
+    if (msg.hasData()) {
+        // Dirty bytes are the one thing even an exclusive LLC must keep.
+        store_.write(set, way, msg.data);
+        e.dirty = true;
+        e.data_resident = true;
+    }
+    // A report that changes nothing (TtoT, BtoB, NtoN, a payload for a
+    // line already dirty here) leaves the entry unmarked.
+    if (e != std::as_const(dir_).entry(set, way))
+        dir_.entry(set, way) = e;
 }
 
 void
@@ -306,11 +322,7 @@ L2Cache::handleRelease(const CMsg &msg)
     SKIPIT_ASSERT(way >= 0, "voluntary Release for non-resident line ",
                   std::hex, msg.addr,
                   " violates directory holder-inclusivity");
-    const unsigned set = dir_.setOf(msg.addr);
-    DirEntry &e = dir_.entry(set, static_cast<unsigned>(way));
-    applyReport(e, msg.source, msg.param);
-    if (msg.op == COp::ReleaseData)
-        absorbData(e, set, static_cast<unsigned>(way), msg.data);
+    applyReport(dir_.setOf(msg.addr), static_cast<unsigned>(way), msg);
     ++ctr_.releases;
     DMsg ack;
     ack.op = DOp::ReleaseAck;
@@ -329,11 +341,7 @@ L2Cache::applyRootReleaseArrival(const CMsg &msg)
                       "RootReleaseData for non-resident line");
         return;
     }
-    const unsigned set = dir_.setOf(msg.addr);
-    DirEntry &e = dir_.entry(set, static_cast<unsigned>(way));
-    applyReport(e, msg.source, msg.param);
-    if (msg.hasData())
-        absorbData(e, set, static_cast<unsigned>(way), msg.data);
+    applyReport(dir_.setOf(msg.addr), static_cast<unsigned>(way), msg);
 }
 
 void
@@ -362,23 +370,10 @@ L2Cache::handleProbeAck(const CMsg &msg)
     const unsigned set = for_victim ? dir_.setOf(m.victim_line) : m.set;
     const unsigned way = static_cast<unsigned>(
         for_victim ? m.victim_way : m.way);
-    DirEntry &e = dir_.entry(set, way);
-    applyReport(e, msg.source, msg.param);
-    if (msg.op == COp::ProbeAckData)
-        absorbData(e, set, way, msg.data);
+    applyReport(set, way, msg);
     SKIPIT_ASSERT(m.pending_acks > 0, "unexpected ProbeAck");
     if (--m.pending_acks == 0)
         act_ |= bit(static_cast<unsigned>(idx));
-}
-
-void
-L2Cache::absorbData(DirEntry &e, unsigned set, unsigned way,
-                    const LineData &data)
-{
-    // Dirty bytes are the one thing even an exclusive LLC must keep.
-    store_.write(set, way, data);
-    e.dirty = true;
-    e.data_resident = true;
 }
 
 void
@@ -642,7 +637,8 @@ L2Cache::tickMshr(unsigned idx)
             m.way_locked = true;
             // The requester's report and any dirty payload were already
             // applied when the message arrived (applyRootReleaseArrival).
-            DirEntry &e = dir_.entry(m.set, static_cast<unsigned>(way));
+            const DirEntry &e =
+                std::as_const(dir_).entry(m.set, static_cast<unsigned>(way));
             std::uint64_t targets = 0;
             if (m.creq.cbo == CboKind::Flush ||
                 m.creq.cbo == CboKind::Inval) {
@@ -674,7 +670,8 @@ L2Cache::tickMshr(unsigned idx)
             m.way = way;
             dir_.lockWay(m.set, static_cast<unsigned>(way));
             m.way_locked = true;
-            DirEntry &e = dir_.entry(m.set, static_cast<unsigned>(way));
+            const DirEntry &e =
+                std::as_const(dir_).entry(m.set, static_cast<unsigned>(way));
             std::uint64_t targets = 0;
             Cap cap = Cap::toN;
             if (capForGrow(m.areq.param) == Cap::toT) {
@@ -711,8 +708,8 @@ L2Cache::tickMshr(unsigned idx)
         const int victim = dir_.pickVictim(m.set);
         bool victim_conflicts = false;
         if (victim >= 0) {
-            const DirEntry &ce =
-                dir_.entry(m.set, static_cast<unsigned>(victim));
+            const DirEntry &ce = std::as_const(dir_).entry(
+                m.set, static_cast<unsigned>(victim));
             if (ce.valid) {
                 const Addr cand =
                     dir_.addrOf(m.set, static_cast<unsigned>(victim));
@@ -726,7 +723,8 @@ L2Cache::tickMshr(unsigned idx)
         m.way = victim;
         dir_.lockWay(m.set, static_cast<unsigned>(victim));
         m.way_locked = true;
-        DirEntry &v = dir_.entry(m.set, static_cast<unsigned>(victim));
+        const DirEntry &v =
+            std::as_const(dir_).entry(m.set, static_cast<unsigned>(victim));
         if (v.valid) {
             m.has_victim = true;
             m.victim_way = victim;
@@ -804,7 +802,8 @@ L2Cache::tickMshr(unsigned idx)
             return;
         if (m.kind == Mshr::Kind::RootRelease) {
             m.state = Mshr::State::MemWriteback;
-        } else if (!dir_.entry(m.set, static_cast<unsigned>(m.way))
+        } else if (!std::as_const(dir_)
+                        .entry(m.set, static_cast<unsigned>(m.way))
                         .data_resident) {
             // The probes settled permissions but delivered no data
             // (clean holders, tag-only entry): fetch from DRAM, which
@@ -821,12 +820,14 @@ L2Cache::tickMshr(unsigned idx)
       case Mshr::State::MemWriteback: {
         if (m.awaiting_dram)
             return;
-        DirEntry &e = dir_.entry(m.set, static_cast<unsigned>(m.way));
+        const DirEntry &e =
+            std::as_const(dir_).entry(m.set, static_cast<unsigned>(m.way));
         if (m.kind == Mshr::Kind::RootRelease &&
             m.creq.cbo == CboKind::Inval) {
             // CBO.INVAL discards: no DRAM write, dirty data is dropped
             // (that is its contract — the spec permits the data loss).
-            e.dirty = false;
+            if (e.dirty)
+                dir_.entry(m.set, static_cast<unsigned>(m.way)).dirty = false;
             ++ctr_.rootrelease_inval_discarded;
             m.state = Mshr::State::Respond;
             m.wait_until = sim_.now();

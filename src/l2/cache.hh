@@ -290,12 +290,6 @@ class L2Cache : public Ticked, public probe::Inspectable
     /** Route a ProbeAck[Data] to the MSHR expecting it. */
     void handleProbeAck(const CMsg &msg);
 
-    /** Take a C-channel payload (ReleaseData, ProbeAckData,
-     *  RootReleaseData) into the store: the entry turns dirty and
-     *  resident under either state policy. */
-    void absorbData(DirEntry &e, unsigned set, unsigned way,
-                    const LineData &data);
-
     /**
      * Apply a RootRelease's permission report and dirty payload to the
      * directory at arrival — RootRelease is encoded as ProbeAck (§5.1)
@@ -314,8 +308,12 @@ class L2Cache : public Ticked, public probe::Inspectable
     /** Claim the free MSHR @p idx for a new transaction. */
     Mshr &allocMshr(unsigned idx);
     void freeMshr(unsigned idx);
-    /** Apply a C-channel shrink report to the directory entry. */
-    static void applyReport(DirEntry &e, AgentId src, Shrink param);
+    /** Apply a C-channel message's shrink report to the entry in
+     *  (@p set, @p way) and take its payload (ReleaseData, ProbeAckData,
+     *  RootReleaseData) into the store: the entry turns dirty and
+     *  resident under either state policy. Marks the entry only when it
+     *  changes. */
+    void applyReport(unsigned set, unsigned way, const CMsg &msg);
 
     /** Probe every client in the nonempty mask @p targets (bit i =
      *  client i), in ascending id order, and park @p m on their acks. */

@@ -67,6 +67,8 @@ struct DirEntry
     std::uint64_t branches = 0;
     AgentId trunk = invalid_agent;       //!< exclusive owner, if any
 
+    bool operator==(const DirEntry &) const = default;
+
     bool
     heldByAnyone() const
     {
@@ -147,7 +149,8 @@ class Directory
     int findWay(Addr line_addr) const;
 
     /** Mutable access marks the slot in changes() and, on its first mark
-     *  since the last drain, records the line the entry held. */
+     *  since the last drain, records the line the entry held. Take it
+     *  only to store a new value; read through std::as_const. */
     DirEntry &entry(unsigned set, unsigned way);
     const DirEntry &entry(unsigned set, unsigned way) const;
 
@@ -156,7 +159,7 @@ class Directory
 
     /// @name Change log (checker drain; never changes simulated state)
     /// @{
-    /** Slots (set * ways + way) handed out for writing. */
+    /** Slots (set * ways + way) a write changed. */
     const ChangeLog &changes() const { return changes_; }
     /** priorLines()[k] is the line changes().slots()[k] held when it was
      *  first marked, or no_line if that entry was invalid. */

@@ -130,6 +130,20 @@ TEST_F(DramTest, PeekAndPokeBypassTiming)
     EXPECT_EQ(d->peekWord(0x1000), expected);
 }
 
+TEST_F(DramTest, ChangeLogMarksOnlyNewSlotsAndNewBytes)
+{
+    auto d = make();
+    // A new slot is a change even when its bytes are zero.
+    d->pokeLine(0x1000, LineData{});
+    EXPECT_TRUE(d->changes().marked(0));
+    d->clearChanges();
+    // The bytes the slot already holds change nothing; new bytes do.
+    d->pokeLine(0x1000, LineData{});
+    EXPECT_TRUE(d->changes().slots().empty());
+    d->pokeLine(0x1000, pattern(1));
+    EXPECT_TRUE(d->changes().marked(0));
+}
+
 TEST_F(DramTest, StatsCountReadsAndWrites)
 {
     auto d = make();

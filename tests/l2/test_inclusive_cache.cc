@@ -363,5 +363,19 @@ TEST_F(L2Test, DirectoryTracksHoldersExactly)
     EXPECT_FALSE(e.heldBy(1));
 }
 
+TEST(BankedStore, ChangeLogMarksOnlyNewBytes)
+{
+    BankedStore store(4, 2);
+    LineData bytes{};
+    store.write(1, 1, bytes); // the zeros the slot already holds
+    EXPECT_TRUE(store.changes().slots().empty());
+    bytes[5] = 0x5A;
+    store.write(1, 1, bytes);
+    EXPECT_TRUE(store.changes().marked(3));
+    store.clearChanges();
+    store.write(1, 1, bytes);
+    EXPECT_TRUE(store.changes().slots().empty());
+}
+
 } // namespace
 } // namespace skipit

@@ -1,6 +1,6 @@
 /**
  * @file
- * Change-log completeness oracle for the incremental coherence checker.
+ * Change-log oracle for the incremental coherence checker.
  *
  * The checker re-checks only the lines whose state went through a logged
  * mutable accessor (src/sim/change_log.hh), and re-runs an L1's
@@ -9,11 +9,16 @@
  * BankedStore line and DRAM line, and of each L1's flush-unit state
  * (queue entries, FSHR states, probe unit, flush counter). It steps
  * seeded fuzz programs one executed cycle at a time with the checker
- * off (so the test drains the logs itself), and requires every slot
- * that differs from its shadow to appear in its log, and every L1 whose
- * flush-unit state differs to have moved its version. A new mutable
- * path that bypasses the logged accessors or the version bump fails
- * here.
+ * off (so the test drains the logs itself) and audits both directions:
+ *
+ * - completeness: every slot that differs from its shadow appears in its
+ *   log, and every L1 whose flush-unit state differs moved its version.
+ *   A new mutable path that bypasses the logged accessors or the
+ *   version bump fails here.
+ * - precision: a log marks only what a write changed, so a marked slot
+ *   whose content equals its shadow is a read (or a no-op write) that
+ *   took the marking accessor. No row writes a slot and restores it
+ *   within one cycle, so every row requires none.
  */
 
 #include <gtest/gtest.h>
@@ -36,14 +41,6 @@ sameMeta(const L1Meta &a, const L1Meta &b)
            a.skip == b.skip;
 }
 
-bool
-sameEntry(const DirEntry &a, const DirEntry &b)
-{
-    return a.valid == b.valid && a.tag == b.tag && a.dirty == b.dirty &&
-           a.data_resident == b.data_resident &&
-           a.branches == b.branches && a.trunk == b.trunk;
-}
-
 Addr
 lineOf(const DirEntry &e)
 {
@@ -56,6 +53,15 @@ sameQueued(const FlushQueueEntry &a, const FlushQueueEntry &b)
     return a.addr == b.addr && a.is_hit == b.is_hit &&
            a.is_dirty == b.is_dirty && a.kind == b.kind && a.txn == b.txn;
 }
+
+/** A count per change log. */
+struct Marks
+{
+    std::uint64_t l1 = 0;
+    std::uint64_t dir = 0;
+    std::uint64_t store = 0;
+    std::uint64_t dram = 0;
+};
 
 /** Everything the checker's flush-unit checks read of one L1 but its
  *  array lines. */
@@ -126,8 +132,9 @@ class Shadow
         dram.clearChanges();
     }
 
-    /** Every slot that differs from the shadow must be in its log; then
-     *  adopt the new state and drain the logs. */
+    /** Every slot that differs from the shadow must be in its log, and
+     *  each marked slot that does not is counted; then adopt the new
+     *  state and drain the logs. */
     void
     audit()
     {
@@ -145,6 +152,8 @@ class Shadow
     std::uint64_t probeRewrites() const { return probe_rewrites_; }
     /** Queued entries rewritten with no probe in that stage: evictions. */
     std::uint64_t evictionRewrites() const { return eviction_rewrites_; }
+    /** Marked slots whose content equals the shadow, per log. */
+    const Marks &unchangedMarks() const { return unchanged_; }
 
   private:
     SoC &soc_;
@@ -161,6 +170,7 @@ class Shadow
     std::uint64_t dir_changes_ = 0;
     std::uint64_t store_changes_ = 0;
     std::uint64_t dram_changes_ = 0;
+    Marks unchanged_;
 
     std::string
     where(const char *what, unsigned owner, std::size_t slot) const
@@ -181,8 +191,10 @@ class Shadow
                 const unsigned way = static_cast<unsigned>(i % a.ways());
                 const L1Meta &m = a.meta(set, way);
                 const LineData &d = a.data(set, way);
-                if (sameMeta(m, meta_[c][i]) && d == l1_data_[c][i])
+                if (sameMeta(m, meta_[c][i]) && d == l1_data_[c][i]) {
+                    unchanged_.l1 += a.changes().marked(i) ? 1 : 0;
                     continue;
+                }
                 ASSERT_TRUE(a.changes().marked(i)) << where("l1", c, i);
                 meta_[c][i] = m;
                 l1_data_[c][i] = d;
@@ -237,11 +249,13 @@ class Shadow
                 const unsigned set = static_cast<unsigned>(i / dir.ways());
                 const unsigned way = static_cast<unsigned>(i % dir.ways());
                 const DirEntry &e = dir.entry(set, way);
-                if (!sameEntry(e, dir_[k][i])) {
+                if (e != dir_[k][i]) {
                     ASSERT_TRUE(dir.changes().marked(i))
                         << where("directory", k, i);
                     dir_[k][i] = e;
                     ++dir_changes_;
+                } else {
+                    unchanged_.dir += dir.changes().marked(i) ? 1 : 0;
                 }
                 const LineData &bytes = store.read(set, way);
                 if (bytes != store_[k][i]) {
@@ -249,6 +263,8 @@ class Shadow
                         << where("store", k, i);
                     store_[k][i] = bytes;
                     ++store_changes_;
+                } else {
+                    unchanged_.store += store.changes().marked(i) ? 1 : 0;
                 }
             }
             dir.clearChanges();
@@ -262,8 +278,10 @@ class Shadow
         const Dram &dram = soc_.dram();
         for (std::size_t s = 0; s < dram.storedLines(); ++s) {
             const LineData bytes = dram.peekLine(dram.storedLine(s));
-            if (s < dram_.size() && bytes == dram_[s])
+            if (s < dram_.size() && bytes == dram_[s]) {
+                unchanged_.dram += dram.changes().marked(s) ? 1 : 0;
                 continue;
+            }
             ASSERT_TRUE(dram.changes().marked(s)) << where("dram", 0, s);
             if (s < dram_.size())
                 dram_[s] = bytes;
@@ -282,14 +300,17 @@ class ChangeLogOracle : public ::testing::TestWithParam<Combo>
 {
 };
 
-TEST_P(ChangeLogOracle, EveryChangedSlotIsLogged)
+/** Run one seeded fuzz machine under the shadow audit. */
+void
+auditRun(const Combo &combo, bool llc_skip)
 {
-    const auto [cores, slices, policy, fshrs] = GetParam();
+    const auto [cores, slices, policy, fshrs] = combo;
     workloads::FuzzSpec spec;
     spec.machine.cores = cores;
     spec.ops = 40;
     spec.machine.l2.slices = slices;
     spec.machine.l2.policy = policy;
+    spec.machine.l2.llc_skip = llc_skip;
     if (fshrs != 0) {
         spec.machine.l1.fshrs = fshrs;
         spec.machine.l1.flush_queue_depth = 8;
@@ -314,10 +335,10 @@ TEST_P(ChangeLogOracle, EveryChangedSlotIsLogged)
     soc.sim().runUntil(
         [&] {
             shadow.audit();
-            return HasFatalFailure() || soc.quiesced();
+            return ::testing::Test::HasFatalFailure() || soc.quiesced();
         },
         spec.max_cycles);
-    ASSERT_FALSE(HasFatalFailure());
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
     // Non-vacuous: every log source saw real changes.
     EXPECT_GT(shadow.l1Changes(), 0u);
     EXPECT_GT(shadow.dirChanges(), 0u);
@@ -331,6 +352,85 @@ TEST_P(ChangeLogOracle, EveryChangedSlotIsLogged)
         EXPECT_GT(shadow.probeRewrites(), 0u);
         EXPECT_GT(shadow.evictionRewrites(), 0u);
     }
+    // Precision: no log marks a slot that no write changed.
+    const Marks &unchanged = shadow.unchangedMarks();
+    EXPECT_EQ(unchanged.l1, 0u) << "L1 slots marked but unchanged";
+    EXPECT_EQ(unchanged.dir, 0u) << "directory slots marked but unchanged";
+    EXPECT_EQ(unchanged.store, 0u) << "store slots marked but unchanged";
+    EXPECT_EQ(unchanged.dram, 0u) << "DRAM slots marked but unchanged";
+}
+
+TEST_P(ChangeLogOracle, EveryChangedSlotIsLogged)
+{
+    auditRun(GetParam(), true);
+}
+
+/** Without llc_skip a RootRelease writes a clean line back as well:
+ *  DRAM is sent bytes it already holds, and the write ack finds the
+ *  entry clean. */
+TEST(ChangeLogOracleNoLlcSkip, EveryChangedSlotIsLogged)
+{
+    auditRun({2u, 1u, StateKind::Inclusive, 0u}, false);
+}
+
+/** No fuzz row stores the bytes a line already holds: a store hit on a
+ *  dirty line that does must mark nothing, and one with new bytes must
+ *  mark the slot. */
+TEST(ChangeLogPrecision, StoreOfTheHeldBytesMarksNothing)
+{
+    SoCConfig cfg;
+    cfg.verify.enabled = false; // the test drains the log itself
+    SoC soc(cfg);
+    const auto serve = [&](const MemOp &op) {
+        soc.hart(0).setProgram({op});
+        soc.runToCompletion();
+        soc.sim().runUntil([&] { return soc.quiesced(); }, 100'000);
+    };
+    const Addr line = 0x1000;
+    serve(MemOp::store(line, 0xab, 1)); // a miss: the line is now dirty
+    const L1Arrays &a = soc.l1(0).arrays();
+    ASSERT_TRUE(soc.l1(0).lineDirty(line));
+    const std::size_t slot = std::size_t{a.setOf(line)} * a.ways() +
+                             static_cast<unsigned>(a.findWay(line));
+    a.clearChanges();
+    // Only the low byte is stored, and it is the one the line holds.
+    serve(MemOp::store(line, 0x77ab, 1));
+    EXPECT_FALSE(a.changes().marked(slot));
+    serve(MemOp::store(line, 0xac, 1));
+    EXPECT_TRUE(a.changes().marked(slot));
+}
+
+/** Nor does a fuzz row make a CBO.ZERO or a CBO.INVAL. A CBO.ZERO on a
+ *  Branch copy upgrades it through an MSHR, so nothing is written until
+ *  the grant; a CBO.INVAL of a clean line has no dirty data to drop. */
+TEST(ChangeLogPrecision, CboZeroAndInvalMarkOnlyWhatTheyChange)
+{
+    SoCConfig cfg;
+    cfg.cores = 2;
+    cfg.verify.enabled = false; // the test drains the logs itself
+    SoC soc(cfg);
+    const Addr shared = 0x2000;
+    const Addr clean = 0x3000;
+    // Hart 1's load downgrades hart 0's copy of the shared line to
+    // Branch well before hart 0 zeroes it.
+    soc.setPrograms({{MemOp::load(shared), MemOp::compute(2000),
+                      MemOp::zero(shared), MemOp::load(clean),
+                      MemOp::inval(clean), MemOp::fence()},
+                     {MemOp::compute(500), MemOp::load(shared)}});
+    Shadow shadow(soc);
+    soc.sim().runUntil(
+        [&] {
+            shadow.audit();
+            return HasFatalFailure() || soc.quiesced();
+        },
+        100'000);
+    ASSERT_FALSE(HasFatalFailure());
+    // Three misses: both loads and the zero's BtoT upgrade.
+    EXPECT_EQ(soc.stats().get("l1.0.mshr_primary"), 3u);
+    EXPECT_EQ(soc.stats().get("l2.rootrelease.inval_discarded"), 1u);
+    const Marks &unchanged = shadow.unchangedMarks();
+    EXPECT_EQ(unchanged.l1, 0u) << "L1 slots marked but unchanged";
+    EXPECT_EQ(unchanged.dir, 0u) << "directory slots marked but unchanged";
 }
 
 std::string
