@@ -301,20 +301,18 @@ DataCache::fillFromGrant(const DMsg &grant)
     // The fill way was reserved (and any victim evicted) at allocation.
     const unsigned set = m.fill_set;
     const unsigned way = m.fill_way;
-    SKIPIT_ASSERT(!std::as_const(arrays_).meta(set, way).valid() ||
-                  std::as_const(arrays_).meta(set, way).tag ==
-                      arrays_.tagOf(grant.addr),
+    SKIPIT_ASSERT(!arrays_.meta(set, way).valid() ||
+                  arrays_.meta(set, way).tag == arrays_.tagOf(grant.addr),
                   "reserved fill way holds a foreign line");
 
-    L1Meta &meta = arrays_.meta(set, static_cast<unsigned>(way));
+    L1Meta meta;
     meta.state = stateForCap(grant.cap);
     meta.tag = arrays_.tagOf(grant.addr);
-    meta.dirty = false;
     // Skip It (§6.1): GrantData proves the line is persisted below;
     // GrantDataDirty proves it is not.
     meta.skip = cfg_.skip_it && grant.op == DOp::GrantData;
-    arrays_.data(set, static_cast<unsigned>(way)) = grant.data;
-    arrays_.touch(set, static_cast<unsigned>(way));
+    LineData data = grant.data;
+    arrays_.touch(set, way);
 
     EMsg ack;
     ack.addr = grant.addr;
@@ -330,21 +328,11 @@ DataCache::fillFromGrant(const DMsg &grant)
             grant.op == DOp::GrantDataDirty ? "filled (GrantDataDirty)"
                                             : "filled");
     }
-    replay(m, set, static_cast<unsigned>(way));
-    m.release();
-    mshr_live_ &= ~bit(static_cast<unsigned>(idx));
-    ++ctr_.fills;
-}
 
-void
-DataCache::replay(L1Mshr &m, unsigned fill_set, unsigned fill_way)
-{
     // Replay the RPQ in arrival order (§3.3). Replays drain one per cycle;
     // responses are staggered accordingly. Applying all architectural
     // effects in this cycle keeps probes from observing a partial replay,
     // which is what BOOM's mshr_rdy interlock guarantees in hardware.
-    L1Meta &meta = arrays_.meta(fill_set, fill_way);
-    LineData &data = arrays_.data(fill_set, fill_way);
     Cycle extra = 0;
     for (const CpuReq &req : m.rpq) {
         if (req.kind == CpuOpKind::Load) {
@@ -373,6 +361,11 @@ DataCache::replay(L1Mshr &m, unsigned fill_set, unsigned fill_way)
         }
         ++extra;
     }
+    arrays_.write(set, way, meta);
+    arrays_.write(set, way, data);
+    m.release();
+    mshr_live_ &= ~bit(static_cast<unsigned>(idx));
+    ++ctr_.fills;
 }
 
 // ---------------------------------------------------------------------
@@ -437,17 +430,15 @@ DataCache::processProbe()
             ack.param = Shrink::NtoN;
             link_.c.send(ack);
         } else {
-            // A probe always changes the copy it finds: toN invalidates
-            // it, and only the directory's trunk is probed toB.
             const unsigned set = arrays_.setOf(probe_.line);
             const unsigned w = static_cast<unsigned>(way);
-            L1Meta &meta = arrays_.meta(set, w);
+            L1Meta meta = arrays_.meta(set, w);
             const ClientState old = meta.state;
             const ClientState next = applyCap(old, probe_.cap);
             ack.param = shrinkFor(old, next);
             if (meta.dirty) {
                 ack.op = COp::ProbeAckData;
-                ack.data = std::as_const(arrays_).data(set, w);
+                ack.data = arrays_.data(set, w);
                 meta.dirty = false;
                 // Our modification is now travelling to L2; it is dirty
                 // there, so this line is not persisted. An in-flight
@@ -461,6 +452,7 @@ DataCache::processProbe()
                 ack.op = COp::ProbeAck;
             }
             meta.state = next;
+            arrays_.write(set, w, meta);
             link_.c.send(ack, TLLink::beatsFor(ack));
         }
         if (sim_.probes().active()) {
@@ -522,9 +514,9 @@ DataCache::handleLoad(const CpuReq &req)
         // metadata stays valid and the load may proceed (§5.3).
         const unsigned set = arrays_.setOf(line);
         arrays_.touch(set, static_cast<unsigned>(way));
-        respond(req, readWord(std::as_const(arrays_).data(
-                                  set, static_cast<unsigned>(way)),
-                              req.addr, req.size),
+        respond(req,
+                readWord(arrays_.data(set, static_cast<unsigned>(way)),
+                         req.addr, req.size),
                 cfg_.hit_latency);
         ++ctr_.load_hits;
         return;
@@ -577,19 +569,14 @@ DataCache::handleStore(const CpuReq &req)
     if (way >= 0) {
         const unsigned set = arrays_.setOf(line);
         const unsigned w = static_cast<unsigned>(way);
-        const L1Meta &held = std::as_const(arrays_).meta(set, w);
-        if (held.state == ClientState::Trunk) {
-            // Storing the bytes a dirty line already holds changes
-            // nothing, so it leaves the change log alone.
-            if (!held.dirty ||
-                readWord(std::as_const(arrays_).data(set, w), req.addr,
-                         req.size) != (req.data & lowBits(8 * req.size))) {
-                writeWord(arrays_.data(set, w), req.addr, req.size,
-                          req.data);
-                L1Meta &meta = arrays_.meta(set, w);
-                meta.dirty = true;
-                meta.skip = false; // dirtied: no longer persisted (§6.1)
-            }
+        L1Meta meta = arrays_.meta(set, w);
+        if (meta.state == ClientState::Trunk) {
+            LineData data = arrays_.data(set, w);
+            writeWord(data, req.addr, req.size, req.data);
+            arrays_.write(set, w, data);
+            meta.dirty = true;
+            meta.skip = false; // dirtied: no longer persisted (§6.1)
+            arrays_.write(set, w, meta);
             arrays_.touch(set, w);
             respond(req, 0, cfg_.hit_latency);
             ++ctr_.store_hits;
@@ -659,8 +646,8 @@ DataCache::handleCbo(const CpuReq &req)
     bool dirty = false;
     bool skip = false;
     if (hit) {
-        const L1Meta &meta = std::as_const(arrays_).meta(
-            arrays_.setOf(line), static_cast<unsigned>(way));
+        const L1Meta &meta =
+            arrays_.meta(arrays_.setOf(line), static_cast<unsigned>(way));
         dirty = meta.dirty;
         skip = meta.skip;
     }
@@ -678,8 +665,8 @@ DataCache::handleCbo(const CpuReq &req)
                 sim_.now(), req.txn, "l1.skipit", name() + ".flushq",
                 detail::concat("skip-drop 0x", std::hex, line),
                 line,
-                lineFingerprint(std::as_const(arrays_).data(
-                    arrays_.setOf(line), static_cast<unsigned>(way))));
+                lineFingerprint(arrays_.data(arrays_.setOf(line),
+                                             static_cast<unsigned>(way))));
         }
         return;
     }
@@ -813,11 +800,12 @@ DataCache::handleCboZero(const CpuReq &req)
     if (way >= 0) {
         const unsigned set = arrays_.setOf(line);
         const unsigned w = static_cast<unsigned>(way);
-        if (std::as_const(arrays_).meta(set, w).state == ClientState::Trunk) {
-            arrays_.data(set, w) = LineData{};
-            L1Meta &meta = arrays_.meta(set, w);
+        L1Meta meta = arrays_.meta(set, w);
+        if (meta.state == ClientState::Trunk) {
+            arrays_.write(set, w, LineData{});
             meta.dirty = true;
             meta.skip = false; // dirtied: no longer persisted (§6.1)
+            arrays_.write(set, w, meta);
             arrays_.touch(set, w);
             respond(req, 0, cfg_.hit_latency);
             ++ctr_.cbo_zero;
@@ -960,16 +948,16 @@ DataCache::missToMshr(const CpuReq &req, Grow grow)
         if (victim < 0)
             return false;
         const unsigned vw = static_cast<unsigned>(victim);
-        const L1Meta &vm = std::as_const(arrays_).meta(set, vw);
+        const L1Meta &vm = arrays_.meta(set, vw);
         if (vm.valid()) {
             const Addr victim_line = arrays_.addrOf(set, vw);
             wbu_.line = victim_line;
             wbu_.dirty = vm.dirty;
-            wbu_.data = std::as_const(arrays_).data(set, vw);
+            wbu_.data = arrays_.data(set, vw);
             wbu_.param = shrinkFor(vm.state, ClientState::Nothing);
             wbu_.state = WritebackUnit::State::SendRelease;
             wbu_.txn = req.txn; // the miss that displaced the victim
-            arrays_.meta(set, vw) = L1Meta{};
+            arrays_.write(set, vw, L1Meta{});
             if (sim_.probes().active()) {
                 sim_.probes().instant(
                     sim_.now(), req.txn, "l1.evict", name() + ".wbu",
@@ -1115,8 +1103,8 @@ DataCache::flushUnitDequeue()
         SKIPIT_ASSERT(way >= 0, "flush-queue hit entry vanished");
         f.set = arrays_.setOf(f.req.addr);
         f.way = way;
-        const L1Meta &meta = std::as_const(arrays_).meta(
-            f.set, static_cast<unsigned>(way));
+        const L1Meta &meta =
+            arrays_.meta(f.set, static_cast<unsigned>(way));
         SKIPIT_ASSERT(meta.dirty == f.req.is_dirty,
                       "flush-queue dirty snapshot stale");
         const ClientState old = meta.state;
@@ -1158,13 +1146,14 @@ DataCache::tickFshrs()
             SKIPIT_PANIC("busy FSHR in Invalid state");
 
           case Fshr::State::MetaWrite: {
-            L1Meta &meta = arrays_.meta(f.set,
-                                        static_cast<unsigned>(f.way));
+            const unsigned way = static_cast<unsigned>(f.way);
+            L1Meta meta = arrays_.meta(f.set, way);
             if (f.req.isClean()) {
                 meta.dirty = false;
             } else {
                 meta = L1Meta{}; // flush/inval invalidate (§5.2)
             }
+            arrays_.write(f.set, way, meta);
             const bool carries_data =
                 f.req.is_dirty && f.req.kind != CboKind::Inval;
             f.state = carries_data ? Fshr::State::FillBuffer
@@ -1177,8 +1166,7 @@ DataCache::tickFshrs()
           }
 
           case Fshr::State::FillBuffer: {
-            f.buffer = std::as_const(arrays_).data(
-                f.set, static_cast<unsigned>(f.way));
+            f.buffer = arrays_.data(f.set, static_cast<unsigned>(f.way));
             f.buffer_filled = true;
             f.state = Fshr::State::RootReleaseData;
             ++flush_version_;
@@ -1243,10 +1231,13 @@ DataCache::completeFshr(Fshr &f)
         if (way >= 0 && f.skip_ok) {
             const unsigned set = arrays_.setOf(f.req.addr);
             const unsigned w = static_cast<unsigned>(way);
-            // A clean line with its skip bit set drops every CBO.CLEAN,
-            // so the bit is clear here.
-            if (!std::as_const(arrays_).meta(set, w).dirty) {
-                arrays_.meta(set, w).skip = true;
+            L1Meta meta = arrays_.meta(set, w);
+            if (!meta.dirty) {
+                // The bit may be set already: a GrantData fill of the
+                // line while this CBO.CLEAN was queued or in flight
+                // sets it.
+                meta.skip = true;
+                arrays_.write(set, w, meta);
                 skip_set = true;
                 if (sim_.probes().active()) {
                     sim_.probes().instant(
@@ -1255,8 +1246,7 @@ DataCache::completeFshr(Fshr &f)
                             std::to_string(&f - fshrs_.data()),
                         detail::concat("skip-set 0x", std::hex, f.req.addr),
                         f.req.addr,
-                        lineFingerprint(
-                            std::as_const(arrays_).data(set, w)));
+                        lineFingerprint(arrays_.data(set, w)));
                 }
             }
         }
@@ -1391,12 +1381,13 @@ DataCache::injectSkipCorruption(Addr addr)
     SKIPIT_ASSERT(way >= 0,
                   "injectSkipCorruption: line not resident: 0x", std::hex,
                   line);
-    L1Meta &meta =
-        arrays_.meta(arrays_.setOf(line), static_cast<unsigned>(way));
+    const unsigned set = arrays_.setOf(line);
+    L1Meta meta = arrays_.meta(set, static_cast<unsigned>(way));
     SKIPIT_ASSERT(!meta.dirty,
                   "injectSkipCorruption: line is dirty (skip bits are "
                   "only consulted on clean lines)");
     meta.skip = true;
+    arrays_.write(set, static_cast<unsigned>(way), meta);
 }
 
 void
@@ -1406,8 +1397,10 @@ DataCache::injectTrunk(Addr addr)
     const int way = arrays_.findWay(line);
     SKIPIT_ASSERT(way >= 0, "injectTrunk: line not resident: 0x", std::hex,
                   line);
-    arrays_.meta(arrays_.setOf(line), static_cast<unsigned>(way)).state =
-        ClientState::Trunk;
+    const unsigned set = arrays_.setOf(line);
+    L1Meta meta = arrays_.meta(set, static_cast<unsigned>(way));
+    meta.state = ClientState::Trunk;
+    arrays_.write(set, static_cast<unsigned>(way), meta);
 }
 
 void
@@ -1417,8 +1410,10 @@ DataCache::injectDataCorruption(Addr addr)
     const int way = arrays_.findWay(line);
     SKIPIT_ASSERT(way >= 0, "injectDataCorruption: line not resident: 0x",
                   std::hex, line);
-    arrays_.data(arrays_.setOf(line),
-                 static_cast<unsigned>(way))[lineOffset(addr)] ^= 0xff;
+    const unsigned set = arrays_.setOf(line);
+    LineData data = arrays_.data(set, static_cast<unsigned>(way));
+    data[lineOffset(addr)] ^= 0xff;
+    arrays_.write(set, static_cast<unsigned>(way), data);
 }
 
 void
@@ -1443,9 +1438,10 @@ DataCache::injectDirtyFlip(Addr addr)
     const int way = arrays_.findWay(line);
     SKIPIT_ASSERT(way >= 0, "injectDirtyFlip: line not resident: 0x",
                   std::hex, line);
-    L1Meta &meta =
-        arrays_.meta(arrays_.setOf(line), static_cast<unsigned>(way));
+    const unsigned set = arrays_.setOf(line);
+    L1Meta meta = arrays_.meta(set, static_cast<unsigned>(way));
     meta.dirty = !meta.dirty;
+    arrays_.write(set, static_cast<unsigned>(way), meta);
 }
 
 void

@@ -239,7 +239,6 @@ class DataCache : public Ticked, public probe::Inspectable
     bool missToMshr(const CpuReq &req, Grow grow);
     int mshrForLine(Addr line) const;
     void fillFromGrant(const DMsg &grant);
-    void replay(L1Mshr &m, unsigned fill_set, unsigned fill_way);
     /** The lowest invalid way of @p set no MSHR has reserved, or -1. */
     int freeWay(unsigned set) const;
     /** Pick an eviction victim in @p set honouring flush_rdy and MSHR

@@ -33,6 +33,8 @@ struct L1Meta
     bool dirty = false;
     bool skip = false;
 
+    bool operator==(const L1Meta &) const = default;
+
     bool valid() const { return state != ClientState::Nothing; }
 };
 
@@ -86,34 +88,39 @@ class L1Arrays
         return -1;
     }
 
-    /** Mutable access marks the slot in changes(): take it only to
-     *  store a new value, and read through std::as_const. */
-    L1Meta &
-    meta(unsigned set, unsigned way)
-    {
-        const std::size_t i = idx(set, way);
-        changes_.mark(i);
-        return meta_[i];
-    }
     const L1Meta &
     meta(unsigned set, unsigned way) const
     {
         return meta_[idx(set, way)];
     }
-
-    /** Mutable access marks the slot in changes(): take it only to
-     *  store new bytes, and read through std::as_const. */
-    LineData &
-    data(unsigned set, unsigned way)
-    {
-        const std::size_t i = idx(set, way);
-        changes_.mark(i);
-        return data_[i];
-    }
     const LineData &
     data(unsigned set, unsigned way) const
     {
         return data_[idx(set, way)];
+    }
+
+    /** Store @p m; marks the slot in changes() only when it differs
+     *  from what the slot held. */
+    void
+    write(unsigned set, unsigned way, const L1Meta &m)
+    {
+        const std::size_t i = idx(set, way);
+        if (meta_[i] == m)
+            return;
+        changes_.mark(i);
+        meta_[i] = m;
+    }
+
+    /** Store @p d; marks the slot in changes() only when the bytes
+     *  differ from what the slot held. */
+    void
+    write(unsigned set, unsigned way, const LineData &d)
+    {
+        const std::size_t i = idx(set, way);
+        if (data_[i] == d)
+            return;
+        changes_.mark(i);
+        data_[i] = d;
     }
 
     /** Slots (set * ways + way) a write changed since the last

@@ -253,16 +253,16 @@ L2Cache::drainDramResponses()
             // in the store; an exclusive one stays tag-only and the
             // Grant reads the MSHR stash.
             const bool inclusive = cfg_.policy == StateKind::Inclusive;
-            const DirEntry &e = std::as_const(dir_).entry(m.set, way);
+            const DirEntry &e = dir_.entry(m.set, way);
             if (e.valid) {
                 // Only an exclusive tag-only hit fetches into a valid
                 // entry; it keeps its holders and stays tag-only.
                 SKIPIT_ASSERT(e.tag == dir_.tagOf(m.line) && !e.data_resident,
                               "fill into a resident or mismatched entry");
             } else {
-                dir_.entry(m.set, way) =
-                    DirEntry{.valid = true, .tag = dir_.tagOf(m.line),
-                             .data_resident = inclusive};
+                dir_.write(m.set, way,
+                           DirEntry{.valid = true, .tag = dir_.tagOf(m.line),
+                                    .data_resident = inclusive});
             }
             if (inclusive) {
                 store_.write(m.set, way, resp.data);
@@ -278,8 +278,9 @@ L2Cache::drainDramResponses()
                           "write ack outside MemWriteback");
             // Without llc_skip a clean line is written back too.
             const unsigned way = static_cast<unsigned>(m.way);
-            if (std::as_const(dir_).entry(m.set, way).dirty)
-                dir_.entry(m.set, way).dirty = false;
+            DirEntry e = dir_.entry(m.set, way);
+            e.dirty = false;
+            dir_.write(m.set, way, e);
             m.state = Mshr::State::Respond;
             m.wait_until = sim_.now();
         }
@@ -289,7 +290,7 @@ L2Cache::drainDramResponses()
 void
 L2Cache::applyReport(unsigned set, unsigned way, const CMsg &msg)
 {
-    DirEntry e = std::as_const(dir_).entry(set, way);
+    DirEntry e = dir_.entry(set, way);
     switch (msg.param) {
       case Shrink::TtoN:
       case Shrink::BtoN:
@@ -309,10 +310,7 @@ L2Cache::applyReport(unsigned set, unsigned way, const CMsg &msg)
         e.dirty = true;
         e.data_resident = true;
     }
-    // A report that changes nothing (TtoT, BtoB, NtoN, a payload for a
-    // line already dirty here) leaves the entry unmarked.
-    if (e != std::as_const(dir_).entry(set, way))
-        dir_.entry(set, way) = e;
+    dir_.write(set, way, e);
 }
 
 void
@@ -638,7 +636,7 @@ L2Cache::tickMshr(unsigned idx)
             // The requester's report and any dirty payload were already
             // applied when the message arrived (applyRootReleaseArrival).
             const DirEntry &e =
-                std::as_const(dir_).entry(m.set, static_cast<unsigned>(way));
+                dir_.entry(m.set, static_cast<unsigned>(way));
             std::uint64_t targets = 0;
             if (m.creq.cbo == CboKind::Flush ||
                 m.creq.cbo == CboKind::Inval) {
@@ -671,7 +669,7 @@ L2Cache::tickMshr(unsigned idx)
             dir_.lockWay(m.set, static_cast<unsigned>(way));
             m.way_locked = true;
             const DirEntry &e =
-                std::as_const(dir_).entry(m.set, static_cast<unsigned>(way));
+                dir_.entry(m.set, static_cast<unsigned>(way));
             std::uint64_t targets = 0;
             Cap cap = Cap::toN;
             if (capForGrow(m.areq.param) == Cap::toT) {
@@ -708,8 +706,8 @@ L2Cache::tickMshr(unsigned idx)
         const int victim = dir_.pickVictim(m.set);
         bool victim_conflicts = false;
         if (victim >= 0) {
-            const DirEntry &ce = std::as_const(dir_).entry(
-                m.set, static_cast<unsigned>(victim));
+            const DirEntry &ce =
+                dir_.entry(m.set, static_cast<unsigned>(victim));
             if (ce.valid) {
                 const Addr cand =
                     dir_.addrOf(m.set, static_cast<unsigned>(victim));
@@ -724,7 +722,7 @@ L2Cache::tickMshr(unsigned idx)
         dir_.lockWay(m.set, static_cast<unsigned>(victim));
         m.way_locked = true;
         const DirEntry &v =
-            std::as_const(dir_).entry(m.set, static_cast<unsigned>(victim));
+            dir_.entry(m.set, static_cast<unsigned>(victim));
         if (v.valid) {
             m.has_victim = true;
             m.victim_way = victim;
@@ -753,24 +751,23 @@ L2Cache::tickMshr(unsigned idx)
         return;
 
       case Mshr::State::EvictWriteback: {
-        DirEntry &v = dir_.entry(m.set, static_cast<unsigned>(m.victim_way));
-        if (v.dirty) {
-            // Dirty implies data_resident (absorbData), so the store
-            // read below is always backed by real bytes.
+        const unsigned way = static_cast<unsigned>(m.victim_way);
+        if (dir_.entry(m.set, way).dirty) {
+            // Dirty implies data_resident (applyReport sets both), so
+            // the store read below is always backed by real bytes.
             if (!dram_.canAccept())
                 return;
             MemReq req;
             req.write = true;
             req.addr = m.victim_line;
-            req.data = store_.read(m.set,
-                                   static_cast<unsigned>(m.victim_way));
+            req.data = store_.read(m.set, way);
             req.tag = dramTagFor(idx, false);
             req.txn = m.txn;
             ++untracked_tag_;
             dram_.submit(req);
             ++ctr_.victim_writebacks;
         }
-        v = DirEntry{};
+        dir_.write(m.set, way, DirEntry{});
         m.state = Mshr::State::Fetch;
         return;
       }
@@ -802,8 +799,7 @@ L2Cache::tickMshr(unsigned idx)
             return;
         if (m.kind == Mshr::Kind::RootRelease) {
             m.state = Mshr::State::MemWriteback;
-        } else if (!std::as_const(dir_)
-                        .entry(m.set, static_cast<unsigned>(m.way))
+        } else if (!dir_.entry(m.set, static_cast<unsigned>(m.way))
                         .data_resident) {
             // The probes settled permissions but delivered no data
             // (clean holders, tag-only entry): fetch from DRAM, which
@@ -820,14 +816,14 @@ L2Cache::tickMshr(unsigned idx)
       case Mshr::State::MemWriteback: {
         if (m.awaiting_dram)
             return;
-        const DirEntry &e =
-            std::as_const(dir_).entry(m.set, static_cast<unsigned>(m.way));
+        const DirEntry &e = dir_.entry(m.set, static_cast<unsigned>(m.way));
         if (m.kind == Mshr::Kind::RootRelease &&
             m.creq.cbo == CboKind::Inval) {
             // CBO.INVAL discards: no DRAM write, dirty data is dropped
             // (that is its contract — the spec permits the data loss).
-            if (e.dirty)
-                dir_.entry(m.set, static_cast<unsigned>(m.way)).dirty = false;
+            DirEntry discarded = e;
+            discarded.dirty = false;
+            dir_.write(m.set, static_cast<unsigned>(m.way), discarded);
             ++ctr_.rootrelease_inval_discarded;
             m.state = Mshr::State::Respond;
             m.wait_until = sim_.now();
@@ -886,11 +882,10 @@ L2Cache::tickMshr(unsigned idx)
         if (m.kind == Mshr::Kind::RootRelease) {
             if (m.line_was_resident && (m.creq.cbo == CboKind::Flush ||
                                         m.creq.cbo == CboKind::Inval)) {
-                DirEntry &e = dir_.entry(m.set,
-                                         static_cast<unsigned>(m.way));
-                SKIPIT_ASSERT(!e.heldByAnyone(),
+                const unsigned way = static_cast<unsigned>(m.way);
+                SKIPIT_ASSERT(!dir_.entry(m.set, way).heldByAnyone(),
                               "flush completing with live L1 holders");
-                e = DirEntry{};
+                dir_.write(m.set, way, DirEntry{});
             }
             if (m.way_locked)
                 dir_.unlockWay(m.set, static_cast<unsigned>(m.way));
@@ -911,7 +906,7 @@ L2Cache::tickMshr(unsigned idx)
         }
 
         // Acquire grant.
-        DirEntry &e = dir_.entry(m.set, static_cast<unsigned>(m.way));
+        DirEntry e = dir_.entry(m.set, static_cast<unsigned>(m.way));
         Cap cap = capForGrow(m.areq.param);
         if (cap == Cap::toB && !e.heldByAnyone()) {
             // Sole reader: grant exclusive (MESI E) like the SiFive L2.
@@ -929,6 +924,7 @@ L2Cache::tickMshr(unsigned idx)
         } else {
             e.branches |= std::uint64_t{1} << m.requester;
         }
+        dir_.write(m.set, static_cast<unsigned>(m.way), e);
         dir_.touch(m.set, static_cast<unsigned>(m.way));
 
         DMsg grant;
@@ -1017,7 +1013,10 @@ L2Cache::injectDropHolder(Addr addr, AgentId id)
     const int way = dir_.findWay(line);
     SKIPIT_ASSERT(way >= 0, "injectDropHolder: line not resident: 0x",
                   std::hex, line);
-    dir_.entry(dir_.setOf(line), static_cast<unsigned>(way)).dropHolder(id);
+    const unsigned set = dir_.setOf(line);
+    DirEntry e = dir_.entry(set, static_cast<unsigned>(way));
+    e.dropHolder(id);
+    dir_.write(set, static_cast<unsigned>(way), e);
 }
 
 void
@@ -1040,8 +1039,10 @@ L2Cache::injectTagOnly(Addr addr)
     const int way = dir_.findWay(line);
     SKIPIT_ASSERT(way >= 0, "injectTagOnly: line not resident: 0x", std::hex,
                   line);
-    dir_.entry(dir_.setOf(line), static_cast<unsigned>(way)).data_resident =
-        false;
+    const unsigned set = dir_.setOf(line);
+    DirEntry e = dir_.entry(set, static_cast<unsigned>(way));
+    e.data_resident = false;
+    dir_.write(set, static_cast<unsigned>(way), e);
 }
 
 std::string

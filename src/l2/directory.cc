@@ -29,20 +29,22 @@ Directory::findWay(Addr line_addr) const
     return -1;
 }
 
-DirEntry &
-Directory::entry(unsigned set, unsigned way)
-{
-    const std::size_t i = index(set, way);
-    DirEntry &e = entries_[i];
-    if (changes_.mark(i))
-        prior_lines_.push_back(e.valid ? e.tag << line_shift : no_line);
-    return e;
-}
-
 const DirEntry &
 Directory::entry(unsigned set, unsigned way) const
 {
     return entries_[index(set, way)];
+}
+
+void
+Directory::write(unsigned set, unsigned way, const DirEntry &e)
+{
+    const std::size_t i = index(set, way);
+    DirEntry &held = entries_[i];
+    if (held == e)
+        return;
+    if (changes_.mark(i))
+        prior_lines_.push_back(held.valid ? held.tag << line_shift : no_line);
+    held = e;
 }
 
 void

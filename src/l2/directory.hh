@@ -148,11 +148,11 @@ class Directory
     /** @return way index of @p line_addr or -1 if not resident. */
     int findWay(Addr line_addr) const;
 
-    /** Mutable access marks the slot in changes() and, on its first mark
-     *  since the last drain, records the line the entry held. Take it
-     *  only to store a new value; read through std::as_const. */
-    DirEntry &entry(unsigned set, unsigned way);
     const DirEntry &entry(unsigned set, unsigned way) const;
+    /** Store @p e; marks the slot in changes() only when it differs
+     *  from what the slot held, and on the slot's first mark since the
+     *  last drain records the line the entry held. */
+    void write(unsigned set, unsigned way, const DirEntry &e);
 
     /** priorLines() value for an entry that held no line. */
     static constexpr Addr no_line = ~Addr{0};

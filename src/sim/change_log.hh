@@ -4,15 +4,14 @@
  * was last drained.
  *
  * The coherence checker re-derives its per-line invariants only where
- * state changed (see src/verify/checker.hh). Every mutable accessor of
- * the state it reads (L1 meta/data, directory entries, the L2
- * BankedStore, DRAM lines) marks the slot it hands out, and the model
- * takes one only to store a new value: reads go through the const
- * overloads (std::as_const on a non-const owner), and
- * BankedStore::write() and Dram's store compare the bytes first. So a
- * marked slot holds new content, unless one cycle wrote it and put it
- * back. A slot is marked at most once between drains, so a log nobody
- * drains (checker off) never grows past the number of slots.
+ * state changed (see src/verify/checker.hh). The state it reads (L1
+ * meta/data, directory entries, the L2 BankedStore, DRAM lines) changes
+ * only through each array's write(), which compares the new value with
+ * the held one and marks the slot only when they differ; every other
+ * accessor is const. So a marked slot holds new content, unless one
+ * cycle wrote it and put it back. A slot is marked at most once between
+ * drains, so a log nobody drains (checker off) never grows past the
+ * number of slots.
  */
 
 #ifndef SKIPIT_SIM_CHANGE_LOG_HH

@@ -81,12 +81,11 @@ CoherenceChecker::addL1(const DataCache &l1)
                   "each is one bit of a 64-bit bitset");
     l1s_.push_back(&l1);
     prev_fshr_.emplace_back(l1.fshrs().size(), Fshr::State::Invalid);
-    idle_at_last_check_ |= std::uint64_t{1} << (l1s_.size() - 1);
     // No version equals this one, so the first tick checks the L1.
     flush_seen_.push_back(~l1.flushUnitVersion());
     const std::size_t slots =
         std::size_t{l1.arrays().sets()} * l1.arrays().ways();
-    work_.push_back({ChangeLog(slots), {}, ChangeLog(slots)});
+    work_.push_back({ChangeLog(slots), ChangeLog(slots)});
 }
 
 void
@@ -98,19 +97,17 @@ CoherenceChecker::tick()
     drainChanges();
     bool flush_moved = false;
     for (std::size_t i = 0; i < l1s_.size(); ++i) {
-        L1Work &w = work_[i];
-        if (!w.recheck.slots().empty() || !w.failing.empty()) {
-            for (const std::size_t s : w.failing)
-                w.recheck.mark(s);
-            w.failing.clear();
+        ChangeLog &recheck = work_[i].recheck;
+        if (!recheck.slots().empty()) {
             const unsigned ways = l1s_[i]->arrays().ways();
-            for (const std::size_t s : sortedSlots(w.recheck)) {
+            const std::vector<std::size_t> &due = sortedSlots(recheck);
+            recheck.clear();
+            for (const std::size_t s : due) {
                 if (checkLineStructural(i, static_cast<unsigned>(s / ways),
                                         static_cast<unsigned>(s % ways))) {
-                    w.failing.push_back(s);
+                    recheck.mark(s);
                 }
             }
-            w.recheck.clear();
         }
 
         // The flush-unit checks read the L1's flush-unit state, which
@@ -125,13 +122,9 @@ CoherenceChecker::tick()
         flush_moved = flush_moved || version != flush_seen_[i];
         flush_seen_[i] = version;
         const std::uint64_t before = reported_;
-        if (quietL1(i)) {
-            checkQuietFlushCounter(i);
-        } else {
-            checkL1Queues(i);
-            checkFshrFsm(i);
-            snapshotFshrStates(i);
-        }
+        checkL1Queues(i);
+        checkFshrFsm(i);
+        snapshotFshrStates(i);
         flush_failing_ = reported_ != before ? flush_failing_ | bit
                                              : flush_failing_ & ~bit;
     }
@@ -141,7 +134,7 @@ CoherenceChecker::tick()
         checkGlobalFlushCounter();
         global_failing_ = reported_ != before;
     }
-    if (cfg_.check_values && cfg_.value_interval > 0 &&
+    if (cfg_.value_interval > 0 &&
         checks_run_ % cfg_.value_interval == 0) {
         for (std::size_t i = 0; i < l1s_.size(); ++i) {
             ChangeLog &owing = work_[i].owing;
@@ -286,11 +279,9 @@ CoherenceChecker::checkNow()
     }
     checkSliceRouting(DirScan::Full);
     checkGlobalFlushCounter();
-    if (cfg_.check_values) {
-        for (std::size_t i = 0; i < l1s_.size(); ++i)
-            checkValues(i);
-        checkL2DramSweep();
-    }
+    for (std::size_t i = 0; i < l1s_.size(); ++i)
+        checkValues(i);
+    checkL2DramSweep();
     for (std::size_t i = 0; i < l1s_.size(); ++i)
         snapshotFshrStates(i);
     return violations_.size() - before;
@@ -551,29 +542,6 @@ CoherenceChecker::snapshotFshrStates(std::size_t idx)
     const std::vector<Fshr> &fshrs = l1s_[idx]->fshrs();
     for (std::size_t i = 0; i < fshrs.size(); ++i)
         prev_fshr_[idx][i] = fshrs[i].state;
-    if (l1s_[idx]->fshrsIdle())
-        idle_at_last_check_ |= std::uint64_t{1} << idx;
-    else
-        idle_at_last_check_ &= ~(std::uint64_t{1} << idx);
-}
-
-bool
-CoherenceChecker::quietL1(std::size_t idx) const
-{
-    const DataCache &dc = *l1s_[idx];
-    return dc.flushQueue().empty() && dc.fshrsIdle() &&
-           (idle_at_last_check_ >> idx & 1) != 0;
-}
-
-void
-CoherenceChecker::checkQuietFlushCounter(std::size_t idx)
-{
-    const DataCache &dc = *l1s_[idx];
-    if (dc.flushCounter() != 0) {
-        fail("flush-counter", detail::concat(
-                 "l1[", idx, "] flush counter ", dc.flushCounter(),
-                 " != 0 queued + 0 in FSHRs"));
-    }
 }
 
 void

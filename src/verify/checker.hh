@@ -55,20 +55,21 @@
  * idle. Enabling it never changes simulated timing.
  *
  * Incremental checking. The per-line invariants (swmr, inclusivity,
- * value-coherence, skip-soundness) read only state behind four mutable
- * paths, and each writes a ChangeLog (sim/change_log.hh):
- * L1Arrays::meta()/data(), Directory::entry() (which also records the
- * line the entry held before), BankedStore::write() and Dram's store
- * writes. Each executed cycle, tick() drains the logs and marks every
- * changed line in every L1 that holds it, then runs swmr/inclusivity on
- * the marked lines plus the lines that failed last cycle, in the full
- * sweep's (L1, set, way) order. A line's verdict can change only when
- * something it reads changes, and a failing line is re-reported every
- * cycle, so the violation sequence is the one a full sweep gives. Value
- * and skip checks keep their value_interval cadence but visit only the
- * lines that still owe one: changed since their last quiet pass, still
- * busy, or failing. The first tick is a full pass, and checkNow() always
- * covers everything.
+ * value-coherence, skip-soundness) read only state that changes through
+ * four write paths, each of which marks a ChangeLog (sim/change_log.hh)
+ * only when the value it stores differs: L1Arrays::write(),
+ * Directory::write() (which also records the line the entry held
+ * before), BankedStore::write() and Dram's store writes. Each executed
+ * cycle, tick() drains the logs and marks every changed line in every
+ * L1 that holds it, then runs swmr/inclusivity on the marked lines plus
+ * the lines that failed last cycle (a failing line stays marked), in
+ * the full sweep's (L1, set, way) order. A line's verdict can change
+ * only when something it reads changes, and a failing line is
+ * re-reported every cycle, so the violation sequence is the one a full
+ * sweep gives. Value and skip checks keep their value_interval cadence
+ * but visit only the lines that still owe one: changed since their last
+ * quiet pass, still busy, or failing. The first tick is a full pass, and
+ * checkNow() always covers everything.
  *
  * The flush-unit checks (flushq-meta, probe-invalidate, flush-counter,
  * fshr-fsm) of an L1 read its flush queue, FSHR states, probe unit and
@@ -80,9 +81,7 @@
  * changed since a check that passed, so they would pass again: the FSHR
  * snapshot equals the current states (self loops only). A failing L1 is
  * re-checked, and so re-reported, in every executed cycle, which keeps
- * the violation sequence. An L1 whose queue is empty and whose FSHRs are
- * all Invalid, now and at its last check, is checked by comparing its
- * flush counter with 0. flush-counter-global runs when some L1's
+ * the violation sequence. flush-counter-global runs when some L1's
  * version moved or it failed last cycle.
  *
  * slice-routing reads the in-flight lines of every slice in every
@@ -92,11 +91,12 @@
  * directory change log, and the lowest slot is the line a scan in
  * (set, way) order finds first. checkNow() scans every entry.
  *
- * The rule this rests on: every mutable path into L1 arrays, the
- * directory, the BankedStore or DRAM goes through a logged accessor, and
- * every flush-unit write bumps the version.
- * tests/verify/test_checker_incremental.cc is the completeness oracle
- * that fails when one does not.
+ * The rule this rests on: state the checker reads changes only through
+ * write() (L1 arrays, the directory, the BankedStore, DRAM), and every
+ * flush-unit write bumps the version.
+ * tests/verify/test_checker_incremental.cc is the oracle that fails
+ * when a change bypasses either, or when a log marks what no write
+ * changed.
  */
 
 #ifndef SKIPIT_VERIFY_CHECKER_HH
@@ -130,8 +130,6 @@ struct CheckerConfig
     /** Panic on the first violation (tests, CI) instead of latching it
      *  for later inspection (fuzzing, watchdog escalation). */
     bool fatal = true;
-    /** Run the value-coherence / skip-soundness byte comparisons. */
-    bool check_values = true;
     /** Check skip-bit soundness. The SoC clears this automatically for
      *  configurations where the skip bit is genuinely unsound (skip_it
      *  without grant_data_dirty, reachable through the ablation axes). */
@@ -205,8 +203,6 @@ class CoherenceChecker : public Ticked
     /** FSHR states at each L1's last flush-unit check, for transition
      *  checking. */
     std::vector<std::vector<Fshr::State>> prev_fshr_;
-    /** Bit i: every FSHR of L1 i was Invalid in its last snapshot. */
-    std::uint64_t idle_at_last_check_ = 0;
     /** Per L1: its flushUnitVersion() at its last flush-unit check. */
     std::vector<std::uint64_t> flush_seen_;
     /** Bit i: L1 i's last flush-unit check reported a violation. */
@@ -224,9 +220,9 @@ class CoherenceChecker : public Ticked
     /** Per-L1 incremental state; a slot is set * ways + way. */
     struct L1Work
     {
-        ChangeLog recheck;                //!< swmr/inclusivity this cycle
-        std::vector<std::size_t> failing; //!< slots that failed them last
-        ChangeLog owing;                  //!< slots owing a value check
+        /** Slots owing swmr/inclusivity: changed, or failed last cycle. */
+        ChangeLog recheck;
+        ChangeLog owing; //!< slots owing a value check
     };
     std::vector<L1Work> work_;
     /** False until the first tick, which checks every slot. */
@@ -271,13 +267,6 @@ class CoherenceChecker : public Ticked
     void checkGlobalFlushCounter();
     /** Record L1 @p idx's FSHR states for its next fshr-fsm check. */
     void snapshotFshrStates(std::size_t idx);
-    /** L1 @p idx has an empty flush queue and every FSHR Invalid, now
-     *  and at its last snapshot: its flushq-meta and probe-invalidate
-     *  checks are vacuous, its FSHRs took self loops and its snapshot
-     *  is unchanged, so only its flush counter needs a look. */
-    bool quietL1(std::size_t idx) const;
-    /** flush-counter for a quiet L1: the counter must be 0. */
-    void checkQuietFlushCounter(std::size_t idx);
 
     /** The slice whose address range contains @p line (null if none). */
     const L2Cache *homeL2(Addr line) const;

@@ -2,23 +2,23 @@
  * @file
  * Change-log oracle for the incremental coherence checker.
  *
- * The checker re-checks only the lines whose state went through a logged
- * mutable accessor (src/sim/change_log.hh), and re-runs an L1's
- * flush-unit checks only when its flushUnitVersion() moved. This test
- * keeps a shadow copy of every L1 meta/data slot, directory entry,
- * BankedStore line and DRAM line, and of each L1's flush-unit state
- * (queue entries, FSHR states, probe unit, flush counter). It steps
- * seeded fuzz programs one executed cycle at a time with the checker
- * off (so the test drains the logs itself) and audits both directions:
+ * The checker re-checks only the lines whose state a write() changed
+ * (src/sim/change_log.hh), and re-runs an L1's flush-unit checks only
+ * when its flushUnitVersion() moved. This test keeps a shadow copy of
+ * every L1 meta/data slot, directory entry, BankedStore line and DRAM
+ * line, and of each L1's flush-unit state (queue entries, FSHR states,
+ * probe unit, flush counter). It steps seeded fuzz programs and the
+ * eviction storm one executed cycle at a time with the checker off (so
+ * the test drains the logs itself) and audits both directions:
  *
  * - completeness: every slot that differs from its shadow appears in its
  *   log, and every L1 whose flush-unit state differs moved its version.
- *   A new mutable path that bypasses the logged accessors or the
+ *   A new path that changes checked state around write() or the
  *   version bump fails here.
  * - precision: a log marks only what a write changed, so a marked slot
- *   whose content equals its shadow is a read (or a no-op write) that
- *   took the marking accessor. No row writes a slot and restores it
- *   within one cycle, so every row requires none.
+ *   whose content equals its shadow is a write() that skipped its
+ *   compare. No row writes a slot and restores it within one cycle, so
+ *   every row requires none.
  */
 
 #include <gtest/gtest.h>
@@ -28,18 +28,12 @@
 #include <tuple>
 #include <vector>
 
+#include "../soc/storm.hh"
 #include "soc/soc.hh"
 #include "workloads/fuzz.hh"
 
 namespace skipit {
 namespace {
-
-bool
-sameMeta(const L1Meta &a, const L1Meta &b)
-{
-    return a.state == b.state && a.tag == b.tag && a.dirty == b.dirty &&
-           a.skip == b.skip;
-}
 
 Addr
 lineOf(const DirEntry &e)
@@ -191,7 +185,7 @@ class Shadow
                 const unsigned way = static_cast<unsigned>(i % a.ways());
                 const L1Meta &m = a.meta(set, way);
                 const LineData &d = a.data(set, way);
-                if (sameMeta(m, meta_[c][i]) && d == l1_data_[c][i]) {
+                if (m == meta_[c][i] && d == l1_data_[c][i]) {
                     unchanged_.l1 += a.changes().marked(i) ? 1 : 0;
                     continue;
                 }
@@ -293,6 +287,16 @@ class Shadow
     }
 };
 
+/** Precision: no log marks a slot that no write changed. */
+void
+expectExact(const Marks &unchanged)
+{
+    EXPECT_EQ(unchanged.l1, 0u) << "L1 slots marked but unchanged";
+    EXPECT_EQ(unchanged.dir, 0u) << "directory slots marked but unchanged";
+    EXPECT_EQ(unchanged.store, 0u) << "store slots marked but unchanged";
+    EXPECT_EQ(unchanged.dram, 0u) << "DRAM slots marked but unchanged";
+}
+
 /** cores x slices x L2 state policy x L1 FSHRs (0 = default). */
 using Combo = std::tuple<unsigned, unsigned, StateKind, unsigned>;
 
@@ -352,12 +356,7 @@ auditRun(const Combo &combo, bool llc_skip)
         EXPECT_GT(shadow.probeRewrites(), 0u);
         EXPECT_GT(shadow.evictionRewrites(), 0u);
     }
-    // Precision: no log marks a slot that no write changed.
-    const Marks &unchanged = shadow.unchangedMarks();
-    EXPECT_EQ(unchanged.l1, 0u) << "L1 slots marked but unchanged";
-    EXPECT_EQ(unchanged.dir, 0u) << "directory slots marked but unchanged";
-    EXPECT_EQ(unchanged.store, 0u) << "store slots marked but unchanged";
-    EXPECT_EQ(unchanged.dram, 0u) << "DRAM slots marked but unchanged";
+    expectExact(shadow.unchangedMarks());
 }
 
 TEST_P(ChangeLogOracle, EveryChangedSlotIsLogged)
@@ -431,6 +430,47 @@ TEST(ChangeLogPrecision, CboZeroAndInvalMarkOnlyWhatTheyChange)
     const Marks &unchanged = shadow.unchangedMarks();
     EXPECT_EQ(unchanged.l1, 0u) << "L1 slots marked but unchanged";
     EXPECT_EQ(unchanged.dir, 0u) << "directory slots marked but unchanged";
+}
+
+/**
+ * The LiveSetPin eviction storm (16 harts, 4 slices) under the shadow:
+ * the only rows whose L2 evicts, so victim writebacks, back-invalidation
+ * probes and ListBuffer retries all occur. A completed CBO.CLEAN sets a
+ * skip bit a GrantData fill already set, and with a small DRAM window
+ * a dirty victim waits in EvictWriteback for a free request slot; both
+ * must leave their slot unmarked.
+ */
+void
+auditStorm(SoCConfig cfg)
+{
+    cfg.verify.enabled = false; // the test drains the logs itself
+    SoC soc(cfg);
+    soc.setPrograms(stormPrograms(cfg.cores, 400));
+    Shadow shadow(soc);
+    soc.sim().runUntil(
+        [&] {
+            shadow.audit();
+            return ::testing::Test::HasFatalFailure() || soc.quiesced();
+        },
+        1'000'000);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    const Stats &st = soc.stats();
+    EXPECT_GT(st.get("l2.victim_writebacks"), 0u);
+    EXPECT_GT(st.get("l2.probes"), 0u);
+    EXPECT_GT(st.get("l2.listbuffer.buffered"), 0u);
+    expectExact(shadow.unchangedMarks());
+}
+
+TEST(ChangeLogStorm, DefaultDramWindow)
+{
+    auditStorm(stormConfig(16, 4));
+}
+
+TEST(ChangeLogStorm, FourEntryDramWindow)
+{
+    SoCConfig cfg = stormConfig(16, 4);
+    cfg.dram.max_inflight = 4;
+    auditStorm(cfg);
 }
 
 std::string
